@@ -1,31 +1,20 @@
-"""int64 fast paths for Smith diagonalization.
+"""int64 fast path for Smith diagonalization.
 
-Both backends run the same gcd-driven elimination with smallest-pivot
-selection.  Every intermediate value stays below ``ENTRY_BOUND`` or the
-kernel gives up: with |entries| <= 2^31 - 1 a single update
-``x - q*y`` is bounded by 2^62 + 2^31, so int64 arithmetic is exact right
-up to the moment the bound check runs.  A ``None`` result therefore never
-means "wrong", only "cannot certify"; callers rerun in big-int arithmetic.
-
-The numba backend is used by default; set ``TORSIONFORGE_NO_NUMBA=1`` to
-force the vectorized numpy fallback (or if numba is not importable).
+One vectorized numpy kernel runs the same gcd-driven elimination with
+smallest-pivot selection as the big-int reference
+``exactmat._smith_exact``, updating whole rows and columns per sweep.
+Every intermediate value stays below ``ENTRY_BOUND`` or the kernel gives
+up: with |entries| <= 2^31 - 1 a single update ``x - q*y`` is bounded by
+2^62 + 2^31, so int64 arithmetic is exact right up to the moment the bound
+check runs.  A ``None`` result therefore never means "wrong", only "cannot
+certify"; callers rerun in big-int arithmetic.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-    HAVE_NUMBA = False
-
-# Largest magnitude the kernels let any entry reach (2^31 - 1).
+# Largest magnitude the kernel lets any entry reach (2^31 - 1).
 ENTRY_BOUND = 2**31 - 1
 
 # Re-pick/merge rounds per pivot before giving up; generous (each round
@@ -33,157 +22,16 @@ ENTRY_BOUND = 2**31 - 1
 _MAX_ROUNDS = 1_000_000
 
 
-def numba_enabled() -> bool:
-    return HAVE_NUMBA and os.environ.get("TORSIONFORGE_NO_NUMBA", "") not in ("1", "true", "yes")
-
-
 def backend_name() -> str:
-    return "numba" if numba_enabled() else "numpy"
+    return "numpy"
 
 
-def _smith_diag_loops(a, out):
-    """In-place Smith diagonalization of int64 matrix ``a``.
+def smith_diagonal_int64(arr: np.ndarray) -> list[int] | None:
+    """Invariant factors of an int64 matrix, or None when int64 cannot certify.
 
-    Writes the nonnegative invariant factors into ``out`` and returns their
-    count, or -1 if an entry would leave the certified-exact range.
+    Works on a private copy, so ``arr`` is left untouched.
     """
-    m, n = a.shape
-    bound = ENTRY_BOUND
-    mind = m if m < n else n
-    k = 0
-    while k < mind:
-        # smallest-magnitude nonzero entry of the trailing submatrix
-        bi = -1
-        bj = -1
-        bv = 0
-        for i in range(k, m):
-            for j in range(k, n):
-                v = a[i, j]
-                if v < 0:
-                    v = -v
-                if v != 0 and (bi < 0 or v < bv):
-                    bi = i
-                    bj = j
-                    bv = v
-            if bv == 1:
-                break
-        if bi < 0:
-            break
-        if bi != k:
-            for j in range(k, n):
-                tmp = a[k, j]
-                a[k, j] = a[bi, j]
-                a[bi, j] = tmp
-        if bj != k:
-            for i in range(k, m):
-                tmp = a[i, k]
-                a[i, k] = a[i, bj]
-                a[i, bj] = tmp
-
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > _MAX_ROUNDS:
-                return -1
-            # bring the smallest nonzero of column k to the pivot slot
-            bi = k
-            bv = a[k, k]
-            if bv < 0:
-                bv = -bv
-            for i in range(k + 1, m):
-                v = a[i, k]
-                if v < 0:
-                    v = -v
-                if v != 0 and (bv == 0 or v < bv):
-                    bi = i
-                    bv = v
-            if bi != k:
-                for j in range(k, n):
-                    tmp = a[k, j]
-                    a[k, j] = a[bi, j]
-                    a[bi, j] = tmp
-            # clear column k below the pivot
-            dirty = False
-            for i in range(k + 1, m):
-                if a[i, k] != 0:
-                    q = a[i, k] // a[k, k]
-                    if q != 0:
-                        for j in range(k, n):
-                            x = a[i, j] - q * a[k, j]
-                            if x > bound or x < -bound:
-                                return -1
-                            a[i, j] = x
-                    if a[i, k] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            # same for row k
-            bj = k
-            bv = a[k, k]
-            if bv < 0:
-                bv = -bv
-            for j in range(k + 1, n):
-                v = a[k, j]
-                if v < 0:
-                    v = -v
-                if v != 0 and (bv == 0 or v < bv):
-                    bj = j
-                    bv = v
-            if bj != k:
-                for i in range(k, m):
-                    tmp = a[i, k]
-                    a[i, k] = a[i, bj]
-                    a[i, bj] = tmp
-            dirty = False
-            for j in range(k + 1, n):
-                if a[k, j] != 0:
-                    q = a[k, j] // a[k, k]
-                    if q != 0:
-                        for i in range(k, m):
-                            x = a[i, j] - q * a[i, k]
-                            if x > bound or x < -bound:
-                                return -1
-                            a[i, j] = x
-                    if a[k, j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            # column swaps may have brought nonzeros back below the pivot
-            colclean = True
-            for i in range(k + 1, m):
-                if a[i, k] != 0:
-                    colclean = False
-                    break
-            if not colclean:
-                continue
-            # pivot must divide the whole trailing submatrix
-            p = a[k, k]
-            badi = -1
-            for i in range(k + 1, m):
-                for j in range(k + 1, n):
-                    if a[i, j] % p != 0:
-                        badi = i
-                        break
-                if badi >= 0:
-                    break
-            if badi < 0:
-                break
-            for j in range(k, n):
-                x = a[k, j] + a[badi, j]
-                if x > bound or x < -bound:
-                    return -1
-                a[k, j] = x
-        v = a[k, k]
-        out[k] = -v if v < 0 else v
-        k += 1
-    return k
-
-
-_smith_diag_jit = njit(cache=True, nogil=True)(_smith_diag_loops) if HAVE_NUMBA else None
-
-
-def _smith_diag_numpy(a):
-    """Vectorized variant of :func:`_smith_diag_loops` (whole-sweep updates)."""
+    a = np.array(arr, dtype=np.int64, order="C", copy=True)
     m, n = a.shape
     big = np.iinfo(np.int64).max
     diag = []
@@ -251,24 +99,3 @@ def _smith_diag_numpy(a):
         diag.append(abs(int(a[k, k])))
         k += 1
     return diag
-
-
-def smith_diagonal_int64(arr: np.ndarray, backend: str | None = None) -> list[int] | None:
-    """Invariant factors of an int64 matrix, or None when int64 cannot certify.
-
-    ``backend`` forces "numba" or "numpy"; default follows the env flag.
-    """
-    if backend is None:
-        backend = backend_name()
-    if backend == "numba":
-        if _smith_diag_jit is None:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        a = np.array(arr, dtype=np.int64, order="C", copy=True)
-        out = np.zeros(min(a.shape), dtype=np.int64)
-        r = _smith_diag_jit(a, out)
-        if r < 0:
-            return None
-        return [int(x) for x in out[:r]]
-    if backend == "numpy":
-        return _smith_diag_numpy(np.array(arr, dtype=np.int64, order="C", copy=True))
-    raise ValueError(f"unknown kernel backend {backend!r}")

@@ -1,6 +1,7 @@
 """Benchmarks: construction-time scaling of the Hadamard triangulations
 (the doubling ratio should sit near 4, matching quadratic growth) and a
-comparison of the Smith-kernel backends on their boundary matrices.
+comparison of the int64 Smith kernel with the big-int path on their
+boundary matrices.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def format_scaling_report(rep: dict) -> str:
 
 
 def kernel_comparison(sizes=(4, 8, 16), include_python: bool = True) -> list[dict]:
-    """Time the Smith backends on the triangle boundary matrix of HMT(n).
+    """Time the int64 numpy kernel and the big-int path on the triangle
+    boundary matrix of HMT(n).
 
     The exact big-int path is skipped above n=8; it exists for correctness,
     not speed.
@@ -94,16 +96,9 @@ def kernel_comparison(sizes=(4, 8, 16), include_python: bool = True) -> list[dic
         _, d2 = boundary_matrices(build_hmt(n))
         arr = np.array(d2.to_rows(), dtype=np.int64)
         entry: dict = {"n": n, "shape": (d2.rows, d2.cols)}
-        if _kernels.HAVE_NUMBA:
-            _kernels.smith_diagonal_int64(arr, backend="numba")  # warm the JIT
-            t0 = time.perf_counter()
-            diag = _kernels.smith_diagonal_int64(arr, backend="numba")
-            entry["numba"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        diag_np = _kernels.smith_diagonal_int64(arr, backend="numpy")
+        _kernels.smith_diagonal_int64(arr)
         entry["numpy"] = time.perf_counter() - t0
-        if _kernels.HAVE_NUMBA and diag is not None and diag_np is not None and diag != diag_np:
-            raise AssertionError(f"kernel backends disagree at n={n}")
         if include_python and n <= 8:
             t0 = time.perf_counter()
             _smith_exact(d2, transforms=False)
@@ -114,12 +109,12 @@ def kernel_comparison(sizes=(4, 8, 16), include_python: bool = True) -> list[dic
 
 def format_kernel_comparison(rows: list[dict]) -> str:
     lines = ["smith kernel backends on HMT triangle boundaries"]
-    lines.append(f"{'n':>4} {'shape':>12} {'numba':>10} {'numpy':>10} {'python':>10}")
+    lines.append(f"{'n':>4} {'shape':>12} {'numpy':>10} {'python':>10}")
     for r in rows:
         shape = f"{r['shape'][0]}x{r['shape'][1]}"
 
         def cell(key):
             return f"{r[key]:>10.4f}" if key in r else f"{'-':>10}"
 
-        lines.append(f"{r['n']:>4} {shape:>12} {cell('numba')} {cell('numpy')} {cell('python')}")
+        lines.append(f"{r['n']:>4} {shape:>12} {cell('numpy')} {cell('python')}")
     return "\n".join(lines)

@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("bench", help="construction-scaling or kernel benchmark")
     sp.add_argument("--max-n", type=int, default=512)
     sp.add_argument("--kernels", action="store_true",
-                    help="compare the numba/numpy/big-int smith backends instead")
+                    help="compare the numpy and big-int smith paths instead")
     add_output(sp)
     sp.set_defaults(func=_cmd_bench)
 

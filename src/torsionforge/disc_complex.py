@@ -67,6 +67,16 @@ class DiscComplexSpec:
         return IntMatrix.from_rows(rows)
 
 
+def _reject_zero_lines(m: IntMatrix) -> None:
+    """Raise ValueError naming the first zero row, else the first zero column."""
+    for i in range(m.rows):
+        if not any(m.row(i)):
+            raise ValueError(f"row {i + 1} of the matrix is zero")
+    for j in range(m.cols):
+        if not any(m[i, j] for i in range(m.rows)):
+            raise ValueError(f"column {j + 1} of the matrix is zero")
+
+
 def from_matrix(m: IntMatrix, ordering: str = "grouped") -> DiscComplexSpec:
     """Boundary words for a matrix with no zero rows or columns.
 
@@ -75,12 +85,7 @@ def from_matrix(m: IntMatrix, ordering: str = "grouped") -> DiscComplexSpec:
     """
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
-    for i in range(m.rows):
-        if not any(m.row(i)):
-            raise ValueError(f"row {i + 1} of the matrix is zero")
-    for j in range(m.cols):
-        if not any(m[i, j] for i in range(m.rows)):
-            raise ValueError(f"column {j + 1} of the matrix is zero")
+    _reject_zero_lines(m)
     words = []
     for i in range(m.rows):
         row = m.row(i)
@@ -107,12 +112,7 @@ def cellular_homology(m: IntMatrix) -> tuple[AbelianGroup, AbelianGroup, Abelian
     H1 has free rank cols - rank plus the torsion of the Smith diagonal,
     H2 is free of rank rows - rank.
     """
-    for i in range(m.rows):
-        if not any(m.row(i)):
-            raise ValueError(f"row {i + 1} of the matrix is zero")
-    for j in range(m.cols):
-        if not any(m[i, j] for i in range(m.rows)):
-            raise ValueError(f"column {j + 1} of the matrix is zero")
+    _reject_zero_lines(m)
     snf = smith_normal_form(m)
     r = snf.rank
     torsion = [f for f in snf.invariant_factors if f > 1]

@@ -2,9 +2,9 @@
 and canonical finitely generated abelian groups.
 
 Everything here is exact at any magnitude.  Smith reduction first tries the
-int64 kernels in :mod:`torsionforge._kernels`; any matrix they cannot certify
-is redone in Python big-int arithmetic, so results never depend on which
-path ran.
+vectorized int64 kernel in :mod:`torsionforge._kernels`; any matrix it cannot
+certify is redone in Python big-int arithmetic, so results never depend on
+which path ran.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ class AbelianGroup:
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
             if b % a:
                 raise ValueError(f"invariant factors not chain-divisible: {a} does not divide {b}")
-        expected = tuple(sorted(pp for f in self.invariant_factors for pp in _prime_powers(f)))
+        expected = tuple(sorted(pp for f in self.invariant_factors for _, pp in _prime_powers(f)))
         if tuple(sorted(self.primary_decomposition)) != expected:
             raise ValueError("primary decomposition does not match the invariant factors")
 
@@ -176,15 +176,16 @@ class AbelianGroup:
         return " x ".join(parts) if parts else "0"
 
 
-def _prime_powers(n: int) -> list[int]:
-    """Prime-power factorization of n > 1, e.g. 12 -> [4, 3]."""
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """Prime-power factorization of n > 1 as (prime, prime power) pairs,
+    e.g. 12 -> [(2, 4), (3, 3)]."""
     out = []
     for p in _prime_factors(n):
         pe = 1
         while n % p == 0:
             n //= p
             pe *= p
-        out.append(pe)
+        out.append((p, pe))
     return out
 
 
@@ -225,8 +226,7 @@ def group_from_factors(factors: Iterable[int], free_rank: int = 0) -> AbelianGro
             raise ValueError(f"group factor {f} must be positive")
         if f == 1:
             continue
-        for pp in _prime_powers(f):
-            p = _prime_factors(pp)[0]
+        for p, pp in _prime_powers(f):
             exps.setdefault(p, []).append(pp)
     depth = max((len(v) for v in exps.values()), default=0)
     for v in exps.values():

@@ -19,7 +19,7 @@ import time
 from .exactmat import group_from_factors
 from .hadamard import hadamard_snf_closed_form, is_power_of_two, walsh
 from .homology import simplicial_homology
-from .triangulation import ComplexBuilder, SimplicialComplex2, euler_characteristic, face_vector, validate_complex
+from .triangulation import ComplexBuilder, SimplicialComplex2, euler_characteristic, face_vector
 from .valid_sequences import valid_sequence
 
 
@@ -122,16 +122,14 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
 
 
 def hmt_certificate(n: int, keep_first_digon: bool = False) -> dict:
-    """Build HMT(n), validate it, compute homology, and compare everything
-    against the closed forms.  Returns a JSON-ready report; 'passed' is True
-    only if every check holds."""
+    """Build HMT(n), compute homology, and compare everything against the
+    closed forms.  Returns a JSON-ready report; 'passed' is True only if
+    every check holds.  The complex is validated once, inside
+    :func:`torsionforge.homology.boundary_matrices`, which raises
+    ValueError on an invalid one."""
     t0 = time.perf_counter()
     complex_ = build_hmt(n, keep_first_digon)
     discrepancies: list[str] = []
-
-    report = validate_complex(complex_)
-    if not report.ok:
-        discrepancies.extend(f"validator: {p}" for p in report.problems[:10])
 
     fv = face_vector(complex_).as_tuple()
     if not keep_first_digon:

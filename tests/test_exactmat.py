@@ -201,6 +201,10 @@ class TestAbelianGroup:
         g = group_from_factors([6])
         assert g.invariant_factors == (6,)
         assert g.primary_decomposition == (2, 3)
+        # a 32-bit prime factor next to a small prime power
+        g = group_from_factors([9 * 4294967291])
+        assert g.invariant_factors == (9 * 4294967291,)
+        assert g.primary_decomposition == (9, 4294967291)
 
     def test_non_chain_input_reassembled(self):
         # Z_4 x Z_6 = Z_2 x Z_12

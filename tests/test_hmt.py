@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -149,7 +150,7 @@ class TestHomology:
 
 
 class TestCertificate:
-    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("n", [2, 4, 8])
     def test_passes(self, n):
         cert = hmt_certificate(n)
         assert cert["passed"] is True
@@ -161,6 +162,19 @@ class TestCertificate:
         assert cert["h1_order"] == str(n ** (n // 2))
         assert cert["elapsed"] >= 0
         json.dumps(cert)  # must be serializable as-is
+
+    def test_validates_once(self, monkeypatch):
+        calls = []
+
+        def counting(k):
+            calls.append(k)
+            return validate_complex(k)
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("torsionforge") and getattr(mod, "validate_complex", None) is validate_complex:
+                monkeypatch.setattr(mod, "validate_complex", counting)
+        hmt_certificate(4)
+        assert len(calls) == 1
 
     def test_fields_are_decimal_strings(self):
         cert = hmt_certificate(4)

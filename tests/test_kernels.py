@@ -1,7 +1,6 @@
 import random
 
 import numpy as np
-import pytest
 
 from torsionforge import _kernels
 from torsionforge.exactmat import IntMatrix, _smith_exact, smith_normal_form
@@ -13,33 +12,20 @@ def random_matrix(rng, max_dim=8, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(c)] for _ in range(r)]
 
 
-def test_env_flag_selects_numpy(monkeypatch):
-    monkeypatch.setenv("TORSIONFORGE_NO_NUMBA", "1")
-    assert _kernels.backend_name() == "numpy"
-    monkeypatch.delenv("TORSIONFORGE_NO_NUMBA")
-    if _kernels.HAVE_NUMBA:
-        assert _kernels.backend_name() == "numba"
-
-
 def test_backends_agree_with_exact():
     rng = random.Random(7)
     for _ in range(120):
         rows = random_matrix(rng)
         arr = np.array(rows, dtype=np.int64)
         expected = list(_smith_exact(IntMatrix.from_rows(rows), transforms=False).invariant_factors)
-        got_np = _kernels.smith_diagonal_int64(arr, backend="numpy")
-        assert got_np == expected, rows
-        if _kernels.HAVE_NUMBA:
-            got_nb = _kernels.smith_diagonal_int64(arr, backend="numba")
-            assert got_nb == expected, rows
+        assert _kernels.smith_diagonal_int64(arr) == expected, rows
 
 
 def test_overflow_bails_out():
     b = _kernels.ENTRY_BOUND
     rows = [[1, b], [b, b]]
     arr = np.array(rows, dtype=np.int64)
-    for backend in ("numpy", "numba") if _kernels.HAVE_NUMBA else ("numpy",):
-        assert _kernels.smith_diagonal_int64(arr, backend=backend) is None
+    assert _kernels.smith_diagonal_int64(arr) is None
     # the public entry point falls back to big-int arithmetic instead
     m = IntMatrix.from_rows(rows)
     res = smith_normal_form(m)
@@ -54,22 +40,9 @@ def test_huge_entries_skip_kernel_entirely():
     assert res.invariant_factors == _smith_exact(m, transforms=False).invariant_factors
 
 
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        _kernels.smith_diagonal_int64(np.eye(2, dtype=np.int64), backend="fortran")
-
-
 def test_kernel_leaves_input_untouched():
     arr = np.array([[2, 4], [6, 8]], dtype=np.int64)
     copy = arr.copy()
-    _kernels.smith_diagonal_int64(arr, backend="numpy")
+    _kernels.smith_diagonal_int64(arr)
     assert np.array_equal(arr, copy)
 
-
-def test_numpy_backend_full_pipeline(monkeypatch):
-    monkeypatch.setenv("TORSIONFORGE_NO_NUMBA", "1")
-    from torsionforge.hmt_builder import hmt_certificate
-
-    cert = hmt_certificate(8)
-    assert cert["passed"] is True
-    assert cert["h1_order"] == str(8**4)
