@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import bench as bench_mod
 from . import fileio
@@ -27,19 +25,6 @@ from .valid_sequences import check_valid, valid_sequence
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("TORSIONFORGE_THREADS", "")
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"TORSIONFORGE_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise ValueError("TORSIONFORGE_THREADS must be >= 1")
-        return cap
-    return os.cpu_count() or 1
 
 
 def _read_input(path: str | None) -> str:
@@ -141,13 +126,7 @@ def _cmd_snf(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    ns = args.n
-    cap = thread_cap()
-    if len(ns) == 1:
-        certs = [hmt_certificate(ns[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=min(len(ns), cap)) as pool:
-            certs = list(pool.map(hmt_certificate, ns))
+    certs = [hmt_certificate(n) for n in args.n]
     payload = certs[0] if len(certs) == 1 else certs
     _write_output(args.output, json.dumps(payload, indent=1) + "\n")
     for cert in certs:

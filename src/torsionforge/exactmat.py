@@ -189,7 +189,40 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
     return out
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def _is_certain_prime(m: int) -> bool:
+    """True only for a prime m below _MR_LIMIT; False for every other m,
+    including primes at or above it (which callers then trial-divide)."""
+    if m < 2 or m >= _MR_LIMIT:
+        return False
+    for p in _MR_BASES:
+        if m % p == 0:
+            return m == p
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n > 1, ascending.  Trial division stops as
+    soon as the unfactored cofactor is certainly prime."""
     ps = []
     m = n
     for p in (2, 3):
@@ -197,13 +230,15 @@ def _prime_factors(n: int) -> list[int]:
             ps.append(p)
             while m % p == 0:
                 m //= p
+    cofactor_prime = _is_certain_prime(m)
     f = 5
-    while f * f <= m:
+    while not cofactor_prime and f * f <= m:
         for p in (f, f + 2):
             if m % p == 0:
                 ps.append(p)
                 while m % p == 0:
                     m //= p
+                cofactor_prime = _is_certain_prime(m)
         f += 6
     if m > 1:
         ps.append(m)

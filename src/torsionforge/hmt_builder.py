@@ -124,9 +124,9 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
 def hmt_certificate(n: int, keep_first_digon: bool = False) -> dict:
     """Build HMT(n), compute homology, and compare everything against the
     closed forms.  Returns a JSON-ready report; 'passed' is True only if
-    every check holds.  The complex is validated once, inside
-    :func:`torsionforge.homology.boundary_matrices`, which raises
-    ValueError on an invalid one."""
+    every check holds.  The complex is validated once, when
+    :func:`torsionforge.homology.simplicial_homology` assembles its sparse
+    boundaries, which raises ValueError on an invalid one."""
     t0 = time.perf_counter()
     complex_ = build_hmt(n, keep_first_digon)
     discrepancies: list[str] = []

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -78,6 +79,17 @@ class TestPipelines:
         assert code == 0
         assert "H1: free_rank=0 invariant_factors=[11] primary=[11] group=Z_11" in out
 
+    def test_speyer_61_bit_prime(self, capsys, monkeypatch):
+        k = 2**61 - 1
+        t0 = time.perf_counter()
+        code, facets, _ = run(capsys, "build-speyer", "--k", str(k))
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(facets))
+        code, out, _ = run(capsys, "homology")
+        assert time.perf_counter() - t0 < 5.0
+        assert code == 0
+        assert f"group=Z_{k}\n" in out
+
     def test_triangulate_matrix_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n2 2\n"))
         code, facets, _ = run(capsys, "triangulate", "--ordering", "interleaved")
@@ -144,15 +156,6 @@ class TestCertify:
         certs = json.loads(out)
         assert [c["n"] for c in certs] == [2, 4]
         assert all(c["passed"] for c in certs)
-
-    def test_thread_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("TORSIONFORGE_THREADS", "1")
-        code, out, _ = run(capsys, "certify", "--n", "2", "--n", "4")
-        assert code == 0
-        monkeypatch.setenv("TORSIONFORGE_THREADS", "zero")
-        code, _, err = run(capsys, "certify", "--n", "2")
-        assert code == 2
-        assert "TORSIONFORGE_THREADS" in err
 
     def test_bad_order(self, capsys):
         code, _, err = run(capsys, "certify", "--n", "5")

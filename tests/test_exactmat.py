@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from torsionforge.exactmat import (
     AbelianGroup,
     IntMatrix,
+    _prime_factors,
     _smith_exact,
     det_bareiss,
     free_group,
@@ -243,3 +244,43 @@ class TestAbelianGroup:
         assert g.free_rank == rank
         for x, y in zip(g.invariant_factors, g.invariant_factors[1:]):
             assert y % x == 0
+
+
+def trial_division_primes(n):
+    ps, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            ps.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return ps + [n] if n > 1 else ps
+
+
+class TestPrimeFactors:
+    def test_matches_trial_division(self):
+        for n in range(1, 5000):
+            assert _prime_factors(n) == trial_division_primes(n)
+
+    @pytest.mark.parametrize(
+        "n, primes",
+        [
+            (561, [3, 11, 17]),  # Carmichael numbers
+            (41041, [7, 11, 13, 41]),
+            (2047, [23, 89]),  # strong pseudoprimes to the first 1, 4 and 9 prime bases
+            (3215031751, [151, 751, 28351]),
+            (3825123056546413051, [149491, 747451, 34233211]),
+            (1000003 * 4294967291, [1000003, 4294967291]),  # cofactor prime after one split
+            (2**61 - 1, [2**61 - 1]),
+            (9 * 4294967291, [3, 4294967291]),
+            (5 * (2**31 - 1) * 2**89, [2, 5, 2**31 - 1]),
+        ],
+    )
+    def test_known_factorizations(self, n, primes):
+        assert _prime_factors(n) == primes
+
+    def test_above_certainty_bound_still_exact(self):
+        # no Miller-Rabin answer is used above the bound; small factors still split
+        n = 3**60 * 7**5
+        assert n > 3_317_044_064_679_887_385_961_981
+        assert _prime_factors(n) == [3, 7]

@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from torsionforge import homology
 from torsionforge.disc_complex import cellular_homology, from_matrix
-from torsionforge.exactmat import IntMatrix, free_group, group_from_factors
+from torsionforge.exactmat import IntMatrix, free_group, group_from_factors, smith_normal_form
 from torsionforge.hadamard import walsh
 from torsionforge.hmt_builder import build_hmt
 from torsionforge.homology import boundary_matrices, simplicial_homology
@@ -138,3 +139,58 @@ class TestSimplicialHomology:
             hom = simplicial_homology(k)
             assert (str(hom.h0), str(hom.h2)) == ("Z", "0")
             assert hom.h1 == group_from_factors([r])
+
+
+def reference_homology(k):
+    """Homology from the Smith forms of both dense boundary matrices."""
+    d1, d2 = boundary_matrices(k)
+    r1 = smith_normal_form(d1).rank
+    snf2 = smith_normal_form(d2)
+    r2 = snf2.rank
+    return (
+        free_group(d1.cols - r1),
+        group_from_factors([f for f in snf2.invariant_factors if f > 1], d1.rows - r1 - r2),
+        free_group(d2.rows - r2),
+    )
+
+
+class TestSparseEngine:
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: build_hmt(8)] + [lambda k=k: build_speyer_complex(k) for k in (37, 1000003, 4294967291)],
+        ids=["hmt8", "speyer37", "speyer1000003", "speyer4294967291"],
+    )
+    def test_agrees_with_dense_reference(self, make):
+        k = make()
+        assert simplicial_homology(k).as_tuple() == reference_homology(k)
+
+    def test_corpus_agrees_with_dense_reference(self):
+        for k in corpus():
+            assert simplicial_homology(k).as_tuple() == reference_homology(k)
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_hmt_core_is_small(self, n, monkeypatch):
+        shapes = []
+
+        def spy(m, *args, **kwargs):
+            shapes.append((m.rows, m.cols))
+            return smith_normal_form(m, *args, **kwargs)
+
+        monkeypatch.setattr(homology, "smith_normal_form", spy)
+        simplicial_homology(build_hmt(n))
+        assert len(shapes) == 1
+        rows, cols = shapes[0]
+        assert rows <= n - 1 and cols <= 3 * (n - 1)
+
+    def test_empty_core_skips_smith(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("smith_normal_form called on an empty core")
+
+        monkeypatch.setattr(homology, "smith_normal_form", fail)
+        hom = simplicial_homology(tetrahedron())
+        assert hom.h2 == free_group(1)
+        assert hom.h1.is_trivial and hom.h0 == free_group(1)
+
+    def test_empty_complex_rejected(self):
+        with pytest.raises(ValueError, match="no triangles"):
+            simplicial_homology(SimplicialComplex2({}, [], []))
