@@ -1,24 +1,25 @@
-"""int64 fast path for Smith diagonalization.
+"""Vectorized Smith diagonalization.
 
-One vectorized numpy kernel runs the same gcd-driven elimination with
-smallest-pivot selection as the big-int reference
-``exactmat._smith_exact``, updating whole rows and columns per sweep.
-Every intermediate value stays below ``ENTRY_BOUND`` or the kernel gives
-up: with |entries| <= 2^31 - 1 a single update ``x - q*y`` is bounded by
-2^62 + 2^31, so int64 arithmetic is exact right up to the moment the bound
-check runs.  A ``None`` result therefore never means "wrong", only "cannot
-certify"; callers rerun in big-int arithmetic.
+One numpy sweep runs the same gcd-driven elimination with smallest-pivot
+selection as the big-int reference ``exactmat._smith_exact``, updating
+whole rows and columns per step.  It starts on int64 while every entry is
+within ``ENTRY_BOUND``: with |entries| <= 2^31 - 1 a single update
+``x - q*y`` is bounded by 2^62 + 2^31, so each int64 update is exact.  The
+moment an update leaves the bound, the working array is promoted in place
+to ``dtype=object`` (Python ints) and the same sweep continues exactly, so
+the result is always certified.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Largest magnitude the kernel lets any entry reach (2^31 - 1).
+# Largest magnitude an int64 working array may hold (2^31 - 1); beyond it
+# the sweep continues on Python ints.
 ENTRY_BOUND = 2**31 - 1
 
-# Re-pick/merge rounds per pivot before giving up; generous (each round
-# shrinks |pivot|, so legitimate runs stay way below this).
+# Re-pick/merge rounds per pivot; generous (each round shrinks |pivot|, so
+# legitimate runs stay way below this).
 _MAX_ROUNDS = 1_000_000
 
 
@@ -26,25 +27,26 @@ def backend_name() -> str:
     return "numpy"
 
 
-def smith_diagonal_int64(arr: np.ndarray) -> list[int] | None:
-    """Invariant factors of an int64 matrix, or None when int64 cannot certify.
+def smith_diagonal_int64(arr: np.ndarray) -> list[int]:
+    """Invariant factors of an integer matrix, zeros trimmed, unit factors kept.
 
-    Works on a private copy, so ``arr`` is left untouched.
+    ``arr`` is int64 with every entry within ``ENTRY_BOUND``, or ``object``
+    holding Python ints of any size.  Works on a private copy, so ``arr`` is
+    left untouched.
     """
-    a = np.array(arr, dtype=np.int64, order="C", copy=True)
+    a = np.array(arr, order="C", copy=True)
     m, n = a.shape
-    big = np.iinfo(np.int64).max
     diag = []
     k = 0
     mind = min(m, n)
     while k < mind:
         sub = a[k:, k:]
         mag = np.abs(sub)
-        mag[sub == 0] = big
-        flat = int(mag.argmin())
-        if mag.flat[flat] == big:
+        top = mag.max()
+        if top == 0:
             break
-        i, j = divmod(flat, n - k)
+        mag[sub == 0] = top + 1
+        i, j = divmod(int(mag.argmin()), n - k)
         if i:
             a[[k, k + i], k:] = a[[k + i, k], k:]
         if j:
@@ -54,7 +56,7 @@ def smith_diagonal_int64(arr: np.ndarray) -> list[int] | None:
         while True:
             rounds += 1
             if rounds > _MAX_ROUNDS:
-                return None
+                raise RuntimeError(f"Smith sweep made no progress on pivot {k}")
             col = a[k + 1 :, k]
             nz = np.nonzero(col)[0]
             if nz.size:
@@ -62,8 +64,8 @@ def smith_diagonal_int64(arr: np.ndarray) -> list[int] | None:
                 q = col[nz] // p
                 rows = k + 1 + nz
                 a[rows, k:] -= q[:, None] * a[k, k:]
-                if int(np.abs(a[rows, k:]).max(initial=0)) > ENTRY_BOUND:
-                    return None
+                if a.dtype != object and np.abs(a[rows, k:]).max(initial=0) > ENTRY_BOUND:
+                    a = a.astype(object)
                 col = a[k + 1 :, k]
                 nz = np.nonzero(col)[0]
                 if nz.size:
@@ -78,8 +80,8 @@ def smith_diagonal_int64(arr: np.ndarray) -> list[int] | None:
                 q = row[nz] // p
                 cols = k + 1 + nz
                 a[k:, cols] -= np.outer(a[k:, k], q)
-                if int(np.abs(a[k:, cols]).max(initial=0)) > ENTRY_BOUND:
-                    return None
+                if a.dtype != object and np.abs(a[k:, cols]).max(initial=0) > ENTRY_BOUND:
+                    a = a.astype(object)
                 row = a[k, k + 1 :]
                 nz = np.nonzero(row)[0]
                 if nz.size:
@@ -94,8 +96,8 @@ def smith_diagonal_int64(arr: np.ndarray) -> list[int] | None:
             if bad.size == 0:
                 break
             a[k, k:] += a[k + 1 + int(bad[0]), k:]
-            if int(np.abs(a[k, k:]).max(initial=0)) > ENTRY_BOUND:
-                return None
+            if a.dtype != object and np.abs(a[k, k:]).max(initial=0) > ENTRY_BOUND:
+                a = a.astype(object)
         diag.append(abs(int(a[k, k])))
         k += 1
     return diag

@@ -1,7 +1,5 @@
-"""Benchmarks: construction-time scaling of the Hadamard triangulations
-(the doubling ratio should sit near 4, matching quadratic growth) and a
-comparison of the int64 Smith kernel with the big-int path on their
-boundary matrices.
+"""Benchmark: construction-time scaling of the Hadamard triangulations
+(the doubling ratio should sit near 4, matching quadratic growth).
 """
 
 from __future__ import annotations
@@ -9,12 +7,7 @@ from __future__ import annotations
 import gc
 import time
 
-import numpy as np
-
-from . import _kernels
-from .exactmat import _smith_exact
 from .hmt_builder import build_hmt
-from .homology import boundary_matrices
 from .valid_sequences import valid_sequence
 
 
@@ -81,40 +74,4 @@ def format_scaling_report(rep: dict) -> str:
         f"average ratio (n >= 64): {rep['average_ratio']:.2f}  "
         f"(quadratic scaling expects roughly {lo}..{hi})"
     )
-    return "\n".join(lines)
-
-
-def kernel_comparison(sizes=(4, 8, 16), include_python: bool = True) -> list[dict]:
-    """Time the int64 numpy kernel and the big-int path on the triangle
-    boundary matrix of HMT(n).
-
-    The exact big-int path is skipped above n=8; it exists for correctness,
-    not speed.
-    """
-    rows = []
-    for n in sizes:
-        _, d2 = boundary_matrices(build_hmt(n))
-        arr = np.array(d2.to_rows(), dtype=np.int64)
-        entry: dict = {"n": n, "shape": (d2.rows, d2.cols)}
-        t0 = time.perf_counter()
-        _kernels.smith_diagonal_int64(arr)
-        entry["numpy"] = time.perf_counter() - t0
-        if include_python and n <= 8:
-            t0 = time.perf_counter()
-            _smith_exact(d2, transforms=False)
-            entry["python"] = time.perf_counter() - t0
-        rows.append(entry)
-    return rows
-
-
-def format_kernel_comparison(rows: list[dict]) -> str:
-    lines = ["smith kernel backends on HMT triangle boundaries"]
-    lines.append(f"{'n':>4} {'shape':>12} {'numpy':>10} {'python':>10}")
-    for r in rows:
-        shape = f"{r['shape'][0]}x{r['shape'][1]}"
-
-        def cell(key):
-            return f"{r[key]:>10.4f}" if key in r else f"{'-':>10}"
-
-        lines.append(f"{r['n']:>4} {shape:>12} {cell('numpy')} {cell('python')}")
     return "\n".join(lines)

@@ -136,13 +136,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    parts = []
-    if not args.kernels:
-        parts.append(bench_mod.format_scaling_report(bench_mod.scaling_report(args.max_n)))
-    else:
-        sizes = [n for n in (4, 8, 16, 32) if n <= max(4, args.max_n)]
-        parts.append(bench_mod.format_kernel_comparison(bench_mod.kernel_comparison(sizes)))
-    _write_output(args.output, "\n".join(parts) + "\n")
+    report = bench_mod.format_scaling_report(bench_mod.scaling_report(args.max_n))
+    _write_output(args.output, report + "\n")
     return EXIT_OK
 
 
@@ -208,10 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(sp)
     sp.set_defaults(func=_cmd_certify)
 
-    sp = sub.add_parser("bench", help="construction-scaling or kernel benchmark")
+    sp = sub.add_parser("bench", help="construction-scaling benchmark")
     sp.add_argument("--max-n", type=int, default=512)
-    sp.add_argument("--kernels", action="store_true",
-                    help="compare the numpy and big-int smith paths instead")
     add_output(sp)
     sp.set_defaults(func=_cmd_bench)
 

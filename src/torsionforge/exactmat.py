@@ -1,14 +1,16 @@
 """Exact integer matrix kernel: Bareiss determinant, Smith normal form,
 and canonical finitely generated abelian groups.
 
-Everything here is exact at any magnitude.  Smith reduction first tries the
-vectorized int64 kernel in :mod:`torsionforge._kernels`; any matrix it cannot
-certify is redone in Python big-int arithmetic, so results never depend on
-which path ran.
+Everything here is exact at any magnitude.  Smith reduction without
+transforms runs the vectorized sweep in :mod:`torsionforge._kernels`, which
+starts on int64 and switches its working array to Python ints in place as
+soon as an entry outgrows the int64-safe bound; transform matrices come from
+the big-int reduction ``_smith_exact``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -220,9 +222,62 @@ def _is_certain_prime(m: int) -> bool:
     return True
 
 
+# Trial division always runs up to this divisor; past it, a cofactor below
+# _MR_LIMIT that Miller-Rabin finds composite is split by Pollard-Brent rho.
+_RHO_START = 1000
+
+
+def _brent_divisor(m: int) -> int:
+    """A nontrivial divisor of a composite m with no prime factor below
+    _RHO_START (Brent, "An improved Monte Carlo factorization algorithm",
+    1980).  Each polynomial x^2 + c that only finds m itself is replaced by
+    the next c."""
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % m
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % m
+                    q = q * abs(x - y) % m
+                g = math.gcd(q, m)
+                k += 128
+            r *= 2
+        if g == m:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % m
+                g = math.gcd(abs(x - ys), m)
+        if g != m:
+            return g
+
+
+def _rho_prime_factors(m: int) -> set[int]:
+    """Distinct prime factors of a composite m below _MR_LIMIT with no prime
+    factor below _RHO_START."""
+    primes, todo = set(), [m]
+    while todo:
+        x = todo.pop()
+        if _is_certain_prime(x):
+            primes.add(x)
+        else:
+            d = _brent_divisor(x)
+            todo += (d, x // d)
+    return primes
+
+
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n > 1, ascending.  Trial division stops as
-    soon as the unfactored cofactor is certainly prime."""
+    soon as the unfactored cofactor is certainly prime, or once it passes
+    _RHO_START with a cofactor below _MR_LIMIT, which Pollard-Brent rho then
+    splits.  A cofactor at or above _MR_LIMIT is only ever trial-divided, since
+    no prime there can be certified."""
     ps = []
     m = n
     for p in (2, 3):
@@ -232,7 +287,7 @@ def _prime_factors(n: int) -> list[int]:
                 m //= p
     cofactor_prime = _is_certain_prime(m)
     f = 5
-    while not cofactor_prime and f * f <= m:
+    while not cofactor_prime and f * f <= m and (f < _RHO_START or m >= _MR_LIMIT):
         for p in (f, f + 2):
             if m % p == 0:
                 ps.append(p)
@@ -240,8 +295,11 @@ def _prime_factors(n: int) -> list[int]:
                     m //= p
                 cofactor_prime = _is_certain_prime(m)
         f += 6
-    if m > 1:
-        ps.append(m)
+    if cofactor_prime or f * f > m:
+        if m > 1:
+            ps.append(m)
+    else:
+        ps.extend(sorted(_rho_prime_factors(m)))
     return ps
 
 
@@ -316,9 +374,11 @@ def det_bareiss(m: IntMatrix) -> int:
 def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SnfResult:
     """Smith normal form with divisibility-ordered nonnegative diagonal.
 
-    Transform matrices are only computed when ``transforms`` is set; without
-    them the reduction may run on the guarded int64 fast path.  An all-zero
-    matrix yields empty invariant factors with identity transforms.
+    Transform matrices are only computed when ``transforms`` is set, by the
+    big-int reduction; without them the vectorized sweep of
+    :mod:`torsionforge._kernels` runs, on int64 while entries stay small and
+    on Python ints from the step they outgrow it.  An all-zero matrix yields
+    empty invariant factors with identity transforms.
     """
     if m.is_zero():
         return SnfResult(
@@ -327,17 +387,16 @@ def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SnfResult:
             t=IntMatrix.identity(m.cols),
             invariant_factors=(),
         )
-    if not transforms and m.max_abs() <= _kernels.ENTRY_BOUND:
-        arr = np.array(m.to_rows(), dtype=np.int64)
-        diag = _kernels.smith_diagonal_int64(arr)
-        if diag is not None:
-            return SnfResult(
-                a=_diag_matrix(m.rows, m.cols, diag),
-                s=None,
-                t=None,
-                invariant_factors=tuple(diag),
-            )
-    return _smith_exact(m, transforms)
+    if transforms:
+        return _smith_exact(m)
+    dtype = np.int64 if m.max_abs() <= _kernels.ENTRY_BOUND else object
+    diag = _kernels.smith_diagonal_int64(np.array(m.to_rows(), dtype=dtype))
+    return SnfResult(
+        a=_diag_matrix(m.rows, m.cols, diag),
+        s=None,
+        t=None,
+        invariant_factors=tuple(diag),
+    )
 
 
 def _diag_matrix(rows: int, cols: int, diag: Sequence[int]) -> IntMatrix:
@@ -347,50 +406,45 @@ def _diag_matrix(rows: int, cols: int, diag: Sequence[int]) -> IntMatrix:
     return IntMatrix(rows, cols, tuple(flat))
 
 
-def _smith_exact(matrix: IntMatrix, transforms: bool) -> SnfResult:
+def _smith_exact(matrix: IntMatrix) -> SnfResult:
     """Big-int Smith reduction, maintaining original = S * A * T throughout."""
     m, n = matrix.rows, matrix.cols
     a = matrix.to_rows()
-    s = [[int(i == j) for j in range(m)] for i in range(m)] if transforms else None
-    t = [[int(i == j) for j in range(n)] for i in range(n)] if transforms else None
+    s = [[int(i == j) for j in range(m)] for i in range(m)]
+    t = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_swap(i, k):
         a[i], a[k] = a[k], a[i]
-        if s is not None:
-            for r in range(m):
-                s[r][i], s[r][k] = s[r][k], s[r][i]
+        for r in range(m):
+            s[r][i], s[r][k] = s[r][k], s[r][i]
 
     def row_submul(i, k, q):
         # a[i] -= q * a[k]  (undone in S by adding q * col i to col k)
         ai, ak = a[i], a[k]
         for j in range(n):
             ai[j] -= q * ak[j]
-        if s is not None:
-            for r in range(m):
-                s[r][k] += q * s[r][i]
+        for r in range(m):
+            s[r][k] += q * s[r][i]
 
     def row_negate(i):
         ai = a[i]
         for j in range(n):
             ai[j] = -ai[j]
-        if s is not None:
-            for r in range(m):
-                s[r][i] = -s[r][i]
+        for r in range(m):
+            s[r][i] = -s[r][i]
 
     def col_swap(j, l):
         for i in range(m):
             a[i][j], a[i][l] = a[i][l], a[i][j]
-        if t is not None:
-            t[j], t[l] = t[l], t[j]
+        t[j], t[l] = t[l], t[j]
 
     def col_submul(j, l, q):
         # col j -= q * col l  (undone in T by adding q * row j to row l)
         for i in range(m):
             a[i][j] -= q * a[i][l]
-        if t is not None:
-            tl, tj = t[l], t[j]
-            for c in range(n):
-                tl[c] += q * tj[c]
+        tl, tj = t[l], t[j]
+        for c in range(n):
+            tl[c] += q * tj[c]
 
     mind = min(m, n)
     k = 0
@@ -466,8 +520,8 @@ def _smith_exact(matrix: IntMatrix, transforms: bool) -> SnfResult:
     diag = [a[i][i] for i in range(min(m, n)) if a[i][i]]
     return SnfResult(
         a=IntMatrix.from_rows(a),
-        s=IntMatrix.from_rows(s) if s is not None else None,
-        t=IntMatrix.from_rows(t) if t is not None else None,
+        s=IntMatrix.from_rows(s),
+        t=IntMatrix.from_rows(t),
         invariant_factors=tuple(diag),
     )
 

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 import time
 
 import pytest
@@ -8,6 +9,58 @@ from torsionforge.cli import main
 from torsionforge.exactmat import IntMatrix
 from torsionforge.fileio import read_matrix, write_matrix
 from torsionforge.hadamard import walsh
+
+
+# full `snf --transforms` stdout; S and T depend on the exact pivot order
+SNF_TRANSFORMS_GOLDEN = {
+    "seeded5": """\
+invariant_factors: 1 1 1 1 87640
+rank: 5
+S:
+5 5
+-1 0 0 0 0
+-2 -18 -492 -32286710 -8804803
+6 45 1214 79665919 21725432
+9 54 1428 93709775 25555286
+-1 -4 -107 -7021928 -1914927
+A:
+5 5
+1 0 0 0 0
+0 1 0 0 0
+0 0 1 0 0
+0 0 0 1 0
+0 0 0 0 87640
+T:
+5 5
+1 -2 -7 9 -5
+0 -6 1 -28 1
+0 -1150 0 1 -2360
+0 -23900 0 0 1314501
+0 1 0 0 -55
+""",
+    "walsh4": """\
+invariant_factors: 1 2 2 4
+rank: 4
+S:
+4 4
+1 0 0 0
+1 -1 0 0
+1 0 -1 0
+1 -1 -1 1
+A:
+4 4
+1 0 0 0
+0 2 0 0
+0 0 2 0
+0 0 0 4
+T:
+4 4
+1 1 1 1
+0 1 0 1
+0 0 1 1
+0 0 0 1
+""",
+}
 
 
 def run(capsys, *argv):
@@ -79,8 +132,10 @@ class TestPipelines:
         assert code == 0
         assert "H1: free_rank=0 invariant_factors=[11] primary=[11] group=Z_11" in out
 
-    def test_speyer_61_bit_prime(self, capsys, monkeypatch):
-        k = 2**61 - 1
+    @staticmethod
+    def speyer_homology(capsys, monkeypatch, k):
+        """stdout of `build-speyer --k k | homology`, after checking both
+        stages succeed within 5 s."""
         t0 = time.perf_counter()
         code, facets, _ = run(capsys, "build-speyer", "--k", str(k))
         assert code == 0
@@ -88,7 +143,16 @@ class TestPipelines:
         code, out, _ = run(capsys, "homology")
         assert time.perf_counter() - t0 < 5.0
         assert code == 0
-        assert f"group=Z_{k}\n" in out
+        return out
+
+    def test_speyer_61_bit_prime(self, capsys, monkeypatch):
+        k = 2**61 - 1
+        assert f"group=Z_{k}\n" in self.speyer_homology(capsys, monkeypatch, k)
+
+    def test_speyer_64_bit_semiprime(self, capsys, monkeypatch):
+        k = 4294967291 * 4294967279
+        h1 = f"H1: free_rank=0 invariant_factors=[{k}] primary=[4294967279,4294967291] group=Z_{k}\n"
+        assert h1 in self.speyer_homology(capsys, monkeypatch, k)
 
     def test_triangulate_matrix_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n2 2\n"))
@@ -135,6 +199,18 @@ class TestPipelines:
             blocks[name] = read_matrix("\n".join(rest.splitlines()[:3]))
         assert blocks["S"] @ blocks["A"] @ blocks["T"] == m
 
+    @pytest.mark.parametrize("name", sorted(SNF_TRANSFORMS_GOLDEN))
+    def test_snf_transforms_golden(self, name, capsys, monkeypatch):
+        if name == "seeded5":
+            rng = random.Random(5)
+            m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)])
+        else:
+            m = walsh(4)
+        monkeypatch.setattr("sys.stdin", io.StringIO(write_matrix(m)))
+        code, out, _ = run(capsys, "snf", "--transforms")
+        assert code == 0
+        assert out == SNF_TRANSFORMS_GOLDEN[name]
+
     def test_malformed_matrix_reports_position(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("2 2\n1 oops\n3 4\n"))
         code, _, err = run(capsys, "snf")
@@ -168,10 +244,11 @@ class TestBench:
         assert code == 0
         assert "construction scaling" in out
 
-    def test_kernel_smoke(self, capsys):
-        code, out, _ = run(capsys, "bench", "--kernels", "--max-n", "4")
-        assert code == 0
-        assert "smith kernel backends" in out
+    def test_kernels_option_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--kernels"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --kernels" in capsys.readouterr().err
 
 
 class TestRoundTrip:

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -162,7 +163,7 @@ class TestSmith:
     def test_fast_path_agrees_with_exact(self, m):
         assert (
             smith_normal_form(m).invariant_factors
-            == _smith_exact(m, transforms=False).invariant_factors
+            == _smith_exact(m).invariant_factors
         )
 
     def test_sympy_cross_check(self):
@@ -274,10 +275,16 @@ class TestPrimeFactors:
             (2**61 - 1, [2**61 - 1]),
             (9 * 4294967291, [3, 4294967291]),
             (5 * (2**31 - 1) * 2**89, [2, 5, 2**31 - 1]),
+            (1000003**2 * 4294967291, [1000003, 4294967291]),  # split by rho, one prime squared
         ],
     )
     def test_known_factorizations(self, n, primes):
         assert _prime_factors(n) == primes
+
+    def test_product_of_two_32_bit_primes(self):
+        t0 = time.perf_counter()
+        assert _prime_factors(4294967291 * 4294967279) == [4294967279, 4294967291]
+        assert time.perf_counter() - t0 < 5.0
 
     def test_above_certainty_bound_still_exact(self):
         # no Miller-Rabin answer is used above the bound; small factors still split
