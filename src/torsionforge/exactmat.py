@@ -197,10 +197,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
-def _is_certain_prime(m: int) -> bool:
-    """True only for a prime m below _MR_LIMIT; False for every other m,
-    including primes at or above it (which callers then trial-divide)."""
-    if m < 2 or m >= _MR_LIMIT:
+def _passes_miller_rabin(m: int) -> bool:
+    """True for a prime m, and for no composite m below _MR_LIMIT.  False
+    always means composite, so above the limit a False is certain too."""
+    if m < 2:
         return False
     for p in _MR_BASES:
         if m % p == 0:
@@ -222,8 +222,8 @@ def _is_certain_prime(m: int) -> bool:
     return True
 
 
-# Trial division always runs up to this divisor; past it, a cofactor below
-# _MR_LIMIT that Miller-Rabin finds composite is split by Pollard-Brent rho.
+# Trial division always runs up to this divisor; past it, a cofactor that
+# Miller-Rabin finds composite is split by Pollard-Brent rho.
 _RHO_START = 1000
 
 
@@ -258,26 +258,53 @@ def _brent_divisor(m: int) -> int:
             return g
 
 
+def _integer_root(m: int, e: int) -> int:
+    """floor(m^(1/e)) for m >= 1, by Newton's iteration from above."""
+    x = 1 << -(-m.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + m // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_root(m: int) -> int | None:
+    """r if m = r^e for some e >= 2, else None; m has no prime factor below
+    _RHO_START, so e stays below log2(m) / 9."""
+    for e in range(2, m.bit_length() // 9 + 1):
+        r = _integer_root(m, e)
+        if r**e == m:
+            return r
+    return None
+
+
 def _rho_prime_factors(m: int) -> set[int]:
-    """Distinct prime factors of a composite m below _MR_LIMIT with no prime
-    factor below _RHO_START."""
+    """Distinct prime factors of a composite m with no prime factor below
+    _RHO_START.  Rho needs about sqrt(p) steps to split a power of the prime
+    p, so perfect powers are split by their root first.  A part that passes
+    Miller-Rabin at or above _MR_LIMIT is only a probable prime, so it goes
+    back to :func:`_prime_factors`."""
     primes, todo = set(), [m]
     while todo:
         x = todo.pop()
-        if _is_certain_prime(x):
+        if not _passes_miller_rabin(x):
+            root = _perfect_root(x)
+            d = root if root is not None else _brent_divisor(x)
+            todo += (d, x // d)
+        elif x < _MR_LIMIT:
             primes.add(x)
         else:
-            d = _brent_divisor(x)
-            todo += (d, x // d)
+            primes.update(_prime_factors(x))
     return primes
 
 
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n > 1, ascending.  Trial division stops as
-    soon as the unfactored cofactor is certainly prime, or once it passes
-    _RHO_START with a cofactor below _MR_LIMIT, which Pollard-Brent rho then
-    splits.  A cofactor at or above _MR_LIMIT is only ever trial-divided, since
-    no prime there can be certified."""
+    soon as the unfactored cofactor is certainly prime (it passes
+    Miller-Rabin below _MR_LIMIT), or once it passes _RHO_START with a
+    cofactor that Miller-Rabin finds composite, which Pollard-Brent rho
+    then splits.  A probable prime at or above _MR_LIMIT is only ever
+    trial-divided, since no prime there can be certified."""
     ps = []
     m = n
     for p in (2, 3):
@@ -285,17 +312,17 @@ def _prime_factors(n: int) -> list[int]:
             ps.append(p)
             while m % p == 0:
                 m //= p
-    cofactor_prime = _is_certain_prime(m)
+    probable = _passes_miller_rabin(m)
     f = 5
-    while not cofactor_prime and f * f <= m and (f < _RHO_START or m >= _MR_LIMIT):
+    while not (probable and m < _MR_LIMIT) and f * f <= m and (f < _RHO_START or probable):
         for p in (f, f + 2):
             if m % p == 0:
                 ps.append(p)
                 while m % p == 0:
                     m //= p
-                cofactor_prime = _is_certain_prime(m)
+                probable = _passes_miller_rabin(m)
         f += 6
-    if cofactor_prime or f * f > m:
+    if (probable and m < _MR_LIMIT) or f * f > m:
         if m > 1:
             ps.append(m)
     else:

@@ -8,10 +8,15 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .disc_complex import DiscComplexSpec
 from .exactmat import IntMatrix
-from .triangulation import SimplicialComplex2
+from .triangulation import SimplicialComplex2, make_complex
 from .valid_sequences import ValidSequence
+
+# Vertex ids are stored as int64.
+_MAX_ID = 2**63 - 1
 
 
 class FileFormatError(ValueError):
@@ -112,11 +117,11 @@ def read_sequence(text: str) -> ValidSequence:
 
 
 def write_sequence(seq: ValidSequence) -> str:
-    return "\n".join(" ".join(str(x) for x in p) for p in seq.perms) + "\n"
+    return "\n".join(" ".join(map(str, p)) for p in seq.perms) + "\n"
 
 
 def read_facets(text: str) -> SimplicialComplex2:
-    triangles = []
+    triangles = set()
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -134,47 +139,50 @@ def read_facets(text: str) -> SimplicialComplex2:
             raise FileFormatError(f"vertex ids must be strictly ascending, got {a} {b} {c}", lineno, 1)
         if a < 0:
             raise FileFormatError(f"negative vertex id {a}", lineno, 1)
-        triangles.append((a, b, c))
+        if c > _MAX_ID:
+            raise FileFormatError(f"vertex id {c} exceeds {_MAX_ID}", lineno, 1)
+        triangles.add((a, b, c))
     if not triangles:
         raise FileFormatError("facet file contains no triangles", 1, 1)
-    edges = set()
-    verts = set()
-    for a, b, c in triangles:
-        edges.update(((a, b), (a, c), (b, c)))
-        verts.update((a, b, c))
-    return SimplicialComplex2(
-        labels={v: str(v) for v in sorted(verts)},
-        edges=sorted(edges),
-        triangles=sorted(set(triangles)),
-    )
+    tri = np.array(list(triangles), dtype=np.int64)
+    return make_complex({v: str(v) for v in sorted(set(tri.ravel().tolist()))}, tri)
 
 
 def write_facets(k: SimplicialComplex2) -> str:
-    lines = [f"{a} {b} {c}" for a, b, c in sorted(tuple(sorted(t)) for t in k.triangles)]
-    return "\n".join(lines) + "\n"
+    """One line per triangle, from the canonical (sorted) triangle array."""
+    return ("%d %d %d\n" * len(k.triangles)) % tuple(k.triangles.ravel().tolist())
 
 
 def complex_to_json(k: SimplicialComplex2) -> str:
     obj = {
         "vertices": [[v, k.labels[v]] for v in sorted(k.labels)],
-        "edges": [list(e) for e in sorted(k.edges)],
-        "triangles": [list(t) for t in sorted(k.triangles)],
+        "edges": k.edges.tolist(),
+        "triangles": k.triangles.tolist(),
     }
     return json.dumps(obj, indent=1) + "\n"
 
 
+def _id_table(rows, width: int, what: str) -> np.ndarray:
+    table = [[int(x) for x in r] for r in rows]
+    if any(len(r) != width for r in table):
+        raise ValueError(f"every {what} needs {width} vertex ids")
+    return np.array(table, dtype=np.int64).reshape(-1, width)
+
+
 def complex_from_json(text: str) -> SimplicialComplex2:
+    """The complex of a JSON object.  Its triangles must be valid, but its
+    edges are kept as given for :func:`validate_complex` to check."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"bad JSON: {e.msg}", e.lineno, e.colno) from None
     try:
         labels = {int(v): str(label) for v, label in obj["vertices"]}
-        edges = sorted(tuple(int(x) for x in e) for e in obj["edges"])
-        triangles = sorted(tuple(int(x) for x in t) for t in obj["triangles"])
-    except (KeyError, TypeError, ValueError) as e:
+        edges = _id_table(obj["edges"], 2, "edge")
+        triangles = _id_table(obj["triangles"], 3, "triangle")
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FileFormatError(f"bad complex object: {e}") from None
-    return SimplicialComplex2(labels=labels, edges=edges, triangles=triangles)
+    return make_complex(labels, triangles, edges=edges)
 
 
 def read_complex(text: str) -> SimplicialComplex2:

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from .exactmat import group_from_factors
-from .hadamard import hadamard_snf_closed_form, is_power_of_two, walsh
+from .hadamard import hadamard_snf_closed_form, is_power_of_two
 from .homology import simplicial_homology
-from .triangulation import ComplexBuilder, SimplicialComplex2, euler_characteristic, face_vector
-from .valid_sequences import valid_sequence
+from .triangulation import SimplicialComplex2, euler_characteristic, face_vector, make_complex
+from .valid_sequences import sequence_array
 
 
 def hmt_face_vector(n: int) -> tuple[int, int, int]:
@@ -33,26 +35,24 @@ def hmt_torsion_group(n: int):
     return group_from_factors([f for f in hadamard_snf_closed_form(n) if f > 1], 0)
 
 
-def _vertex_ids(n: int, keep_first_digon: bool):
+def _labels(n: int, keep_first_digon: bool) -> dict[int, str]:
     """Deterministic id map: 0, cycle copies by (column, v1, v2, w1, w2),
     centers last; the w slots of column 1 are compacted away by default."""
-    v1 = {}
-    v2 = {}
-    w1 = {}
-    w2 = {}
     shift = 0 if keep_first_digon else 2
-    for j in range(1, n + 1):
-        base = 4 * (j - 1)
-        if j == 1 and not keep_first_digon:
-            v1[j], v2[j] = 1, 2
-            continue
-        v1[j] = base + 1 - shift
-        v2[j] = base + 2 - shift
-        w1[j] = base + 3 - shift
-        w2[j] = base + 4 - shift
+    labels = {0: "0", 1: "v1.1", 2: "v1.2"}
+    if keep_first_digon:
+        labels.update({3: "w1.1", 4: "w1.2"})
+    for j in range(2, n + 1):
+        base = 4 * (j - 1) - shift
+        labels.update({base + 1: f"v{j}.1", base + 2: f"v{j}.2", base + 3: f"w{j}.1", base + 4: f"w{j}.2"})
     c0 = 4 * n - shift
-    centers = {i: c0 + i for i in range(1, n + 1)}
-    return v1, v2, w1, w2, centers
+    labels.update({c0 + i: f"c{i}" for i in range(1, n + 1)})
+    return labels
+
+
+def _rows(*columns) -> np.ndarray:
+    """One row per position of the broadcast columns, in row-major order."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns))
 
 
 def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
@@ -60,6 +60,13 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
 
     n = 1 is rejected: with a single all-positive disc the complex
     degenerates to a triangle and needs none of this machinery.
+
+    Every index array is computed at once.  Disc i walks the ring of its
+    ordering: column j contributes its v pair, or its w pair where the Walsh
+    entry (-1)^popcount((i-1) & (j-1)) is negative.  Each base-vertex visit
+    gets a shield triangle (0, ring[2p+1], ring[2p+2]), whose far edge is
+    the diagonal that the valid sequence keeps unique; the center c_i fans
+    over the ring; and each digon column j contributes four triangles.
     """
     if n == 1:
         raise ValueError(
@@ -68,57 +75,38 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
         )
     if not isinstance(n, int) or not is_power_of_two(n) or n < 2:
         raise ValueError(f"order must be a power of two >= 2, got {n}")
-    h = walsh(n)
-    seq = valid_sequence(n)
+    shift = 0 if keep_first_digon else 2
+    col = sequence_array(n) - 1  # 0-based column of each ring step
+    disc = np.arange(n)[:, None]
+    negative = np.bitwise_count(disc & col) % 2
+    # column j's pair starts at 4(j-1)+1, less the compaction shift past column 1
+    first = 4 * col + 1 + 2 * negative - shift * (col > 0)
+    ring = np.empty((n, 2 * n + 1), dtype=np.int64)
+    ring[:, 0:-1:2] = first
+    ring[:, 1:-1:2] = first + 1
+    ring[:, -1] = ring[:, 0]
+    centers = 4 * n - shift + 1 + disc
 
-    v1, v2, w1, w2, centers = _vertex_ids(n, keep_first_digon)
-    b = ComplexBuilder()
-    b.vertex(0, "0")
-    for j in range(1, n + 1):
-        b.vertex(v1[j], f"v{j}.1")
-        b.vertex(v2[j], f"v{j}.2")
-        if j in w1:
-            b.vertex(w1[j], f"w{j}.1")
-            b.vertex(w2[j], f"w{j}.2")
-    for i in range(1, n + 1):
-        b.vertex(centers[i], f"c{i}")
+    discs = disc.ravel()
+    triangles = [_rows(0, ring[:, 1:-1:2], ring[:, 2::2]), _rows(centers, ring[:, :-1], ring[:, 1:])]
+    claims = [_rows(ring[:, 1:-1:2], ring[:, 2::2]), _rows(centers, ring[:, :-1])]
+    owner = [np.repeat(discs, n), np.repeat(discs, 2 * n)]
 
-    for i in range(1, n + 1):
-        owner = f"disc{i}"
-        row = h.row(i - 1)
-        perm = seq.perms[i - 1]
-        ring: list[int] = []
-        for j in perm:
-            if row[j - 1] > 0:
-                ring.extend((v1[j], v2[j]))
-            else:
-                ring.extend((w1[j], w2[j]))
-        # one shield triangle per base-vertex visit; its far edge is the
-        # diagonal whose uniqueness the valid sequence guarantees
-        for p in range(n):
-            second = ring[2 * p + 1]
-            first_next = ring[(2 * p + 2) % (2 * n)]
-            b.triangle(0, second, first_next)
-            b.claim_interior(second, first_next, owner)
-        c = centers[i]
-        for t in range(2 * n):
-            u, w = ring[t], ring[(t + 1) % (2 * n)]
-            b.triangle(c, u, w)
-            b.claim_interior(c, u, owner)
-            b.claim_interior(c, w, owner)
+    columns = np.arange(1 if keep_first_digon else 2, n + 1)
+    a1 = 4 * (columns - 1) + 1 - shift
+    a2, b1, b2 = a1 + 1, a1 + 2, a1 + 3
+    triangles.append(_rows(0, a1, b2, a1, a2, b2, a2, b1, b2, 0, a2, b1).reshape(-1, 3))
+    claims.append(_rows(a1, b2, a2, b2, a2, b1).reshape(-1, 2))
+    owner.append(np.repeat(n + np.arange(len(columns)), 3))
 
-    for j in range(1 if keep_first_digon else 2, n + 1):
-        owner = f"digon{j}"
-        a1, a2, b1, b2 = v1[j], v2[j], w1[j], w2[j]
-        b.triangle(0, a1, b2)
-        b.triangle(a1, a2, b2)
-        b.triangle(a2, b1, b2)
-        b.triangle(0, a2, b1)
-        b.claim_interior(a1, b2, owner)
-        b.claim_interior(a2, b2, owner)
-        b.claim_interior(a2, b1, owner)
-
-    return b.finish()
+    owners = tuple(f"disc{i}" for i in range(1, n + 1)) + tuple(f"digon{j}" for j in columns.tolist())
+    return make_complex(
+        _labels(n, keep_first_digon),
+        np.concatenate(triangles),
+        np.concatenate(claims),
+        np.concatenate(owner),
+        owners,
+    )
 
 
 def hmt_certificate(n: int, keep_first_digon: bool = False) -> dict:

@@ -24,8 +24,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exactmat import AbelianGroup, IntMatrix, free_group, group_from_factors, smith_normal_form
-from .triangulation import SimplicialComplex2, validate_complex
+from .triangulation import SimplicialComplex2, validate_complex, vertex_index
 
 
 @dataclass(frozen=True)
@@ -46,22 +48,23 @@ def _sparse_boundaries(k: SimplicialComplex2) -> tuple[int, list[tuple[int, int]
 
     Returns (vertex count, d1, d2): d1 lists each edge as its (tail, head)
     vertex indices, d2 each triangle as a ``{edge index: +-1}`` row.
-    Simplex indices follow the sorted orders of the complex.
+    Simplex indices follow the sorted orders of the complex; the edge
+    indices of d2 are found by binary search on encoded edge keys.
     """
     report = validate_complex(k)
     if not report.ok:
         raise ValueError("invalid complex: " + "; ".join(report.problems[:5]))
-    if not k.triangles:
+    if not len(k.triangles):
         raise ValueError("complex has no triangles")
-    vindex = {v: i for i, v in enumerate(sorted(k.labels))}
-    edges = sorted(tuple(sorted(e)) for e in k.edges)
-    eindex = {e: i for i, e in enumerate(edges)}
-    d1 = [(vindex[a], vindex[b]) for a, b in edges]
-    d2 = [
-        {eindex[(a, b)]: 1, eindex[(a, c)]: -1, eindex[(b, c)]: 1}
-        for a, b, c in sorted(tuple(sorted(t)) for t in k.triangles)
-    ]
-    return len(vindex), d1, d2
+    vids = np.array(sorted(k.labels), dtype=np.int64)
+    nv = len(vids)
+    tail, head = vertex_index(vids, k.edges)[0].T
+    edge_keys = tail * nv + head
+    a, b, c = vertex_index(vids, k.triangles)[0].T
+    ab, ac, bc = (np.searchsorted(edge_keys, x * nv + y).tolist() for x, y in ((a, b), (a, c), (b, c)))
+    d1 = list(zip(tail.tolist(), head.tolist()))
+    d2 = [{x: 1, y: -1, z: 1} for x, y, z in zip(ab, ac, bc)]
+    return nv, d1, d2
 
 
 def _densify(rows: list[dict[int, int]], columns) -> IntMatrix:

@@ -1,7 +1,7 @@
-"""Pure 2-dimensional simplicial complexes and the generic disc-complex
-triangulation: subdivide every cycle with two vertices, ring each disc with
-an inner polygon of ceil(3s/2) fresh vertices, cone the annulus, fan the
-inside.
+"""Pure 2-dimensional simplicial complexes held as integer arrays, and the
+generic disc-complex triangulation: subdivide every cycle with two
+vertices, ring each disc with an inner polygon of ceil(3s/2) fresh
+vertices, cone the annulus, fan the inside.
 
 Vertex ids are deterministic: 0, then the cycle subdivision vertices by
 (cycle, copy), then disc-interior vertices by (disc, position).  Facet
@@ -10,37 +10,108 @@ output is therefore bit-exact across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from .disc_complex import DiscComplexSpec
 
-Edge = tuple[int, int]
 Triangle = tuple[int, int, int]
 
+# Triangle keys (a*V + b)*V + c over V vertex indices stay below 2^63.
+_MAX_VERTICES = 2_097_151
 
-@dataclass
+
+def _int_rows(x, width: int) -> np.ndarray:
+    return np.asarray(x, dtype=np.int64).reshape(-1, width)
+
+
+def _ints(row) -> tuple[int, ...]:
+    """A row as a tuple of Python ints, so messages print plain numbers."""
+    return tuple(int(v) for v in row)
+
+
+def _run_starts(x: np.ndarray) -> np.ndarray:
+    """Mask of the entries (or rows) of a sorted array that differ from the
+    one before."""
+    starts = np.ones(len(x), dtype=bool)
+    diff = x[1:] != x[:-1]
+    starts[1:] = diff.any(axis=1) if x.ndim == 2 else diff
+    return starts
+
+
+def _sorted_unique(x: np.ndarray) -> np.ndarray:
+    """Ascending distinct values of x, by sorting and an adjacent-difference
+    mask (np.unique takes a much slower hashing path on int64 keys)."""
+    x = np.sort(x, axis=None)
+    return x[_run_starts(x)]
+
+
+def _index_in(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position of every entry of x in the ascending ids, and whether the
+    entry is one of them."""
+    idx = np.searchsorted(ids, x)
+    known = np.zeros(x.shape, dtype=bool)
+    inside = idx < len(ids)
+    known[inside] = ids[idx[inside]] == x[inside]
+    return idx, known
+
+
+def vertex_index(vids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_index_in` for the ascending vertex ids of a complex, without a
+    search when they are 0..len-1, as the builders number them."""
+    if len(vids) and vids[0] == 0 and vids[-1] == len(vids) - 1:
+        return x, (x >= 0) & (x < len(vids))
+    return _index_in(vids, x)
+
+
+def _increasing(rows: np.ndarray) -> bool:
+    """Whether consecutive rows increase strictly in lexicographic order."""
+    later, earlier = rows[1:], rows[:-1]
+    up = later[:, -1] > earlier[:, -1]
+    for j in range(rows.shape[1] - 2, -1, -1):
+        up = (later[:, j] > earlier[:, j]) | ((later[:, j] == earlier[:, j]) & up)
+    return bool(up.all())
+
+
+@dataclass(eq=False)
 class SimplicialComplex2:
-    """Vertex labels plus edge and triangle lists (ascending tuples).
+    """Vertex labels plus edge and triangle arrays.
 
-    ``interior_claims`` records which construction unit (disc/digon) owns
-    each interior edge; the validator uses it to certify that no two units
-    share one.  Complexes loaded from facet files carry no claims.
+    ``triangles`` is an (f2, 3) and ``edges`` an (f1, 2) int64 array; the
+    constructor coerces array-likes to these shapes.  In a complex made by
+    :func:`make_complex` every row is ascending and the rows are in
+    lexicographic order, which the writers and the boundary assembly rely
+    on; :func:`validate_complex` checks it for a complex assembled
+    directly.
+
+    ``claims`` lists the interior edges of the construction units
+    (discs/digons) and ``claim_owner`` the index of each one's unit in
+    ``owners``; the validator uses them to certify that no two units share
+    an edge.  Complexes loaded from files carry no claims.
     """
 
     labels: dict[int, str]
-    edges: list[Edge]
-    triangles: list[Triangle]
-    interior_claims: tuple[tuple[Edge, str], ...] = ()
+    edges: np.ndarray
+    triangles: np.ndarray
+    claims: np.ndarray = ()
+    claim_owner: np.ndarray = ()
+    owners: tuple[str, ...] = ()
 
-    @property
-    def vertices(self) -> list[int]:
-        return sorted(self.labels)
+    def __post_init__(self):
+        self.edges = _int_rows(self.edges, 2)
+        self.triangles = _int_rows(self.triangles, 3)
+        self.claims = _int_rows(self.claims, 2)
+        self.claim_owner = np.asarray(self.claim_owner, dtype=np.int64).reshape(-1)
+        if len(self.claim_owner) != len(self.claims):
+            raise ValueError(f"{len(self.claims)} claimed edges but {len(self.claim_owner)} owners")
 
     def same_simplices(self, other: SimplicialComplex2) -> bool:
+        """Same vertex ids, edges and triangles; both complexes canonical."""
         return (
             sorted(self.labels) == sorted(other.labels)
-            and sorted(self.edges) == sorted(other.edges)
-            and sorted(self.triangles) == sorted(other.triangles)
+            and np.array_equal(self.edges, other.edges)
+            and np.array_equal(self.triangles, other.triangles)
         )
 
 
@@ -63,59 +134,80 @@ class ValidationReport:
         return self.ok
 
 
-class ComplexBuilder:
-    """Accumulates labeled vertices and triangles; rejects degenerate or
-    duplicate simplices and conflicting interior-edge owners immediately."""
+def make_complex(
+    labels: dict[int, str],
+    triangles,
+    claims=(),
+    claim_owner=(),
+    owners: tuple[str, ...] = (),
+    edges=None,
+) -> SimplicialComplex2:
+    """The canonical complex on ``triangles``, checked in vectorised passes.
 
-    def __init__(self):
-        self.labels: dict[int, str] = {}
-        self._edge_set: set[Edge] = set()
-        self._tri_set: set[Triangle] = set()
-        self._owners: dict[Edge, str] = {}
-        self._claims: list[tuple[Edge, str]] = []
+    Rejects degenerate triangles, triangles with a vertex outside
+    ``labels``, duplicate triangles, and an interior edge claimed by two
+    different owners (claim i is edge ``claims[i]`` for unit
+    ``owners[claim_owner[i]]``; repeats by one owner count once).  Rows come
+    out ascending and lexicographically sorted.  Edges are derived from the
+    triangles unless given, in which case they are only put in canonical
+    order and left for :func:`validate_complex` to check.
+    """
+    tri = np.sort(_int_rows(triangles, 3), axis=1)
+    bad = np.flatnonzero((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]))
+    if bad.size:
+        raise ValueError(f"degenerate triangle {_ints(tri[bad[0]])}")
+    vids = np.array(sorted(labels), dtype=np.int64)
+    nv = len(vids)
+    if nv > _MAX_VERTICES:
+        raise ValueError(f"complex has {nv} vertices, more than the {_MAX_VERTICES} supported")
+    idx, known = vertex_index(vids, tri)
+    bad = np.flatnonzero(~known.all(axis=1))
+    if bad.size:
+        raise ValueError(f"triangle {_ints(tri[bad[0]])} uses an unknown vertex")
 
-    def vertex(self, vid: int, label: str) -> int:
-        if vid in self.labels:
-            raise ValueError(f"vertex id {vid} assigned twice")
-        self.labels[vid] = label
-        return vid
+    keys = (idx[:, 0] * nv + idx[:, 1]) * nv + idx[:, 2]
+    skeys = np.sort(keys)
+    if (skeys[1:] == skeys[:-1]).any():
+        order = np.argsort(keys, kind="stable")
+        later = order[1:][keys[order[1:]] == keys[order[:-1]]]
+        raise ValueError(f"duplicate triangle {_ints(tri[later.min()])}")
+    a, b, c = skeys // (nv * nv), skeys // nv % nv, skeys % nv
+    tri = vids[np.stack((a, b, c), axis=1)]
 
-    def triangle(self, a: int, b: int, c: int):
-        if a > b:
-            a, b = b, a
-        if b > c:
-            b, c = c, b
-        if a > b:
-            a, b = b, a
-        if a == b or b == c:
-            raise ValueError(f"degenerate triangle {(a, b, c)}")
-        tri = (a, b, c)
-        if tri in self._tri_set:
-            raise ValueError(f"duplicate triangle {tri}")
-        labels = self.labels
-        if a not in labels or b not in labels or c not in labels:
-            raise ValueError(f"triangle {tri} uses an unknown vertex")
-        self._tri_set.add(tri)
-        self._edge_set.update(((a, b), (a, c), (b, c)))
+    if edges is None:
+        ekeys = _sorted_unique(np.concatenate((a * nv + b, a * nv + c, b * nv + c)))
+        edges = vids[np.stack((ekeys // nv, ekeys % nv), axis=1)]
+    else:
+        edges = np.sort(_int_rows(edges, 2), axis=1)
+        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
-    def claim_interior(self, u: int, v: int, owner: str):
-        if u > v:
-            u, v = v, u
-        e = (u, v)
-        prev = self._owners.get(e)
-        if prev is None:
-            self._owners[e] = owner
-            self._claims.append((e, owner))
-        elif prev != owner:
-            raise ValueError(f"interior edge {e} claimed by both {prev} and {owner}")
+    claims, claim_owner = _owned_claims(vids, claims, claim_owner, owners)
+    return SimplicialComplex2(labels, edges, tri, claims, claim_owner, tuple(owners))
 
-    def finish(self) -> SimplicialComplex2:
-        return SimplicialComplex2(
-            labels=dict(self.labels),
-            edges=sorted(self._edge_set),
-            triangles=sorted(self._tri_set),
-            interior_claims=tuple(self._claims),
+
+def _owned_claims(vids: np.ndarray, claims, owner, owners) -> tuple[np.ndarray, np.ndarray]:
+    """One (edge, owner index) per claimed edge, sorted by edge; raises on
+    an edge claimed by two owners, naming the first conflicting claim."""
+    claims = np.sort(_int_rows(claims, 2), axis=1)
+    owner = np.asarray(owner, dtype=np.int64).reshape(-1)
+    nv = len(vids)
+    idx, known = vertex_index(vids, claims)
+    bad = np.flatnonzero(~known.all(axis=1))
+    if bad.size:
+        raise ValueError(f"interior edge {_ints(claims[bad[0]])} uses an unknown vertex")
+    keys = idx[:, 0] * nv + idx[:, 1]
+    order = np.argsort(keys, kind="stable")
+    keys, sorted_owner = keys[order], owner[order]
+    first = _run_starts(keys)
+    first_owner = sorted_owner[first][np.cumsum(first) - 1]
+    clash = np.flatnonzero(sorted_owner != first_owner)
+    if clash.size:
+        at = clash[np.argmin(order[clash])]
+        raise ValueError(
+            f"interior edge {_ints(claims[order[at]])} claimed by both "
+            f"{owners[first_owner[at]]} and {owners[sorted_owner[at]]}"
         )
+    return claims[order[first]], sorted_owner[first]
 
 
 def triangulate_generic(spec: DiscComplexSpec) -> SimplicialComplex2:
@@ -129,15 +221,15 @@ def triangulate_generic(spec: DiscComplexSpec) -> SimplicialComplex2:
     fanned from its first vertex.
     """
     n = spec.n_cycles
-    b = ComplexBuilder()
-    b.vertex(0, "0")
+    labels = {0: "0"}
     for j in range(1, n + 1):
-        b.vertex(2 * (j - 1) + 1, f"v{j}.1")
-        b.vertex(2 * (j - 1) + 2, f"v{j}.2")
+        labels[2 * (j - 1) + 1] = f"v{j}.1"
+        labels[2 * (j - 1) + 2] = f"v{j}.2"
     nxt = 2 * n + 1
 
-    for i, word in enumerate(spec.discs, start=1):
-        owner = f"disc{i}"
+    triangles: list[Triangle] = []
+    claims: list[tuple[int, int, int]] = []  # (u, v, owner index)
+    for i, word in enumerate(spec.discs):
         walk: list[int] = []
         for letter in word:
             j = abs(letter)
@@ -145,10 +237,10 @@ def triangulate_generic(spec: DiscComplexSpec) -> SimplicialComplex2:
             walk.extend((0, v1, v2) if letter > 0 else (0, v2, v1))
         size = len(walk)  # 3s
         p = (size + 1) // 2  # ceil(3s/2)
-        inner = []
+        inner = list(range(nxt, nxt + p))
         for t in range(p):
-            inner.append(b.vertex(nxt, f"c{i}.{t + 1}"))
-            nxt += 1
+            labels[nxt + t] = f"c{i + 1}.{t + 1}"
+        nxt += p
 
         for t in range(p):
             start = 2 * t
@@ -156,20 +248,18 @@ def triangulate_generic(spec: DiscComplexSpec) -> SimplicialComplex2:
             for s_ in range(steps):
                 u = walk[(start + s_) % size]
                 w = walk[(start + s_ + 1) % size]
-                b.triangle(inner[t], u, w)
-                b.claim_interior(inner[t], u, owner)
-                b.claim_interior(inner[t], w, owner)
+                triangles.append((inner[t], u, w))
+                claims += ((inner[t], u, i), (inner[t], w, i))
             rung_v = walk[(start + steps) % size]
-            b.triangle(inner[t], inner[(t + 1) % p], rung_v)
-            b.claim_interior(inner[t], inner[(t + 1) % p], owner)
-            b.claim_interior(inner[(t + 1) % p], rung_v, owner)
+            triangles.append((inner[t], inner[(t + 1) % p], rung_v))
+            claims += ((inner[t], inner[(t + 1) % p], i), (inner[(t + 1) % p], rung_v, i))
         for t in range(1, p - 1):
-            b.triangle(inner[0], inner[t], inner[t + 1])
-            b.claim_interior(inner[0], inner[t], owner)
-            b.claim_interior(inner[0], inner[t + 1], owner)
-            b.claim_interior(inner[t], inner[t + 1], owner)
+            triangles.append((inner[0], inner[t], inner[t + 1]))
+            claims += ((inner[0], inner[t], i), (inner[0], inner[t + 1], i), (inner[t], inner[t + 1], i))
 
-    return b.finish()
+    claims_arr = _int_rows(claims, 3)
+    owners = tuple(f"disc{i}" for i in range(1, len(spec.discs) + 1))
+    return make_complex(labels, triangles, claims_arr[:, :2], claims_arr[:, 2], owners)
 
 
 def vertex_count_formula(spec: DiscComplexSpec) -> int:
@@ -177,67 +267,95 @@ def vertex_count_formula(spec: DiscComplexSpec) -> int:
     return 1 + 2 * spec.n_cycles + sum((3 * len(w) + 1) // 2 for w in spec.discs)
 
 
+def _row_problems(rows: np.ndarray, known: np.ndarray, what: str, bad_text: str) -> tuple[list[str], np.ndarray]:
+    """Problems of rows with a repeated vertex or an unknown one, in row
+    order, and the mask of rows without a repeated vertex."""
+    srt = np.sort(rows, axis=1)
+    proper = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
+    problems = []
+    for i in np.flatnonzero(~proper | ~known.all(axis=1)):
+        row = _ints(rows[i])
+        if not proper[i]:
+            problems.append(f"{bad_text} {row}")
+        else:
+            problems.extend(f"{what} {row} uses unknown vertex {v}" for v, ok in zip(row, known[i]) if not ok)
+    return problems, proper
+
+
+def _repeats(rows: np.ndarray) -> np.ndarray:
+    """Indices of the rows equal to an earlier row, ascending."""
+    order = np.lexsort(rows.T[::-1])
+    return np.sort(order[~_run_starts(rows[order])])
+
+
 def validate_complex(k: SimplicialComplex2) -> ValidationReport:
     """Report-style check of all structural invariants.
 
     Covers loop-freeness, duplicate simplices, closure (triangle edges are
     present, every edge and vertex lies in a triangle), vertex-set
-    consistency, and single ownership of claimed interior edges.
+    consistency, single ownership of claimed interior edges, and the
+    canonical order of the arrays (ascending rows, sorted
+    lexicographically).
     """
-    problems: list[str] = []
-    vset = set(k.labels)
+    tri, edges, claims = k.triangles, k.edges, k.claims
+    vids = np.array(sorted(k.labels), dtype=np.int64)
+    tidx, tknown = vertex_index(vids, tri)
+    eidx, eknown = vertex_index(vids, edges)
+    cidx, cknown = vertex_index(vids, claims)
+    ids = vids
+    if not (tknown.all() and eknown.all() and cknown.all()):
+        # index every id that occurs, so unknown ones can still be compared
+        ids = _sorted_unique(np.concatenate((vids, tri.ravel(), edges.ravel(), claims.ravel())))
+        tidx, eidx, cidx = (np.searchsorted(ids, x) for x in (tri, edges, claims))
+    nv = len(ids)
 
-    norm_tris = []
-    for t in k.triangles:
-        if len(t) != 3 or len(set(t)) != 3:
-            problems.append(f"degenerate triangle {t}")
-            continue
-        norm_tris.append(tuple(sorted(t)))
-        for v in t:
-            if v not in vset:
-                problems.append(f"triangle {t} uses unknown vertex {v}")
-    if len(set(norm_tris)) != len(norm_tris):
-        seen = set()
-        for t in norm_tris:
-            if t in seen:
-                problems.append(f"duplicate triangle {t}")
-            seen.add(t)
+    problems, proper = _row_problems(tri, tknown, "triangle", "degenerate triangle")
+    tsorted = np.sort(tidx[proper], axis=1)
+    if proper.all() and np.array_equal(tsorted, tidx) and _increasing(tidx):
+        tris = tidx
+    else:
+        dups = _repeats(tsorted)
+        problems += [f"duplicate triangle {_ints(ids[tsorted[i]])}" for i in dups]
+        if proper.all() and not dups.size:
+            problems.append("triangles are not in canonical order (ascending rows, lexicographically sorted)")
+        tris = np.delete(tsorted, dups, axis=0)
 
-    norm_edges = []
-    for e in k.edges:
-        if len(e) != 2 or e[0] == e[1]:
-            problems.append(f"loop or malformed edge {e}")
-            continue
-        norm_edges.append(tuple(sorted(e)))
-        for v in e:
-            if v not in vset:
-                problems.append(f"edge {e} uses unknown vertex {v}")
-    eset = set(norm_edges)
-    if len(norm_edges) != len(eset):
-        problems.append("duplicate edges present")
+    edge_problems, not_loop = _row_problems(edges, eknown, "edge", "loop or malformed edge")
+    problems += edge_problems
+    esorted = np.sort(eidx[not_loop], axis=1)
+    ekeys = esorted[:, 0] * nv + esorted[:, 1]
+    if not (not_loop.all() and np.array_equal(esorted, eidx) and _increasing(eidx)):
+        if _repeats(esorted).size:
+            problems.append("duplicate edges present")
+        elif not_loop.all():
+            problems.append("edges are not in canonical order (ascending rows, lexicographically sorted)")
+        ekeys = _sorted_unique(ekeys)
 
-    covered_edges = set()
-    covered_vertices = set()
-    for t in set(norm_tris):
-        tri_edges = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-        for e in tri_edges:
-            if e not in eset:
-                problems.append(f"triangle {t} misses edge {e}")
-        covered_edges.update(tri_edges)
-        covered_vertices.update(t)
-    for e in sorted(eset - covered_edges):
-        problems.append(f"edge {e} lies in no triangle")
-    for v in sorted(vset - covered_vertices):
-        problems.append(f"vertex {v} lies in no triangle")
+    a, b, c = tris.T
+    tkeys = np.stack((a * nv + b, a * nv + c, b * nv + c), axis=1)
+    covered_keys = _sorted_unique(tkeys)
+    if not np.array_equal(covered_keys, ekeys):
+        _, present = _index_in(ekeys, tkeys)
+        for i in np.flatnonzero(~present.all(axis=1)):
+            t = _ints(ids[tris[i]])
+            pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
+            problems.extend(f"triangle {t} misses edge {e}" for e, ok in zip(pairs, present[i]) if not ok)
+        _, covered = _index_in(covered_keys, ekeys)
+        problems += [f"edge {_ints(ids[[e // nv, e % nv]])} lies in no triangle" for e in ekeys[~covered]]
+    covered = np.zeros(nv, dtype=bool)
+    covered[tris.ravel()] = True
+    problems += [f"vertex {int(v)} lies in no triangle" for v in vids[~covered[np.searchsorted(ids, vids)]]]
 
-    owners: dict[Edge, set[str]] = {}
-    for e, owner in k.interior_claims:
-        owners.setdefault(e, set()).add(owner)
-        if e not in eset:
-            problems.append(f"claimed interior edge {e} is not an edge of the complex")
-    for e, os in sorted(owners.items()):
-        if len(os) > 1:
-            problems.append(f"interior edge {e} shared by {sorted(os)}")
+    ckeys = cidx[:, 0] * nv + cidx[:, 1]
+    _, is_edge = _index_in(ekeys, ckeys)
+    problems += [f"claimed interior edge {_ints(e)} is not an edge of the complex" for e in claims[~is_edge]]
+    if not (ckeys[1:] > ckeys[:-1]).all():  # unsorted, or some edge claimed twice
+        order = np.argsort(ckeys, kind="stable")
+        ckeys, owner = ckeys[order], k.claim_owner[order]
+        for key in _sorted_unique(ckeys[1:][(ckeys[1:] == ckeys[:-1]) & (owner[1:] != owner[:-1])]):
+            names = sorted({k.owners[o] for o in owner[ckeys == key]})
+            if len(names) > 1:
+                problems.append(f"interior edge {_ints(ids[[key // nv, key % nv]])} shared by {names}")
 
     return ValidationReport(not problems, tuple(problems))
 

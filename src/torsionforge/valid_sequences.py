@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exactmat import IntMatrix
 from .hadamard import is_power_of_two
 
@@ -99,6 +101,15 @@ def check_valid(seq: ValidSequence, m: IntMatrix) -> ValidityReport:
     return ValidityReport(True, None, "ok")
 
 
+def _doubled(perms: np.ndarray) -> np.ndarray:
+    """Orderings for the doubled matrix, as one (2n, 2n) array: the rows
+    are the plain copies [P, P + n], then the alternating merges
+    [P + n*odd, P + n*even] (odd/even: the position of a label)."""
+    n = perms.shape[0]
+    odd = np.arange(n) % 2 * n
+    return np.block([[perms, perms + n], [perms + odd, perms + (n - odd)]])
+
+
 def extend_sequence(seq: ValidSequence) -> ValidSequence:
     """Sequence for the doubled matrix from one for the half-size matrix.
 
@@ -107,25 +118,24 @@ def extend_sequence(seq: ValidSequence) -> ValidSequence:
     even positions of the first copy and the odd positions of the second.
     Validity is preserved.
     """
-    n = seq.n
-    plain = []
-    alternating = []
-    for p in seq.perms:
-        plain.append(p + tuple(x + n for x in p))
-        first = tuple(x + n if t % 2 else x for t, x in enumerate(p))
-        second = tuple(x if t % 2 else x + n for t, x in enumerate(p))
-        alternating.append(first + second)
-    return ValidSequence(2 * n, tuple(plain + alternating))
+    perms = _doubled(np.array(seq.perms, dtype=np.int64))
+    return ValidSequence(2 * seq.n, tuple(map(tuple, perms.tolist())))
 
 
-def valid_sequence(n: int) -> ValidSequence:
-    """The canonical valid sequence for the order-n Walsh matrix.
+def sequence_array(n: int) -> np.ndarray:
+    """The canonical valid sequence for the order-n Walsh matrix as an
+    (n, n) array of 1-based labels, one ordering per row.
 
     Obtained by iterated doubling from ((1)); total work O(n^2).
     """
     if not is_power_of_two(n):
         raise ValueError(f"order must be a power of two, got {n}")
-    seq = ValidSequence(1, ((1,),))
-    while seq.n < n:
-        seq = extend_sequence(seq)
-    return seq
+    perms = np.ones((1, 1), dtype=np.int64)
+    while len(perms) < n:
+        perms = _doubled(perms)
+    return perms
+
+
+def valid_sequence(n: int) -> ValidSequence:
+    """The canonical valid sequence for the order-n Walsh matrix."""
+    return ValidSequence(n, tuple(map(tuple, sequence_array(n).tolist())))

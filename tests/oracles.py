@@ -1,7 +1,8 @@
 """Independent brute-force oracles.  Nothing here shares code with the
 package: determinants come from cofactor expansion, invariant factors from
-gcds of k x k minors, components from union-find, and sequence validity
-from the direct quartic scan of the definition.
+gcds of k x k minors, components from union-find, sequence validity from
+the direct quartic scan of the definition, and HMT(n) from a face-by-face
+plain-Python construction.
 """
 
 from __future__ import annotations
@@ -92,3 +93,55 @@ def check_valid_bruteforce(perms, mat_rows):
                     ):
                         return ("cond2", (i1, j1, i2, j2))
     return ("ok",)
+
+
+def valid_sequence_perms(n: int) -> list[tuple[int, ...]]:
+    """The canonical valid sequence by doubling, one ordering at a time: a
+    plain copy plus its shift by m, and an alternating merge."""
+    perms = [(1,)]
+    while len(perms) < n:
+        m = len(perms)
+        plain = [p + tuple(x + m for x in p) for p in perms]
+        alternating = [
+            tuple(x + m if t % 2 else x for t, x in enumerate(p)) + tuple(x if t % 2 else x + m for t, x in enumerate(p))
+            for p in perms
+        ]
+        perms = plain + alternating
+    return perms
+
+
+def hmt_facets(n: int, keep_first_digon: bool = False) -> list[tuple[int, int, int]]:
+    """Sorted triangles of HMT(n), one face at a time.
+
+    The Walsh matrix comes from Sylvester doubling and the valid sequence
+    from doubling its orderings, both as plain lists; vertex ids, rings,
+    shields, fans and digons follow the construction face by face.
+    """
+    rows = [[1]]
+    while len(rows) < n:
+        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
+    perms = valid_sequence_perms(n)
+
+    shift = 0 if keep_first_digon else 2
+    v1, v2, w1, w2 = {}, {}, {}, {}
+    for j in range(1, n + 1):
+        if j == 1 and not keep_first_digon:
+            v1[j], v2[j] = 1, 2
+            continue
+        base = 4 * (j - 1) - shift
+        v1[j], v2[j], w1[j], w2[j] = base + 1, base + 2, base + 3, base + 4
+    centers = {i: 4 * n - shift + i for i in range(1, n + 1)}
+
+    faces = []
+    for i in range(1, n + 1):
+        ring = []
+        for j in perms[i - 1]:
+            ring.extend((v1[j], v2[j]) if rows[i - 1][j - 1] > 0 else (w1[j], w2[j]))
+        for p in range(n):
+            faces.append((0, ring[2 * p + 1], ring[(2 * p + 2) % (2 * n)]))
+        for t in range(2 * n):
+            faces.append((centers[i], ring[t], ring[(t + 1) % (2 * n)]))
+    for j in range(1 if keep_first_digon else 2, n + 1):
+        a1, a2, b1, b2 = v1[j], v2[j], w1[j], w2[j]
+        faces += [(0, a1, b2), (a1, a2, b2), (a2, b1, b2), (0, a2, b1)]
+    return sorted(tuple(sorted(f)) for f in faces)

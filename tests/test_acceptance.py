@@ -19,6 +19,7 @@ from torsionforge.speyer import build_speyer_complex, speyer_matrix
 from torsionforge.triangulation import face_vector, triangulate_generic, validate_complex
 from torsionforge.valid_sequences import check_valid, valid_sequence
 
+from .test_triangulation import claimed
 from .test_valid_sequences import H4_SEQUENCE, H8_SEQUENCE
 
 
@@ -154,7 +155,7 @@ def test_criterion_8_structural_invariants():
         ok = ok and fv.f0 - fv.f1 + fv.f2 == hom.h0.free_rank - hom.h1.free_rank + hom.h2.free_rank
         ok = ok and fv.f0 >= 4 and fv.f1 >= 6 and fv.f2 >= 4
         owners = {}
-        for e, owner in k.interior_claims:
+        for e, owner in claimed(k):
             ok = ok and owners.setdefault(e, owner) == owner
     elapsed = time.perf_counter() - t0
     assert report(8, "d°d=0, euler-poincare, validator, shields", ok, f"{elapsed:.2f}s")

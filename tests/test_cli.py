@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -216,6 +217,28 @@ class TestPipelines:
         code, _, err = run(capsys, "snf")
         assert code == 2
         assert "line 2" in err and "col 3" in err
+
+
+class TestGoldenOutput:
+    """SHA-256 of stdout, as produced by the per-face builder and writer
+    that the array construction replaced."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            ("build-hmt --n 64", "1a929b7f70dbe3e9f7d8ea7326bf068d0d25b1477237dec280aa8141d254b80b"),
+            ("build-hmt --n 128", "80ea09f9fa58944463c0850c4e8f1f328d14dfc8b8a6f2bbc792fd1051b4f018"),
+            ("build-hmt --n 256", "edde9b4e880937a4bd01ac71231098e1ee3d17fd9e2ddc15d92c5de27c88ad94"),
+            ("build-hmt --n 64 --keep-first-digon", "5c798052c80c64aed4d341ba917efd127d3dc954ad1cf9c1a18ebc0fd63148bc"),
+            ("build-hmt --n 16 --format json", "2fd9efc14d902041a75a287be46a8745f272c5973bfc52d5901821ae0b9a988a"),
+            ("build-speyer --k 2305843009213693951", "99480e2cd5575f495ea4da6064b05901d977fb6a21ed7c445b15f26b3442b792"),
+            ("valid-seq --n 1024", "f8e469b3a331e289d559966c500a62cd03ecf92a0e43b1231b0f204b847939bb"),
+        ],
+    )
+    def test_digest(self, argv, digest, capsys):
+        code, out, _ = run(capsys, *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestCertify:

@@ -286,6 +286,20 @@ class TestPrimeFactors:
         assert _prime_factors(4294967291 * 4294967279) == [4294967279, 4294967291]
         assert time.perf_counter() - t0 < 5.0
 
+    def test_composite_above_certainty_bound_split_by_rho(self):
+        n = (2**31 - 1) * (2**61 - 1)
+        assert n > 3_317_044_064_679_887_385_961_981
+        t0 = time.perf_counter()
+        assert _prime_factors(n) == [2**31 - 1, 2**61 - 1]
+        assert _prime_factors(5 * n * (2**61 - 1)) == [5, 2**31 - 1, 2**61 - 1]
+        assert time.perf_counter() - t0 < 5.0
+
+    def test_prime_powers_split_by_root(self):
+        t0 = time.perf_counter()
+        assert _prime_factors((2**61 - 1) ** 3) == [2**61 - 1]
+        assert _prime_factors(7 * 4294967291**2 * (2**31 - 1)) == [7, 2**31 - 1, 4294967291]
+        assert time.perf_counter() - t0 < 5.0
+
     def test_above_certainty_bound_still_exact(self):
         # no Miller-Rabin answer is used above the bound; small factors still split
         n = 3**60 * 7**5

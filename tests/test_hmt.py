@@ -16,6 +16,9 @@ from torsionforge.hmt_builder import (
 from torsionforge.homology import simplicial_homology
 from torsionforge.triangulation import euler_characteristic, face_vector, validate_complex
 
+from .oracles import hmt_facets
+from .test_triangulation import claimed
+
 HMT2_FACETS = """0 1 4
 0 1 6
 0 2 3
@@ -80,6 +83,12 @@ class TestBuild:
         with pytest.raises(ValueError, match="power of two"):
             build_hmt(bad)
 
+    @pytest.mark.parametrize("keep_first_digon", [False, True])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+    def test_matches_face_by_face_reference(self, n, keep_first_digon):
+        k = build_hmt(n, keep_first_digon)
+        assert [tuple(t) for t in k.triangles.tolist()] == hmt_facets(n, keep_first_digon)
+
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_keep_first_digon_variant(self, n):
         k = build_hmt(n, keep_first_digon=True)
@@ -94,17 +103,17 @@ class TestStructure:
     def test_shield_diagonals_unique_and_doubly_incident(self, n):
         k = build_hmt(n)
         owners = {}
-        for e, owner in k.interior_claims:
+        for e, owner in claimed(k):
             assert e not in owners or owners[e] == owner
             owners[e] = owner
         incidence = {}
-        for t in k.triangles:
+        for t in k.triangles.tolist():
             for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
                 incidence[e] = incidence.get(e, 0) + 1
         centers = {v for v, lab in k.labels.items() if lab.startswith("c")}
         diagonals = [
             e
-            for e, owner in k.interior_claims
+            for e, owner in claimed(k)
             if owner.startswith("disc") and e[0] != 0 and not (set(e) & centers)
         ]
         assert len(diagonals) == n * n  # one per base-vertex visit per disc
@@ -115,8 +124,8 @@ class TestStructure:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_digon_edges_disjoint_from_disc_interiors(self, n):
         k = build_hmt(n)
-        disc_edges = {e for e, o in k.interior_claims if o.startswith("disc")}
-        digon_edges = {e for e, o in k.interior_claims if o.startswith("digon")}
+        disc_edges = {e for e, o in claimed(k) if o.startswith("disc")}
+        digon_edges = {e for e, o in claimed(k) if o.startswith("digon")}
         assert not disc_edges & digon_edges
         assert len(digon_edges) == 3 * (n - 1)
 

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from torsionforge.disc_complex import DiscComplexSpec, from_matrix
@@ -11,6 +12,7 @@ from torsionforge.triangulation import (
     SimplicialComplex2,
     euler_characteristic,
     face_vector,
+    make_complex,
     triangulate_generic,
     validate_complex,
     vertex_count_formula,
@@ -42,21 +44,16 @@ H2_FACETS = """0 1 5
 
 
 def complex_from_triangles(tris):
-    edges = set()
-    verts = set()
-    tris = [tuple(sorted(t)) for t in tris]
-    for a, b, c in tris:
-        edges.update(((a, b), (a, c), (b, c)))
-        verts.update((a, b, c))
-    return SimplicialComplex2(
-        labels={v: str(v) for v in sorted(verts)},
-        edges=sorted(edges),
-        triangles=sorted(tris),
-    )
+    return make_complex({v: str(v) for v in sorted({v for t in tris for v in t})}, tris)
 
 
 def tetrahedron():
     return complex_from_triangles([(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def claimed(k):
+    """The interior claims of k as ((u, v), owner name) pairs."""
+    return [(tuple(e), k.owners[o]) for e, o in zip(k.claims.tolist(), k.claim_owner.tolist())]
 
 
 class TestVertexCounts:
@@ -117,10 +114,10 @@ class TestGenericTriangulation:
             m = random_matrix_no_zero_lines(rng)
             k = triangulate_generic(from_matrix(m, "grouped"))
             incidence = {}
-            for t in k.triangles:
+            for t in k.triangles.tolist():
                 for e in ((t[0], t[1]), (t[0], t[2]), (t[1], t[2])):
                     incidence[e] = incidence.get(e, 0) + 1
-            for e, _owner in k.interior_claims:
+            for e, _owner in claimed(k):
                 assert incidence[e] == 2, (m, e)
 
     def test_cone_walk_end_has_two_or_three_boundary_spokes(self):
@@ -133,7 +130,7 @@ class TestGenericTriangulation:
             last_inner = max(k.labels)
             boundary_neighbors = {
                 (e[0] if e[1] == last_inner else e[1])
-                for e in k.edges
+                for e in k.edges.tolist()
                 if last_inner in e and min(e) <= 2 * n
             }
             assert len(boundary_neighbors) == expected
@@ -146,46 +143,115 @@ class TestValidator:
 
     def test_duplicate_triangle_detected(self):
         k = tetrahedron()
-        k.triangles.append((0, 1, 2))
+        k = SimplicialComplex2(k.labels, k.edges, np.vstack([k.triangles, [(0, 1, 2)]]))
         report = validate_complex(k)
         assert not report.ok
         assert any("duplicate triangle" in p for p in report.problems)
 
     def test_missing_edge_detected(self):
         k = tetrahedron()
-        k.edges.remove((0, 1))
+        k = SimplicialComplex2(k.labels, k.edges[1:], k.triangles)
+        assert k.edges[0].tolist() != [0, 1]
         report = validate_complex(k)
         assert not report.ok
         assert any("misses edge" in p for p in report.problems)
 
     def test_loop_detected(self):
         k = tetrahedron()
-        k.edges.append((2, 2))
+        k = SimplicialComplex2(k.labels, np.vstack([k.edges, [(2, 2)]]), k.triangles)
         report = validate_complex(k)
         assert not report.ok
         assert any("loop" in p for p in report.problems)
 
     def test_isolated_vertex_detected(self):
         k = tetrahedron()
-        k.labels[9] = "stray"
+        k = SimplicialComplex2({**k.labels, 9: "stray"}, k.edges, k.triangles)
         report = validate_complex(k)
         assert not report.ok
         assert any("vertex 9" in p for p in report.problems)
 
     def test_dangling_edge_detected(self):
         k = tetrahedron()
-        k.edges.append((0, 9))
-        k.labels[9] = "stray"
+        k = SimplicialComplex2({**k.labels, 9: "stray"}, np.vstack([k.edges, [(0, 9)]]), k.triangles)
         report = validate_complex(k)
         assert not report.ok
         assert any("no triangle" in p for p in report.problems)
 
     def test_conflicting_interior_claims_detected(self):
         k = tetrahedron()
-        k.interior_claims = (((0, 1), "disc1"), ((0, 1), "disc2"))
+        k = SimplicialComplex2(k.labels, k.edges, k.triangles, [(0, 1), (0, 1)], [0, 1], ("disc1", "disc2"))
         report = validate_complex(k)
         assert not report.ok
         assert any("shared by" in p for p in report.problems)
+
+    def test_problem_texts_print_plain_ints(self):
+        k = tetrahedron()
+        k = SimplicialComplex2(
+            {**k.labels, 9: "stray"},
+            np.vstack([k.edges[1:], [(5, 5), (0, 7)]]),
+            np.vstack([k.triangles, [(0, 1, 2), (3, 3, 1), (0, 2, 8)]]),
+            [(0, 1), (0, 1), (1, 4)],
+            [0, 1, 0],
+            ("disc1", "disc2"),
+        )
+        assert validate_complex(k).problems == (
+            "degenerate triangle (3, 3, 1)",
+            "triangle (0, 2, 8) uses unknown vertex 8",
+            "duplicate triangle (0, 1, 2)",
+            "loop or malformed edge (5, 5)",
+            "edge (0, 7) uses unknown vertex 7",
+            "triangle (0, 1, 2) misses edge (0, 1)",
+            "triangle (0, 1, 3) misses edge (0, 1)",
+            "triangle (0, 2, 8) misses edge (0, 8)",
+            "triangle (0, 2, 8) misses edge (2, 8)",
+            "edge (0, 7) lies in no triangle",
+            "vertex 9 lies in no triangle",
+            "claimed interior edge (0, 1) is not an edge of the complex",
+            "claimed interior edge (0, 1) is not an edge of the complex",
+            "claimed interior edge (1, 4) is not an edge of the complex",
+            "interior edge (0, 1) shared by ['disc1', 'disc2']",
+        )
+
+    def test_unsorted_arrays_detected(self):
+        k = tetrahedron()
+        report = validate_complex(SimplicialComplex2(k.labels, k.edges, k.triangles[::-1]))
+        assert report.problems == ("triangles are not in canonical order (ascending rows, lexicographically sorted)",)
+        report = validate_complex(SimplicialComplex2(k.labels, k.edges[:, ::-1], k.triangles))
+        assert report.problems == ("edges are not in canonical order (ascending rows, lexicographically sorted)",)
+
+
+class TestMakeComplex:
+    """The constructor's rejections, one per check."""
+
+    labels = {v: str(v) for v in range(5)}
+
+    def test_canonical_order_and_derived_edges(self):
+        k = make_complex(self.labels, [(3, 1, 2), (2, 0, 1)])
+        assert k.triangles.tolist() == [[0, 1, 2], [1, 2, 3]]
+        assert k.edges.tolist() == [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]]
+        assert k.triangles.dtype == np.int64
+
+    def test_degenerate_triangle(self):
+        with pytest.raises(ValueError, match=r"^degenerate triangle \(1, 1, 3\)$"):
+            make_complex(self.labels, [(0, 1, 2), (3, 1, 1)])
+
+    def test_duplicate_triangle(self):
+        with pytest.raises(ValueError, match=r"^duplicate triangle \(1, 2, 3\)$"):
+            make_complex(self.labels, [(1, 2, 3), (0, 1, 2), (4, 0, 1), (3, 2, 1), (0, 4, 1)])
+
+    def test_unknown_vertex(self):
+        with pytest.raises(ValueError, match=r"^triangle \(2, 3, 7\) uses an unknown vertex$"):
+            make_complex(self.labels, [(0, 1, 2), (7, 2, 3)])
+
+    def test_conflicting_claims(self):
+        with pytest.raises(ValueError, match=r"^interior edge \(0, 1\) claimed by both disc1 and disc2$"):
+            make_complex(
+                self.labels, [(0, 1, 2), (0, 1, 3)], [(1, 0), (1, 2), (0, 1), (2, 1)], [0, 0, 1, 1], ("disc1", "disc2")
+            )
+
+    def test_repeated_claim_by_one_owner_counts_once(self):
+        k = make_complex(self.labels, [(0, 1, 2)], [(1, 0), (0, 1), (2, 1)], [1, 1, 0], ("disc1", "disc2"))
+        assert claimed(k) == [((0, 1), "disc2"), ((1, 2), "disc1")]
 
 
 class TestFaceVector:

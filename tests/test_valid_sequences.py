@@ -8,10 +8,11 @@ from torsionforge.valid_sequences import (
     ValidSequence,
     check_valid,
     extend_sequence,
+    sequence_array,
     valid_sequence,
 )
 
-from .oracles import check_valid_bruteforce
+from .oracles import check_valid_bruteforce, valid_sequence_perms
 
 H4_SEQUENCE = ((1, 2, 3, 4), (1, 2, 3, 4), (1, 4, 3, 2), (1, 4, 3, 2))
 H8_SEQUENCE = (
@@ -43,6 +44,12 @@ class TestConstruction:
         assert extend_sequence(ValidSequence(1, ((1,),))).perms == ((1, 2), (1, 2))
         assert extend_sequence(ValidSequence(2, ((1, 2), (1, 2)))).perms == H4_SEQUENCE
         assert extend_sequence(ValidSequence(4, H4_SEQUENCE)).perms == H8_SEQUENCE
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 256])
+    def test_matches_ordering_by_ordering_reference(self, n):
+        expected = valid_sequence_perms(n)
+        assert valid_sequence(n).perms == tuple(expected)
+        assert sequence_array(n).tolist() == [list(p) for p in expected]
 
     def test_rejects_non_powers(self):
         with pytest.raises(ValueError):
