@@ -178,6 +178,9 @@ def complex_from_json(text: str) -> SimplicialComplex2:
         raise FileFormatError(f"bad JSON: {e.msg}", e.lineno, e.colno) from None
     try:
         labels = {int(v): str(label) for v, label in obj["vertices"]}
+        for v in labels:
+            if not -_MAX_ID - 1 <= v <= _MAX_ID:
+                raise ValueError(f"vertex id {v} does not fit in 64 bits")
         edges = _id_table(obj["edges"], 2, "edge")
         triangles = _id_table(obj["triangles"], 3, "triangle")
     except (KeyError, TypeError, ValueError, OverflowError) as e:

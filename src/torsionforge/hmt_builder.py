@@ -78,7 +78,11 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
     shift = 0 if keep_first_digon else 2
     col = sequence_array(n) - 1  # 0-based column of each ring step
     disc = np.arange(n)[:, None]
-    negative = np.bitwise_count(disc & col) % 2
+    # parity of the k = log2(n) bits of (i-1) & (j-1)
+    common = disc & col
+    negative = np.zeros_like(common)
+    for bit in range(n.bit_length() - 1):
+        negative ^= (common >> bit) & 1
     # column j's pair starts at 4(j-1)+1, less the compaction shift past column 1
     first = 4 * col + 1 + 2 * negative - shift * (col > 0)
     ring = np.empty((n, 2 * n + 1), dtype=np.int64)

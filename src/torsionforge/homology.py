@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactmat import AbelianGroup, IntMatrix, free_group, group_from_factors, smith_normal_form
-from .triangulation import SimplicialComplex2, validate_complex, vertex_index
+from .triangulation import SimplicialComplex2, validate_complex
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,9 @@ def _sparse_boundaries(k: SimplicialComplex2) -> tuple[int, list[tuple[int, int]
         raise ValueError("complex has no triangles")
     vids = np.array(sorted(k.labels), dtype=np.int64)
     nv = len(vids)
-    tail, head = vertex_index(vids, k.edges)[0].T
+    tail, head = np.searchsorted(vids, k.edges).T
     edge_keys = tail * nv + head
-    a, b, c = vertex_index(vids, k.triangles)[0].T
+    a, b, c = np.searchsorted(vids, k.triangles).T
     ab, ac, bc = (np.searchsorted(edge_keys, x * nv + y).tolist() for x, y in ((a, b), (a, c), (b, c)))
     d1 = list(zip(tail.tolist(), head.tolist()))
     d2 = [{x: 1, y: -1, z: 1} for x, y, z in zip(ab, ac, bc)]

@@ -18,9 +18,6 @@ from .disc_complex import DiscComplexSpec
 
 Triangle = tuple[int, int, int]
 
-# Triangle keys (a*V + b)*V + c over V vertex indices stay below 2^63.
-_MAX_VERTICES = 2_097_151
-
 
 def _int_rows(x, width: int) -> np.ndarray:
     return np.asarray(x, dtype=np.int64).reshape(-1, width)
@@ -57,12 +54,11 @@ def _index_in(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return idx, known
 
 
-def vertex_index(vids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_index_in` for the ascending vertex ids of a complex, without a
-    search when they are 0..len-1, as the builders number them."""
-    if len(vids) and vids[0] == 0 and vids[-1] == len(vids) - 1:
-        return x, (x >= 0) & (x < len(vids))
-    return _index_in(vids, x)
+def _lex_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order that sorts the rows lexicographically, and the mask
+    of the sorted rows that differ from the one before."""
+    order = np.lexsort(rows.T[::-1])
+    return order, _run_starts(rows[order])
 
 
 def _increasing(rows: np.ndarray) -> bool:
@@ -158,28 +154,23 @@ def make_complex(
         raise ValueError(f"degenerate triangle {_ints(tri[bad[0]])}")
     vids = np.array(sorted(labels), dtype=np.int64)
     nv = len(vids)
-    if nv > _MAX_VERTICES:
-        raise ValueError(f"complex has {nv} vertices, more than the {_MAX_VERTICES} supported")
-    idx, known = vertex_index(vids, tri)
+    idx, known = _index_in(vids, tri)
     bad = np.flatnonzero(~known.all(axis=1))
     if bad.size:
         raise ValueError(f"triangle {_ints(tri[bad[0]])} uses an unknown vertex")
 
-    keys = (idx[:, 0] * nv + idx[:, 1]) * nv + idx[:, 2]
-    skeys = np.sort(keys)
-    if (skeys[1:] == skeys[:-1]).any():
-        order = np.argsort(keys, kind="stable")
-        later = order[1:][keys[order[1:]] == keys[order[:-1]]]
-        raise ValueError(f"duplicate triangle {_ints(tri[later.min()])}")
-    a, b, c = skeys // (nv * nv), skeys // nv % nv, skeys % nv
-    tri = vids[np.stack((a, b, c), axis=1)]
+    order, starts = _lex_order(tri)
+    if not starts.all():
+        raise ValueError(f"duplicate triangle {_ints(tri[order[~starts].min()])}")
+    tri = tri[order]
 
     if edges is None:
+        a, b, c = idx.T
         ekeys = _sorted_unique(np.concatenate((a * nv + b, a * nv + c, b * nv + c)))
         edges = vids[np.stack((ekeys // nv, ekeys % nv), axis=1)]
     else:
         edges = np.sort(_int_rows(edges, 2), axis=1)
-        edges = edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+        edges = edges[_lex_order(edges)[0]]
 
     claims, claim_owner = _owned_claims(vids, claims, claim_owner, owners)
     return SimplicialComplex2(labels, edges, tri, claims, claim_owner, tuple(owners))
@@ -191,7 +182,7 @@ def _owned_claims(vids: np.ndarray, claims, owner, owners) -> tuple[np.ndarray, 
     claims = np.sort(_int_rows(claims, 2), axis=1)
     owner = np.asarray(owner, dtype=np.int64).reshape(-1)
     nv = len(vids)
-    idx, known = vertex_index(vids, claims)
+    idx, known = _index_in(vids, claims)
     bad = np.flatnonzero(~known.all(axis=1))
     if bad.size:
         raise ValueError(f"interior edge {_ints(claims[bad[0]])} uses an unknown vertex")
@@ -284,8 +275,8 @@ def _row_problems(rows: np.ndarray, known: np.ndarray, what: str, bad_text: str)
 
 def _repeats(rows: np.ndarray) -> np.ndarray:
     """Indices of the rows equal to an earlier row, ascending."""
-    order = np.lexsort(rows.T[::-1])
-    return np.sort(order[~_run_starts(rows[order])])
+    order, starts = _lex_order(rows)
+    return np.sort(order[~starts])
 
 
 def validate_complex(k: SimplicialComplex2) -> ValidationReport:
@@ -299,9 +290,9 @@ def validate_complex(k: SimplicialComplex2) -> ValidationReport:
     """
     tri, edges, claims = k.triangles, k.edges, k.claims
     vids = np.array(sorted(k.labels), dtype=np.int64)
-    tidx, tknown = vertex_index(vids, tri)
-    eidx, eknown = vertex_index(vids, edges)
-    cidx, cknown = vertex_index(vids, claims)
+    tidx, tknown = _index_in(vids, tri)
+    eidx, eknown = _index_in(vids, edges)
+    cidx, cknown = _index_in(vids, claims)
     ids = vids
     if not (tknown.all() and eknown.all() and cknown.all()):
         # index every id that occurs, so unknown ones can still be compared

@@ -179,6 +179,21 @@ class TestPipelines:
         assert code == 0
         assert "group=Z_2 x Z_2 x Z_4" in out
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0 1 18446744073709551616\n",
+            json.dumps({"vertices": [[0, "a"], [1, "b"], [2**63, "c"]], "edges": [], "triangles": []}),
+            json.dumps({"vertices": [[-(2**63) - 1, "a"]], "edges": [], "triangles": []}),
+        ],
+        ids=["facets", "json", "json-negative"],
+    )
+    def test_vertex_id_past_64_bits_is_input_error(self, text, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run(capsys, "homology")
+        assert code == 2
+        assert "vertex id" in err
+
     def test_snf_on_walsh_file(self, capsys, tmp_path):
         matfile = tmp_path / "w8.txt"
         run(capsys, "walsh", "--n", "8", "-o", str(matfile))

@@ -1,6 +1,7 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from torsionforge.disc_complex import cellular_homology
@@ -82,6 +83,11 @@ class TestBuild:
     def test_rejects_bad_orders(self, bad):
         with pytest.raises(ValueError, match="power of two"):
             build_hmt(bad)
+
+    def test_builds_without_numpy_2_bit_count(self, monkeypatch):
+        # numpy 1.x has no bitwise_count; the Walsh signs must not need it
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        assert [tuple(t) for t in build_hmt(16).triangles.tolist()] == hmt_facets(16, False)
 
     @pytest.mark.parametrize("keep_first_digon", [False, True])
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
