@@ -3,9 +3,14 @@ and canonical finitely generated abelian groups.
 
 Everything here is exact at any magnitude.  Smith reduction without
 transforms runs the vectorized sweep in :mod:`torsionforge._kernels`, which
-starts on int64 and switches its working array to Python ints in place as
-soon as an entry outgrows the int64-safe bound; transform matrices come from
-the big-int reduction ``_smith_exact``.
+starts on int64 and, once an entry would outgrow the int64-safe bound,
+continues on int64 modulo a multiple of the determinant computed from the
+input (Hafner and McCurley 1991, with the largest invariant factor taken
+from a rational solve as in Saunders and Wan 2004), or on Python ints when
+no such modulus fits; transform matrices come from the big-int reduction
+``_smith_exact``.  Group orders are factored by trial division,
+Miller-Rabin and Pollard-Brent rho; rho has a fixed step budget, past which
+:class:`FactorizationBudgetError` names the cofactor it could not split.
 """
 
 from __future__ import annotations
@@ -96,12 +101,6 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
-    def max_abs(self) -> int:
-        return max(abs(e) for e in self.entries)
 
     def __str__(self):
         return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
@@ -226,13 +225,30 @@ def _passes_miller_rabin(m: int) -> bool:
 # Miller-Rabin finds composite is split by Pollard-Brent rho.
 _RHO_START = 1000
 
+# Polynomial steps Pollard-Brent rho may take on one cofactor, about 1.5 s
+# of Python on a 2-vCPU machine.  Rho needs about sqrt(p) steps to find a
+# prime factor p, so this typically splits a cofactor whose second-largest
+# prime factor has up to about 40 bits.
+_RHO_STEPS = 1 << 21
+
+
+class FactorizationBudgetError(ValueError):
+    """Pollard-Brent rho found no divisor of ``cofactor`` within _RHO_STEPS."""
+
+    def __init__(self, cofactor: int):
+        self.cofactor = cofactor
+        super().__init__(
+            f"cannot factor {cofactor}: Pollard-Brent rho found no divisor within {_RHO_STEPS} steps"
+        )
+
 
 def _brent_divisor(m: int) -> int:
     """A nontrivial divisor of a composite m with no prime factor below
     _RHO_START (Brent, "An improved Monte Carlo factorization algorithm",
     1980).  Each polynomial x^2 + c that only finds m itself is replaced by
-    the next c."""
-    c = 0
+    the next c; all of them share one budget of about _RHO_STEPS steps, past
+    which :class:`FactorizationBudgetError` is raised."""
+    c = steps = 0
     while True:
         c += 1
         y, r, q, g = 2, 1, 1, 1
@@ -240,14 +256,19 @@ def _brent_divisor(m: int) -> int:
             x = y
             for _ in range(r):
                 y = (y * y + c) % m
+            steps += r
             k = 0
             while k < r and g == 1:
+                if steps > _RHO_STEPS:
+                    raise FactorizationBudgetError(m)
                 ys = y
-                for _ in range(min(128, r - k)):
+                batch = min(128, r - k)
+                for _ in range(batch):
                     y = (y * y + c) % m
                     q = q * abs(x - y) % m
                 g = math.gcd(q, m)
                 k += 128
+                steps += batch
             r *= 2
         if g == m:
             g = 1
@@ -403,11 +424,18 @@ def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SnfResult:
 
     Transform matrices are only computed when ``transforms`` is set, by the
     big-int reduction; without them the vectorized sweep of
-    :mod:`torsionforge._kernels` runs, on int64 while entries stay small and
-    on Python ints from the step they outgrow it.  An all-zero matrix yields
-    empty invariant factors with identity transforms.
+    :mod:`torsionforge._kernels` runs, on int64 while entries stay small,
+    then modulo a determinant multiple or on Python ints.  An all-zero
+    matrix yields empty invariant factors with identity transforms.
     """
-    if m.is_zero():
+    bound = _kernels.ENTRY_BOUND
+    try:
+        a = np.array(m.entries, dtype=np.int64)
+        if a.max() > bound or a.min() < -bound:
+            a = a.astype(object)
+    except OverflowError:
+        a = np.array(m.entries, dtype=object)
+    if not a.any():
         return SnfResult(
             a=IntMatrix.zero(m.rows, m.cols),
             s=IntMatrix.identity(m.rows),
@@ -416,8 +444,7 @@ def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SnfResult:
         )
     if transforms:
         return _smith_exact(m)
-    dtype = np.int64 if m.max_abs() <= _kernels.ENTRY_BOUND else object
-    diag = _kernels.smith_diagonal_int64(np.array(m.to_rows(), dtype=dtype))
+    diag = _kernels.smith_diagonal_int64(a.reshape(m.rows, m.cols))
     return SnfResult(
         a=_diag_matrix(m.rows, m.cols, diag),
         s=None,

@@ -49,9 +49,21 @@ def _parse_int(tok: str, line: int, col: int) -> int:
 
 
 def read_matrix(text: str) -> IntMatrix:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return _read_matrix_json(text)
+    try:
+        values = [int(tok) for tok in text.split()]
+    except ValueError:
+        values = []
+    if len(values) >= 2 and min(values[:2]) >= 1 and len(values) == values[0] * values[1] + 2:
+        return IntMatrix(values[0], values[1], tuple(values[2:]))
+    return _read_matrix_with_positions(text)
+
+
+def _read_matrix_with_positions(text: str) -> IntMatrix:
+    """The token-by-token parse that reports the line and column where a
+    matrix file is malformed; :func:`read_matrix` runs it only on text its
+    single pass rejects."""
     toks = list(_tokens_with_positions(text))
     if len(toks) < 2:
         raise FileFormatError("matrix file needs a 'rows cols' header", 1, 1)

@@ -155,6 +155,17 @@ class TestPipelines:
         h1 = f"H1: free_rank=0 invariant_factors=[{k}] primary=[4294967279,4294967291] group=Z_{k}\n"
         assert h1 in self.speyer_homology(capsys, monkeypatch, k)
 
+    def test_speyer_unfactorable_order_is_input_error(self, capsys, monkeypatch):
+        k = (2**61 - 1) * (2**64 - 59)
+        t0 = time.perf_counter()
+        code, facets, _ = run(capsys, "build-speyer", "--k", str(k))
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(facets))
+        code, out, err = run(capsys, "homology")
+        assert time.perf_counter() - t0 < 10.0
+        assert code == 2 and out == ""
+        assert f"error: cannot factor {k}:" in err
+
     def test_triangulate_matrix_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n2 2\n"))
         code, facets, _ = run(capsys, "triangulate", "--ordering", "interleaved")

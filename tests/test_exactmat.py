@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from torsionforge.exactmat import (
     AbelianGroup,
+    FactorizationBudgetError,
     IntMatrix,
     _prime_factors,
     _smith_exact,
@@ -293,6 +294,15 @@ class TestPrimeFactors:
         assert _prime_factors(n) == [2**31 - 1, 2**61 - 1]
         assert _prime_factors(5 * n * (2**61 - 1)) == [5, 2**31 - 1, 2**61 - 1]
         assert time.perf_counter() - t0 < 5.0
+
+    def test_rho_budget_names_the_cofactor(self):
+        # two 62-bit primes: rho would need about 2^30 steps
+        n = (2**61 - 1) * (2**64 - 59)
+        t0 = time.perf_counter()
+        with pytest.raises(FactorizationBudgetError, match=f"cannot factor {n}:") as exc:
+            _prime_factors(7 * n)
+        assert exc.value.cofactor == n
+        assert time.perf_counter() - t0 < 10.0
 
     def test_prime_powers_split_by_root(self):
         t0 = time.perf_counter()

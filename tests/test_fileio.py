@@ -36,6 +36,18 @@ class TestMatrixFormat:
     def test_entries_may_wrap_lines(self):
         assert read_matrix("2 2\n1 2 3\n4\n") == IntMatrix.from_rows([[1, 2], [3, 4]])
 
+    def test_any_whitespace_separates_entries(self):
+        assert read_matrix("2 2\r\n1\t2\n\n3 \x0c4\v") == IntMatrix.from_rows([[1, 2], [3, 4]])
+
+    def test_bad_token_deep_in_large_matrix(self):
+        rows = [[str((7 * i + 3 * j) % 19 - 9) for j in range(100)] for i in range(100)]
+        rows[76][45] = "4x"
+        text = "100 100\n" + "".join(" ".join(r) + "\n" for r in rows)
+        col = len(" ".join(rows[76][:45])) + 2
+        with pytest.raises(FileFormatError) as exc:
+            read_matrix(text)
+        assert str(exc.value) == f"line 78, col {col}: expected an integer, got '4x'"
+
     def test_json_object_form(self):
         m = read_matrix('{"rows": [[1, 1], [1, -1]]}')
         assert m == walsh(2)
