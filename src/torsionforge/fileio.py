@@ -109,23 +109,16 @@ def write_matrix(m: IntMatrix) -> str:
 
 
 def read_sequence(text: str) -> ValidSequence:
-    lines = [l for l in text.splitlines() if l.strip()]
-    if not lines:
+    perms: dict[int, list[int]] = {}
+    for tok, line, col in _tokens_with_positions(text):
+        perms.setdefault(line, []).append(_parse_int(tok, line, col))
+    if not perms:
         raise FileFormatError("empty sequence file", 1, 1)
-    perms = []
-    for lineno, line in enumerate(lines, start=1):
-        perm = []
-        col = 1
-        for tok in line.split():
-            col = line.index(tok, col - 1) + 1
-            perm.append(_parse_int(tok, lineno, col))
-            col += len(tok)
-        perms.append(tuple(perm))
     n = len(perms)
-    for lineno, p in enumerate(perms, start=1):
+    for line, p in perms.items():
         if len(p) != n:
-            raise FileFormatError(f"ordering has {len(p)} labels, expected {n}", lineno, 1)
-    return ValidSequence(n, tuple(perms))
+            raise FileFormatError(f"ordering has {len(p)} labels, expected {n}", line, 1)
+    return ValidSequence(n, tuple(map(tuple, perms.values())))
 
 
 def write_sequence(seq: ValidSequence) -> str:
@@ -133,31 +126,35 @@ def write_sequence(seq: ValidSequence) -> str:
 
 
 def read_facets(text: str) -> SimplicialComplex2:
-    triangles = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        toks = line.split()
+    """The complex of a facet file, parsed in one pass; text that pass
+    rejects goes to :func:`_raise_facet_error` for the error position."""
+    try:
+        triangles = {tuple(map(int, line.split())) for line in text.splitlines()} - {()}
+        tri = np.array(list(triangles), dtype=np.int64)
+    except (ValueError, OverflowError):
+        tri = np.zeros(0, dtype=np.int64)
+    if tri.shape[1:] != (3,) or not ((0 <= tri[:, 0]) & (tri[:, 0] < tri[:, 1]) & (tri[:, 1] < tri[:, 2])).all():
+        _raise_facet_error(text)
+    return make_complex({v: str(v) for v in np.unique(tri).tolist()}, tri)
+
+
+def _raise_facet_error(text: str):
+    """Report the first malformed line of a facet file that
+    :func:`read_facets` rejects, with its line and column."""
+    lines: dict[int, list[tuple[str, int, int]]] = {}
+    for tok in _tokens_with_positions(text):
+        lines.setdefault(tok[1], []).append(tok)
+    for lineno, toks in lines.items():
         if len(toks) != 3:
             raise FileFormatError(f"facet line needs 3 vertex ids, got {len(toks)}", lineno, 1)
-        col = 1
-        ids = []
-        for tok in toks:
-            col = line.index(tok, col - 1) + 1
-            ids.append(_parse_int(tok, lineno, col))
-            col += len(tok)
-        a, b, c = ids
+        a, b, c = [_parse_int(*t) for t in toks]
         if not a < b < c:
             raise FileFormatError(f"vertex ids must be strictly ascending, got {a} {b} {c}", lineno, 1)
         if a < 0:
             raise FileFormatError(f"negative vertex id {a}", lineno, 1)
         if c > _MAX_ID:
             raise FileFormatError(f"vertex id {c} exceeds {_MAX_ID}", lineno, 1)
-        triangles.add((a, b, c))
-    if not triangles:
-        raise FileFormatError("facet file contains no triangles", 1, 1)
-    tri = np.array(list(triangles), dtype=np.int64)
-    return make_complex({v: str(v) for v in sorted(set(tri.ravel().tolist()))}, tri)
+    raise FileFormatError("facet file contains no triangles", 1, 1)
 
 
 def write_facets(k: SimplicialComplex2) -> str:
@@ -174,8 +171,14 @@ def complex_to_json(k: SimplicialComplex2) -> str:
     return json.dumps(obj, indent=1) + "\n"
 
 
+def _json_id(x) -> int:
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"non-integer vertex id {x!r}")
+    return x
+
+
 def _id_table(rows, width: int, what: str) -> np.ndarray:
-    table = [[int(x) for x in r] for r in rows]
+    table = [[_json_id(x) for x in r] for r in rows]
     if any(len(r) != width for r in table):
         raise ValueError(f"every {what} needs {width} vertex ids")
     return np.array(table, dtype=np.int64).reshape(-1, width)
@@ -183,16 +186,21 @@ def _id_table(rows, width: int, what: str) -> np.ndarray:
 
 def complex_from_json(text: str) -> SimplicialComplex2:
     """The complex of a JSON object.  Its triangles must be valid, but its
-    edges are kept as given for :func:`validate_complex` to check."""
+    edges are kept as given for :func:`validate_complex` to check.  Vertex
+    ids must be JSON integers, each vertex listed once."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise FileFormatError(f"bad JSON: {e.msg}", e.lineno, e.colno) from None
     try:
-        labels = {int(v): str(label) for v, label in obj["vertices"]}
-        for v in labels:
+        labels = {}
+        for v, label in obj["vertices"]:
+            v = _json_id(v)
+            if v in labels:
+                raise ValueError(f"repeated vertex id {v}")
             if not -_MAX_ID - 1 <= v <= _MAX_ID:
                 raise ValueError(f"vertex id {v} does not fit in 64 bits")
+            labels[v] = str(label)
         edges = _id_table(obj["edges"], 2, "edge")
         triangles = _id_table(obj["triangles"], 3, "triangle")
     except (KeyError, TypeError, ValueError, OverflowError) as e:

@@ -7,8 +7,9 @@ Dumas, Heckenbach, Saunders and Welker (2003), most of the work never
 reaches a dense Smith form:
 
 - rank d1 and H0 come from union-find on the 1-skeleton;
-- every +-1 entry of d2 that survives is eliminated as a unit pivot, in
-  Markowitz order, each adding 1 to rank d2 and a unit invariant factor;
+- every +-1 entry of d2 that survives is eliminated as a unit pivot,
+  sparsest column first, each adding 1 to rank d2 and a unit invariant
+  factor;
 - only the rows and columns still nonzero afterwards (the core) are
   densified and passed to :func:`torsionforge.exactmat.smith_normal_form`,
   which supplies the remaining rank and every torsion coefficient.
@@ -21,7 +22,6 @@ convention (and the test suite checks so by relabeling).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,12 +112,14 @@ def _component_count(n0: int, edges: list[tuple[int, int]]) -> int:
 def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
     """Eliminate the +-1 pivots of the sparse matrix ``rows``, in place.
 
-    Each step picks a surviving unit entry of least Markowitz cost
-    (row nnz - 1) * (col nnz - 1), clears its column with row operations,
-    and deletes its row and column (the row is then cleared by column
-    operations that touch nothing else).  Rows that become zero are
-    deleted too.  Returns the number of pivots and the nonzero rows left,
-    the core, which has no unit entries.
+    Each pass visits the columns in ascending order of their entry count
+    (ties in order of first appearance).  A column holding a unit entry is
+    pivoted on the sparsest such row (ties to the lowest row index): row
+    operations clear the column, and the pivot row and column are deleted
+    (the row is then cleared by column operations that touch nothing
+    else).  Rows that become zero are deleted too.  Passes repeat until one
+    makes no pivot.  Returns the number of pivots and the nonzero rows
+    left, the core, which has no unit entries.
     """
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -125,67 +127,39 @@ def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[i
             cols.setdefault(j, set()).add(i)
     alive = dict(enumerate(rows))
 
-    def cheapest_unit(row):
-        """(Markowitz cost, column) of the row's cheapest unit entry, or None."""
-        rcost = len(row) - 1
-        best = None
-        for c, v in row.items():
-            if v == 1 or v == -1:
-                cost = rcost * (len(cols[c]) - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, c)
-        return best
-
-    # Entries (cost bound, row, row nnz when pushed).  A row is pushed with
-    # the bound nnz - 1, exact when its cheapest unit column has two entries,
-    # and re-pushed with its exact cost if that turns out higher; an entry
-    # whose nnz no longer matches the row is stale, as the row was pushed
-    # again when it changed.
-    heap = [(len(row) - 1, i, len(row)) for i, row in alive.items()]
-    heapq.heapify(heap)
-
-    pivots = 0
-    while heap:
-        bound, i, nnz = heapq.heappop(heap)
-        row = alive.get(i)
-        if row is None or len(row) != nnz:
-            continue
-        best = cheapest_unit(row)
-        if best is None:
-            continue
-        if best[0] > bound:
-            heapq.heappush(heap, (best[0], i, nnz))
-            continue
-        j = best[1]
-        p = row[j]
-        col = cols.pop(j)
-        # pivot (i, j): clear column j from every other row, then drop row i
-        col.discard(i)
-        for r in col:
-            target = alive[r]
-            f = target.pop(j) * p
-            for c, v in row.items():
-                if c == j:
-                    continue
-                x = target.get(c, 0) - f * v
-                if x:
-                    if c not in target:
-                        cols[c].add(r)
-                    target[c] = x
-                elif c in target:
-                    del target[c]
-                    cols[c].discard(r)
-        for c in row:
-            if c != j:
-                cols[c].discard(i)
-        del alive[i]
-        pivots += 1
-        for r in col:
-            n = len(alive[r])
-            if n:
-                heapq.heappush(heap, (n - 1, r, n))
-            else:
-                del alive[r]
+    pivots, before = 0, None
+    while pivots != before:
+        before = pivots
+        for j in sorted(cols, key=lambda c: len(cols[c])):
+            units = [r for r in cols[j] if alive[r][j] in (1, -1)]
+            if not units:
+                continue
+            i = min(units, key=lambda r: (len(alive[r]), r))
+            row = alive.pop(i)
+            p = row[j]
+            col = cols.pop(j)
+            # pivot (i, j): clear column j from every other row
+            col.discard(i)
+            for r in col:
+                target = alive[r]
+                f = target.pop(j) * p
+                for c, v in row.items():
+                    if c == j:
+                        continue
+                    x = target.get(c, 0) - f * v
+                    if x:
+                        if c not in target:
+                            cols[c].add(r)
+                        target[c] = x
+                    elif c in target:
+                        del target[c]
+                        cols[c].discard(r)
+                if not target:
+                    del alive[r]
+            for c in row:
+                if c != j:
+                    cols[c].discard(i)
+            pivots += 1
     return pivots, list(alive.values())
 
 

@@ -205,6 +205,21 @@ class TestPipelines:
         assert code == 2
         assert "vertex id" in err
 
+    @pytest.mark.parametrize(
+        "vertices, triangles",
+        [
+            ([[0, "a"], [1, "b"], [2, "c"]], [[0.9, 1.2, 2.7]]),
+            ([[0, "a"], [1, "b"], [2, "c"], [1, "d"]], [[0, 1, 2]]),
+        ],
+        ids=["float-id", "repeated-id"],
+    )
+    def test_bad_json_vertex_id_is_input_error(self, vertices, triangles, capsys, monkeypatch):
+        text = json.dumps({"vertices": vertices, "edges": [], "triangles": triangles})
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(capsys, "homology")
+        assert code == 2 and not out
+        assert "bad complex object:" in err
+
     def test_snf_on_walsh_file(self, capsys, tmp_path):
         matfile = tmp_path / "w8.txt"
         run(capsys, "walsh", "--n", "8", "-o", str(matfile))

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from torsionforge.disc_complex import from_matrix
@@ -95,6 +97,13 @@ class TestSequenceFormat:
             read_sequence("1 z\n1 2\n")
         assert exc.value.line == 1 and exc.value.col == 3
 
+    def test_positions_count_blank_lines(self):
+        with pytest.raises(FileFormatError) as exc:
+            read_sequence("\n\n1 2\n1 x\n")
+        assert str(exc.value) == "line 4, col 3: expected an integer, got 'x'"
+        with pytest.raises(FileFormatError, match="line 4, col 1: ordering has 1 labels"):
+            read_sequence("\n1 2\n\n2\n")
+
     def test_any_shape_is_parseable(self):
         # files are shape-checked only; validity is the checker's job
         seq = read_sequence("1 1\n2 1\n")
@@ -131,6 +140,29 @@ class TestFacetFormat:
         back = complex_from_json(complex_to_json(k))
         assert back.same_simplices(k)
         assert back.labels == k.labels
+
+    @pytest.mark.parametrize(
+        "vertices, triangles, why",
+        [
+            ([[0, "a"], [1, "b"], [2, "c"]], [[0.9, 1.2, 2.7]], "non-integer vertex id 0.9"),
+            ([[0, "a"], [1, "b"], [2, "c"]], [[0, 1, "2"]], "non-integer vertex id '2'"),
+            ([[0, "a"], [1, "b"], [2.0, "c"]], [[0, 1, 2]], "non-integer vertex id 2.0"),
+            ([[0, "a"], [1, "b"], [True, "d"]], [[0, 1, 2]], "non-integer vertex id True"),
+            ([[0, "a"], [1, "b"], [2, "c"], [1, "d"]], [[0, 1, 2]], "repeated vertex id 1"),
+        ],
+        ids=["float-triangle", "string-triangle", "float-vertex", "bool-vertex", "repeated-vertex"],
+    )
+    def test_json_complex_rejects_bad_ids(self, vertices, triangles, why):
+        text = json.dumps({"vertices": vertices, "edges": [], "triangles": triangles})
+        with pytest.raises(FileFormatError) as exc:
+            complex_from_json(text)
+        assert str(exc.value) == f"bad complex object: {why}"
+
+    def test_json_complex_rejects_bool_edge_id(self):
+        obj = json.loads(complex_to_json(build_hmt(2)))
+        obj["edges"][0][0] = False
+        with pytest.raises(FileFormatError, match="non-integer vertex id False"):
+            complex_from_json(json.dumps(obj))
 
     def test_read_complex_sniffs_format(self):
         k = build_hmt(2)

@@ -168,8 +168,12 @@ class TestSparseEngine:
         for k in corpus():
             assert simplicial_homology(k).as_tuple() == reference_homology(k)
 
-    @pytest.mark.parametrize("n", [4, 8, 16])
-    def test_hmt_core_is_small(self, n, monkeypatch):
+    @pytest.mark.parametrize(
+        "n, keep_first_digon",
+        [(n, d) for d in (False, True) for n in (4, 8, 16, 32)],
+        ids=[f"{n}-digon" if d else str(n) for d in (False, True) for n in (4, 8, 16, 32)],
+    )
+    def test_hmt_core_is_small(self, n, keep_first_digon, monkeypatch):
         shapes = []
 
         def spy(m, *args, **kwargs):
@@ -177,10 +181,21 @@ class TestSparseEngine:
             return smith_normal_form(m, *args, **kwargs)
 
         monkeypatch.setattr(homology, "smith_normal_form", spy)
-        simplicial_homology(build_hmt(n))
+        simplicial_homology(build_hmt(n, keep_first_digon=keep_first_digon))
         assert len(shapes) == 1
         rows, cols = shapes[0]
         assert rows <= n - 1 and cols <= 3 * (n - 1)
+
+    def test_unit_made_after_its_column_was_visited(self):
+        # Column 0 holds no unit, so the first pass skips it.  Pivoting
+        # column 1 on row 0 then turns row 1 into {0: 1}, which only a
+        # second pass can pivot.  Rows 2 and 3 are the core [[2, 2], [2, 4]].
+        rows = [{0: 2, 1: 1}, {0: 3, 1: 1}, {2: 2, 3: 2}, {2: 2, 3: 4}]
+        dense_rank = smith_normal_form(homology._densify(rows, range(4))).rank
+        pivots, core = homology._eliminate_unit_pivots([dict(r) for r in rows])
+        assert pivots == 2
+        assert core and all(v not in (1, -1) for row in core for v in row.values())
+        assert pivots + smith_normal_form(homology._densify(core, range(4))).rank == dense_rank
 
     def test_empty_core_skips_smith(self, monkeypatch):
         def fail(*args, **kwargs):
