@@ -8,15 +8,19 @@ continues on int64 modulo a multiple of the determinant computed from the
 input (Hafner and McCurley 1991, with the largest invariant factor taken
 from a rational solve as in Saunders and Wan 2004), or on Python ints when
 no such modulus fits; transform matrices come from the big-int reduction
-``_smith_exact``.  Group orders are factored by trial division,
-Miller-Rabin and Pollard-Brent rho; rho has a fixed step budget, past which
-:class:`FactorizationBudgetError` names the cofactor it could not split.
+``_smith_exact``.  Groups are put in invariant-factor form by gcd and lcm,
+with no factoring.  Only the prime-power view factors, and only the largest
+invariant factor, by trial division, Miller-Rabin and Pollard-Brent rho.
+Rho has a fixed step budget, and a probable prime above the Miller-Rabin
+bound cannot be certified; either way :class:`FactorizationBudgetError`
+names the cofactor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -127,16 +131,16 @@ class SnfResult:
 
 @dataclass(frozen=True)
 class AbelianGroup:
-    """Finitely generated abelian group in both canonical presentations.
+    """Finitely generated abelian group Z^free_rank x Z_d1 x ... x Z_dm.
 
-    ``invariant_factors`` is the chain-divisible presentation with unit
-    factors dropped; ``primary_decomposition`` the multiset of prime powers.
-    Use :func:`group_from_factors` to build one from raw factors.
+    ``invariant_factors`` is the chain-divisible presentation d1 | ... | dm
+    with unit factors dropped; ``primary_decomposition`` derives the
+    multiset of prime powers from it on first use.  Use
+    :func:`group_from_factors` to build one from raw factors.
     """
 
     free_rank: int
     invariant_factors: tuple[int, ...]
-    primary_decomposition: tuple[int, ...]
 
     def __post_init__(self):
         if self.free_rank < 0:
@@ -147,9 +151,25 @@ class AbelianGroup:
         for a, b in zip(self.invariant_factors, self.invariant_factors[1:]):
             if b % a:
                 raise ValueError(f"invariant factors not chain-divisible: {a} does not divide {b}")
-        expected = tuple(sorted(pp for f in self.invariant_factors for _, pp in _prime_powers(f)))
-        if tuple(sorted(self.primary_decomposition)) != expected:
-            raise ValueError("primary decomposition does not match the invariant factors")
+
+    @functools.cached_property
+    def primary_decomposition(self) -> tuple[int, ...]:
+        """Prime powers of the torsion, ascending.  Only the largest
+        invariant factor is factored: every other one divides it, so the
+        same primes split them all."""
+        if not self.invariant_factors:
+            return ()
+        primes = _prime_factors(self.invariant_factors[-1])
+        out = []
+        for f in self.invariant_factors:
+            for p in primes:
+                pe = 1
+                while f % p == 0:
+                    f //= p
+                    pe *= p
+                if pe > 1:
+                    out.append(pe)
+        return tuple(sorted(out))
 
     @property
     def is_trivial(self) -> bool:
@@ -175,19 +195,6 @@ class AbelianGroup:
             parts.append(f"Z^{self.free_rank}")
         parts.extend(f"Z_{f}" for f in self.invariant_factors)
         return " x ".join(parts) if parts else "0"
-
-
-def _prime_powers(n: int) -> list[tuple[int, int]]:
-    """Prime-power factorization of n > 1 as (prime, prime power) pairs,
-    e.g. 12 -> [(2, 4), (3, 3)]."""
-    out = []
-    for p in _prime_factors(n):
-        pe = 1
-        while n % p == 0:
-            n //= p
-            pe *= p
-        out.append((p, pe))
-    return out
 
 
 # Miller-Rabin with the first 13 prime bases is exact below this bound
@@ -221,9 +228,11 @@ def _passes_miller_rabin(m: int) -> bool:
     return True
 
 
-# Trial division always runs up to this divisor; past it, a cofactor that
+# Trial division runs up to this divisor; past it, a cofactor that
 # Miller-Rabin finds composite is split by Pollard-Brent rho.
 _RHO_START = 1000
+
+_TRIAL_DIVISORS = (2, 3) + tuple(f + d for f in range(6, _RHO_START, 6) for d in (-1, 1))
 
 # Polynomial steps Pollard-Brent rho may take on one cofactor, about 1.5 s
 # of Python on a 2-vCPU machine.  Rho needs about sqrt(p) steps to find a
@@ -233,13 +242,13 @@ _RHO_STEPS = 1 << 21
 
 
 class FactorizationBudgetError(ValueError):
-    """Pollard-Brent rho found no divisor of ``cofactor`` within _RHO_STEPS."""
+    """``cofactor`` could not be factored: Pollard-Brent rho found no
+    divisor within _RHO_STEPS steps, or it passes Miller-Rabin at or above
+    _MR_LIMIT, where it cannot be certified prime."""
 
-    def __init__(self, cofactor: int):
+    def __init__(self, cofactor: int, reason: str):
         self.cofactor = cofactor
-        super().__init__(
-            f"cannot factor {cofactor}: Pollard-Brent rho found no divisor within {_RHO_STEPS} steps"
-        )
+        super().__init__(f"cannot factor {cofactor}: {reason}")
 
 
 def _brent_divisor(m: int) -> int:
@@ -260,7 +269,8 @@ def _brent_divisor(m: int) -> int:
             k = 0
             while k < r and g == 1:
                 if steps > _RHO_STEPS:
-                    raise FactorizationBudgetError(m)
+                    reason = f"Pollard-Brent rho found no divisor within {_RHO_STEPS} steps"
+                    raise FactorizationBudgetError(m, reason)
                 ys = y
                 batch = min(128, r - k)
                 for _ in range(batch):
@@ -299,13 +309,21 @@ def _perfect_root(m: int) -> int | None:
     return None
 
 
-def _rho_prime_factors(m: int) -> set[int]:
-    """Distinct prime factors of a composite m with no prime factor below
-    _RHO_START.  Rho needs about sqrt(p) steps to split a power of the prime
-    p, so perfect powers are split by their root first.  A part that passes
-    Miller-Rabin at or above _MR_LIMIT is only a probable prime, so it goes
-    back to :func:`_prime_factors`."""
-    primes, todo = set(), [m]
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n > 1, ascending.  After trial division,
+    each cofactor is prime if it passes Miller-Rabin below _MR_LIMIT, or
+    else split by its root (rho needs about sqrt(p) steps on a power of the
+    prime p) or by Pollard-Brent rho.  One that passes at or above the
+    limit is only a probable prime: :class:`FactorizationBudgetError`."""
+    primes, m = set(), n
+    for p in _TRIAL_DIVISORS:
+        if p * p > m:
+            break
+        if m % p == 0:
+            primes.add(p)
+            while m % p == 0:
+                m //= p
+    todo = [m] if m > 1 else []
     while todo:
         x = todo.pop()
         if not _passes_miller_rabin(x):
@@ -315,77 +333,46 @@ def _rho_prime_factors(m: int) -> set[int]:
         elif x < _MR_LIMIT:
             primes.add(x)
         else:
-            primes.update(_prime_factors(x))
-    return primes
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n > 1, ascending.  Trial division stops as
-    soon as the unfactored cofactor is certainly prime (it passes
-    Miller-Rabin below _MR_LIMIT), or once it passes _RHO_START with a
-    cofactor that Miller-Rabin finds composite, which Pollard-Brent rho
-    then splits.  A probable prime at or above _MR_LIMIT is only ever
-    trial-divided, since no prime there can be certified."""
-    ps = []
-    m = n
-    for p in (2, 3):
-        if m % p == 0:
-            ps.append(p)
-            while m % p == 0:
-                m //= p
-    probable = _passes_miller_rabin(m)
-    f = 5
-    while not (probable and m < _MR_LIMIT) and f * f <= m and (f < _RHO_START or probable):
-        for p in (f, f + 2):
-            if m % p == 0:
-                ps.append(p)
-                while m % p == 0:
-                    m //= p
-                probable = _passes_miller_rabin(m)
-        f += 6
-    if (probable and m < _MR_LIMIT) or f * f > m:
-        if m > 1:
-            ps.append(m)
-    else:
-        ps.extend(sorted(_rho_prime_factors(m)))
-    return ps
+            reason = f"it passes Miller-Rabin but cannot be certified prime at or above {_MR_LIMIT}"
+            raise FactorizationBudgetError(x, reason)
+    return sorted(primes)
 
 
 def group_from_factors(factors: Iterable[int], free_rank: int = 0) -> AbelianGroup:
-    """Canonical AbelianGroup from arbitrary positive factors.
+    """Canonical AbelianGroup of Z^free_rank x Z_f1 x ... x Z_fk for
+    arbitrary positive factors, without factoring any of them.
 
-    Factors need not be chain-divisible; they are split into prime powers
-    and reassembled.  Unit factors are dropped.  Non-positive factors are
-    rejected.
+    Each factor is merged into an ascending chain-divisible list by
+    Z_a x Z_b = Z_gcd(a, b) x Z_lcm(a, b), or appended when the last entry
+    divides it, as with Smith normal form diagonals.  Unit factors are
+    dropped.  Non-positive factors are rejected.
     """
     if free_rank < 0:
         raise ValueError("free rank cannot be negative")
-    exps: dict[int, list[int]] = {}
+    chain: list[int] = []
     for f in factors:
         f = int(f)
         if f <= 0:
             raise ValueError(f"group factor {f} must be positive")
         if f == 1:
             continue
-        for p, pp in _prime_powers(f):
-            exps.setdefault(p, []).append(pp)
-    depth = max((len(v) for v in exps.values()), default=0)
-    for v in exps.values():
-        v.sort(reverse=True)
-    invariant = []
-    for i in range(depth):
-        x = 1
-        for v in exps.values():
-            if i < len(v):
-                x *= v[i]
-        invariant.append(x)
-    invariant.reverse()
-    primary = tuple(sorted(pp for v in exps.values() for pp in v))
-    return AbelianGroup(free_rank, tuple(invariant), primary)
+        if not chain or f % chain[-1] == 0:
+            chain.append(f)
+            continue
+        # from the top down, each entry takes the lcm and passes the gcd on;
+        # every new entry still divides the next one up
+        for i in range(len(chain) - 1, -1, -1):
+            g = math.gcd(chain[i], f)
+            chain[i], f = chain[i] // g * f, g
+            if f == 1:
+                break
+        else:
+            chain.insert(0, f)
+    return AbelianGroup(free_rank, tuple(chain))
 
 
 def free_group(rank: int) -> AbelianGroup:
-    return AbelianGroup(rank, (), ())
+    return AbelianGroup(rank, ())
 
 
 def det_bareiss(m: IntMatrix) -> int:

@@ -113,21 +113,20 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
     )
 
 
-def hmt_certificate(n: int, keep_first_digon: bool = False) -> dict:
+def hmt_certificate(n: int) -> dict:
     """Build HMT(n), compute homology, and compare everything against the
     closed forms.  Returns a JSON-ready report; 'passed' is True only if
     every check holds.  The complex is validated once, when
     :func:`torsionforge.homology.simplicial_homology` assembles its sparse
     boundaries, which raises ValueError on an invalid one."""
     t0 = time.perf_counter()
-    complex_ = build_hmt(n, keep_first_digon)
+    complex_ = build_hmt(n)
     discrepancies: list[str] = []
 
     fv = face_vector(complex_).as_tuple()
-    if not keep_first_digon:
-        expected_fv = hmt_face_vector(n)
-        if fv != expected_fv:
-            discrepancies.append(f"face vector {fv} != expected {expected_fv}")
+    expected_fv = hmt_face_vector(n)
+    if fv != expected_fv:
+        discrepancies.append(f"face vector {fv} != expected {expected_fv}")
 
     chi = euler_characteristic(complex_)
     if chi != 1:

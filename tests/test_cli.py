@@ -166,6 +166,17 @@ class TestPipelines:
         assert code == 2 and out == ""
         assert f"error: cannot factor {k}:" in err
 
+    def test_speyer_uncertifiable_prime_is_input_error(self, capsys, monkeypatch):
+        k = 2**127 - 1  # prime, but above the Miller-Rabin certainty bound
+        t0 = time.perf_counter()
+        code, facets, _ = run(capsys, "build-speyer", "--k", str(k))
+        assert code == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(facets))
+        code, out, err = run(capsys, "homology")
+        assert time.perf_counter() - t0 < 10.0
+        assert code == 2 and out == ""
+        assert f"error: cannot factor {k}: " in err and "certified prime" in err
+
     def test_triangulate_matrix_from_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("1 2\n2 2\n"))
         code, facets, _ = run(capsys, "triangulate", "--ordering", "interleaved")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from torsionforge import exactmat
 from torsionforge.exactmat import (
     AbelianGroup,
     FactorizationBudgetError,
@@ -230,14 +231,35 @@ class TestAbelianGroup:
             group_from_factors([2], free_rank=-1)
 
     def test_invariants_enforced_on_construction(self):
+        assert AbelianGroup(0, (2, 4)).primary_decomposition == (2, 4)
         with pytest.raises(ValueError):
-            AbelianGroup(0, (4, 2), (2, 4))
+            AbelianGroup(0, (4, 2))
         with pytest.raises(ValueError):
-            AbelianGroup(0, (2,), (4,))
+            AbelianGroup(0, (1, 2))
+        with pytest.raises(ValueError):
+            AbelianGroup(-1, ())
+
+    def test_merge_does_not_factor(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(exactmat, "_prime_factors", lambda n: calls.append(n) or [])
+        # Z_4 x Z_6 x Z_9 x Z_10 = Z_2 x Z_6 x Z_180
+        assert group_from_factors([4, 6, 9, 10]).invariant_factors == (2, 6, 180)
+        assert group_from_factors([2, 2, 4, 4, 8]).invariant_factors == (2, 2, 4, 4, 8)
+        assert calls == []
+
+    def test_primary_decomposition_factors_largest_factor_once(self, monkeypatch):
+        g = group_from_factors([4, 6, 9, 10])
+        calls = []
+        factor = exactmat._prime_factors
+        monkeypatch.setattr(exactmat, "_prime_factors", lambda n: calls.append(n) or factor(n))
+        assert g.primary_decomposition == (2, 2, 3, 4, 5, 9)
+        assert g.primary_decomposition == (2, 2, 3, 4, 5, 9)
+        assert calls == [180]
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(1, 600), max_size=6), st.integers(0, 3))
     def test_order_preserved_by_normalization(self, factors, rank):
+        sympy = pytest.importorskip("sympy")
         g = group_from_factors(factors, rank)
         prod = 1
         for f in factors:
@@ -246,6 +268,8 @@ class TestAbelianGroup:
         assert g.free_rank == rank
         for x, y in zip(g.invariant_factors, g.invariant_factors[1:]):
             assert y % x == 0
+        primary = sorted(p**e for f in factors for p, e in sympy.factorint(f).items())
+        assert g.primary_decomposition == tuple(primary)
 
 
 def trial_division_primes(n):
@@ -309,6 +333,14 @@ class TestPrimeFactors:
         assert _prime_factors((2**61 - 1) ** 3) == [2**61 - 1]
         assert _prime_factors(7 * 4294967291**2 * (2**31 - 1)) == [7, 2**31 - 1, 4294967291]
         assert time.perf_counter() - t0 < 5.0
+
+    def test_probable_prime_above_certainty_bound_refused(self):
+        n = 2**127 - 1
+        t0 = time.perf_counter()
+        with pytest.raises(FactorizationBudgetError, match=f"cannot factor {n}: .*certified prime") as exc:
+            _prime_factors(n)
+        assert exc.value.cofactor == n
+        assert time.perf_counter() - t0 < 1.0
 
     def test_above_certainty_bound_still_exact(self):
         # no Miller-Rabin answer is used above the bound; small factors still split
