@@ -53,9 +53,6 @@ class DiscComplexSpec:
         if missing:
             raise ValueError(f"cycle {missing[0]} is used by no disc (zero column)")
 
-    def word_length(self, i: int) -> int:
-        return len(self.discs[i])
-
     def induced_matrix(self) -> IntMatrix:
         """The matrix whose rows the boundary words realize."""
         rows = []
@@ -115,9 +112,8 @@ def cellular_homology(m: IntMatrix) -> tuple[AbelianGroup, AbelianGroup, Abelian
     _reject_zero_lines(m)
     snf = smith_normal_form(m)
     r = snf.rank
-    torsion = [f for f in snf.invariant_factors if f > 1]
     return (
         free_group(1),
-        group_from_factors(torsion, m.cols - r),
+        group_from_factors(snf.invariant_factors, m.cols - r),
         free_group(m.rows - r),
     )

@@ -10,7 +10,6 @@ import json
 
 import numpy as np
 
-from .disc_complex import DiscComplexSpec
 from .exactmat import IntMatrix
 from .triangulation import SimplicialComplex2, make_complex
 from .valid_sequences import ValidSequence
@@ -214,27 +213,3 @@ def read_complex(text: str) -> SimplicialComplex2:
         return complex_from_json(text)
     return read_facets(text)
 
-
-def disc_spec_to_json(spec: DiscComplexSpec) -> str:
-    """Words serialized as signed integers: sign = orientation, magnitude = cycle."""
-    return json.dumps({"n_cycles": spec.n_cycles, "discs": [list(w) for w in spec.discs]}) + "\n"
-
-
-def disc_spec_from_json(text: str) -> DiscComplexSpec:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FileFormatError(f"bad JSON: {e.msg}", e.lineno, e.colno) from None
-    if not isinstance(obj, dict) or "n_cycles" not in obj or "discs" not in obj:
-        raise FileFormatError('disc spec object needs "n_cycles" and "discs" fields')
-    discs = obj["discs"]
-    if not isinstance(discs, list) or not all(isinstance(w, list) for w in discs):
-        raise FileFormatError('"discs" must be a list of signed-integer lists')
-    for w in discs:
-        for x in w:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise FileFormatError(f"non-integer word letter {x!r}")
-    try:
-        return DiscComplexSpec(int(obj["n_cycles"]), tuple(tuple(w) for w in discs))
-    except (TypeError, ValueError) as e:
-        raise FileFormatError(f"bad disc spec: {e}") from None

@@ -7,6 +7,8 @@ orders are out of scope.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exactmat import IntMatrix
@@ -49,13 +51,6 @@ def sylvester_double(h: IntMatrix) -> IntMatrix:
     return IntMatrix.from_rows([r + r for r in rows] + [r + [-x for x in r] for r in rows])
 
 
-def _pascal_row(k: int) -> list[int]:
-    row = [1]
-    for _ in range(k):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-    return row
-
-
 def hadamard_snf_closed_form(n: int) -> tuple[int, ...]:
     """Invariant factors of the order-n Walsh matrix without any elimination.
 
@@ -63,10 +58,9 @@ def hadamard_snf_closed_form(n: int) -> tuple[int, ...]:
     which is divisibility-ordered by construction.
     """
     k = _require_power_of_two(n)
-    counts = _pascal_row(k)
     out: list[int] = []
-    for j, c in enumerate(counts):
-        out.extend([2**j] * c)
+    for j in range(k + 1):
+        out.extend([2**j] * math.comb(k, j))
     return tuple(out)
 
 

@@ -32,7 +32,7 @@ def hmt_face_vector(n: int) -> tuple[int, int, int]:
 
 def hmt_torsion_group(n: int):
     """Expected H1: the nontrivial invariant factors of the Walsh matrix."""
-    return group_from_factors([f for f in hadamard_snf_closed_form(n) if f > 1], 0)
+    return group_from_factors(hadamard_snf_closed_form(n), 0)
 
 
 def _labels(n: int, keep_first_digon: bool) -> dict[int, str]:

@@ -2,7 +2,10 @@
 boundary maps.
 
 The boundaries are assembled once as sparse rows: an edge is the pair of
-its endpoint indices, a triangle a ``{edge index: +-1}`` row.  Following
+its endpoint indices, a triangle a ``{edge index: +-1}`` row.  Both
+indices come from :func:`torsionforge.triangulation.validate_complex`,
+whose closure check finds them, so this module never indexes a complex
+itself and only adds the signs.  Following
 Dumas, Heckenbach, Saunders and Welker (2003), most of the work never
 reaches a dense Smith form:
 
@@ -23,8 +26,6 @@ convention (and the test suite checks so by relabeling).
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .exactmat import AbelianGroup, IntMatrix, free_group, group_from_factors, smith_normal_form
 from .triangulation import SimplicialComplex2, validate_complex
@@ -48,23 +49,16 @@ def _sparse_boundaries(k: SimplicialComplex2) -> tuple[int, list[tuple[int, int]
 
     Returns (vertex count, d1, d2): d1 lists each edge as its (tail, head)
     vertex indices, d2 each triangle as a ``{edge index: +-1}`` row.
-    Simplex indices follow the sorted orders of the complex; the edge
-    indices of d2 are found by binary search on encoded edge keys.
+    Simplex indices follow the sorted orders of the complex; both come
+    from the index arrays of the validation report.
     """
     report = validate_complex(k)
     if not report.ok:
         raise ValueError("invalid complex: " + "; ".join(report.problems[:5]))
     if not len(k.triangles):
         raise ValueError("complex has no triangles")
-    vids = np.array(sorted(k.labels), dtype=np.int64)
-    nv = len(vids)
-    tail, head = np.searchsorted(vids, k.edges).T
-    edge_keys = tail * nv + head
-    a, b, c = np.searchsorted(vids, k.triangles).T
-    ab, ac, bc = (np.searchsorted(edge_keys, x * nv + y).tolist() for x, y in ((a, b), (a, c), (b, c)))
-    d1 = list(zip(tail.tolist(), head.tolist()))
-    d2 = [{x: 1, y: -1, z: 1} for x, y, z in zip(ab, ac, bc)]
-    return nv, d1, d2
+    d2 = [{ab: 1, ac: -1, bc: 1} for ab, ac, bc in zip(*report.triangle_edges.T.tolist())]
+    return len(k.labels), list(zip(*report.edge_vertices.T.tolist())), d2
 
 
 def _densify(rows: list[dict[int, int]], columns) -> IntMatrix:
@@ -175,11 +169,11 @@ def simplicial_homology(k: SimplicialComplex2) -> HomologyResult:
     components = _component_count(n0, d1)
     r1 = n0 - components
     r2, core = _eliminate_unit_pivots(d2)
-    torsion = []
+    torsion = ()
     if core:
         snf = smith_normal_form(_densify(core, sorted({c for row in core for c in row})))
         r2 += snf.rank
-        torsion = [f for f in snf.invariant_factors if f > 1]
+        torsion = snf.invariant_factors
     return HomologyResult(
         h0=free_group(components),
         h1=group_from_factors(torsion, n1 - r1 - r2),

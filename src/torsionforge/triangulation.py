@@ -10,7 +10,7 @@ output is therefore bit-exact across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,10 +48,9 @@ def _index_in(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Position of every entry of x in the ascending ids, and whether the
     entry is one of them."""
     idx = np.searchsorted(ids, x)
-    known = np.zeros(x.shape, dtype=bool)
-    inside = idx < len(ids)
-    known[inside] = ids[idx[inside]] == x[inside]
-    return idx, known
+    if not len(ids):
+        return idx, np.zeros(x.shape, dtype=bool)
+    return idx, ids.take(idx, mode="clip") == x
 
 
 def _lex_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -123,8 +122,18 @@ class FaceVector:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Whether a complex is valid, the problems found if not, and for a
+    valid complex its boundary index: ``edge_vertices`` holds the (f1, 2)
+    vertex indices of the edges and ``triangle_edges`` the (f2, 3) edge
+    indices of each triangle's (a,b), (a,c), (b,c), with vertices indexed
+    by ascending id and edges and triangles in the complex's order.  Both
+    are None when the complex is invalid, and neither takes part in
+    equality or printing."""
+
     ok: bool
     problems: tuple[str, ...] = ()
+    edge_vertices: np.ndarray | None = field(default=None, compare=False, repr=False)
+    triangle_edges: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
         return self.ok
@@ -287,6 +296,10 @@ def validate_complex(k: SimplicialComplex2) -> ValidationReport:
     consistency, single ownership of claimed interior edges, and the
     canonical order of the arrays (ascending rows, sorted
     lexicographically).
+
+    Closure looks every triangle side up once among the edges, encoded as
+    keys ``i * nv + j`` of vertex indices; a valid complex's report keeps
+    those lookups as its boundary index (see :class:`ValidationReport`).
     """
     tri, edges, claims = k.triangles, k.edges, k.claims
     vids = np.array(sorted(k.labels), dtype=np.int64)
@@ -323,16 +336,16 @@ def validate_complex(k: SimplicialComplex2) -> ValidationReport:
         ekeys = _sorted_unique(ekeys)
 
     a, b, c = tris.T
-    tkeys = np.stack((a * nv + b, a * nv + c, b * nv + c), axis=1)
-    covered_keys = _sorted_unique(tkeys)
-    if not np.array_equal(covered_keys, ekeys):
-        _, present = _index_in(ekeys, tkeys)
-        for i in np.flatnonzero(~present.all(axis=1)):
-            t = _ints(ids[tris[i]])
-            pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-            problems.extend(f"triangle {t} misses edge {e}" for e, ok in zip(pairs, present[i]) if not ok)
-        _, covered = _index_in(covered_keys, ekeys)
-        problems += [f"edge {_ints(ids[[e // nv, e % nv]])} lies in no triangle" for e in ekeys[~covered]]
+    # one row per triangle side, so each row's keys come in near-ascending
+    # runs, which binary search walks faster than interleaved sides
+    tedges, present = _index_in(ekeys, np.stack((a * nv + b, a * nv + c, b * nv + c)))
+    for i in np.flatnonzero(~present.all(axis=0)):
+        t = _ints(ids[tris[i]])
+        pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
+        problems.extend(f"triangle {t} misses edge {e}" for e, ok in zip(pairs, present[:, i]) if not ok)
+    hit = np.zeros(len(ekeys), dtype=bool)
+    hit[tedges[present]] = True
+    problems += [f"edge {_ints(ids[[e // nv, e % nv]])} lies in no triangle" for e in ekeys[~hit]]
     covered = np.zeros(nv, dtype=bool)
     covered[tris.ravel()] = True
     problems += [f"vertex {int(v)} lies in no triangle" for v in vids[~covered[np.searchsorted(ids, vids)]]]
@@ -348,7 +361,9 @@ def validate_complex(k: SimplicialComplex2) -> ValidationReport:
             if len(names) > 1:
                 problems.append(f"interior edge {_ints(ids[[key // nv, key % nv]])} shared by {names}")
 
-    return ValidationReport(not problems, tuple(problems))
+    if problems:
+        return ValidationReport(False, tuple(problems))
+    return ValidationReport(True, (), eidx, tedges.T)
 
 
 def face_vector(k: SimplicialComplex2) -> FaceVector:

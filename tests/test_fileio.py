@@ -2,14 +2,11 @@ import json
 
 import pytest
 
-from torsionforge.disc_complex import from_matrix
 from torsionforge.exactmat import IntMatrix
 from torsionforge.fileio import (
     FileFormatError,
     complex_from_json,
     complex_to_json,
-    disc_spec_from_json,
-    disc_spec_to_json,
     read_complex,
     read_facets,
     read_matrix,
@@ -169,20 +166,3 @@ class TestFacetFormat:
         assert read_complex(write_facets(k)).same_simplices(k)
         assert read_complex(complex_to_json(k)).same_simplices(k)
 
-
-class TestDiscSpecFormat:
-    def test_round_trip(self):
-        spec = from_matrix(walsh(2), "grouped")
-        assert disc_spec_from_json(disc_spec_to_json(spec)) == spec
-
-    def test_signed_letters(self):
-        spec = disc_spec_from_json('{"n_cycles": 2, "discs": [[1, 2], [1, -2]]}')
-        assert spec.discs == ((1, 2), (1, -2))
-
-    def test_invalid_words_rejected(self):
-        with pytest.raises(FileFormatError, match="bad disc spec"):
-            disc_spec_from_json('{"n_cycles": 1, "discs": [[1, -1]]}')
-        with pytest.raises(FileFormatError, match="non-integer"):
-            disc_spec_from_json('{"n_cycles": 1, "discs": [[1.5]]}')
-        with pytest.raises(FileFormatError, match="fields"):
-            disc_spec_from_json('{"discs": [[1]]}')

@@ -7,7 +7,9 @@ from torsionforge.disc_complex import DiscComplexSpec, from_matrix
 from torsionforge.exactmat import IntMatrix
 from torsionforge.fileio import write_facets
 from torsionforge.hadamard import walsh
-from torsionforge.speyer import speyer_matrix
+from torsionforge.hmt_builder import build_hmt
+from torsionforge.homology import boundary_matrices
+from torsionforge.speyer import build_speyer_complex, speyer_matrix
 from torsionforge.triangulation import (
     SimplicialComplex2,
     euler_characteristic,
@@ -218,6 +220,62 @@ class TestValidator:
         assert report.problems == ("triangles are not in canonical order (ascending rows, lexicographically sorted)",)
         report = validate_complex(SimplicialComplex2(k.labels, k.edges[:, ::-1], k.triangles))
         assert report.problems == ("edges are not in canonical order (ascending rows, lexicographically sorted)",)
+
+
+def relabeled_hmt2():
+    """HMT(2) on shuffled, widely spread and partly negative vertex ids."""
+    k = build_hmt(2)
+    ids = sorted(k.labels)
+    spread = [7**t - 5000 for t in range(len(ids))]
+    random.Random(7).shuffle(spread)
+    relabel = dict(zip(ids, spread))
+    return complex_from_triangles([tuple(relabel[v] for v in t) for t in k.triangles.tolist()])
+
+
+class TestBoundaryIndex:
+    """A valid complex's report carries the index form of its boundaries."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: build_hmt(4), lambda: build_speyer_complex(11), relabeled_hmt2],
+        ids=["hmt4", "speyer11", "relabeled"],
+    )
+    def test_index_arrays_match_boundary_matrices(self, make):
+        k = make()
+        report = validate_complex(k)
+        d1, d2 = boundary_matrices(k)
+        assert report.edge_vertices.shape == (len(k.edges), 2)
+        assert report.triangle_edges.shape == (len(k.triangles), 3)
+        expected_d1 = [[0] * len(k.labels) for _ in k.edges]
+        for row, (tail, head) in zip(expected_d1, report.edge_vertices.tolist()):
+            row[tail], row[head] = -1, 1
+        expected_d2 = [[0] * len(k.edges) for _ in k.triangles]
+        for row, (ab, ac, bc) in zip(expected_d2, report.triangle_edges.tolist()):
+            row[ab], row[ac], row[bc] = 1, -1, 1
+        assert d1.to_rows() == expected_d1
+        assert d2.to_rows() == expected_d2
+
+    def test_index_arrays_name_the_simplices(self):
+        k = relabeled_hmt2()
+        report = validate_complex(k)
+        vids = np.array(sorted(k.labels))
+        assert np.array_equal(vids[report.edge_vertices], k.edges)
+        edges = k.edges[report.triangle_edges]
+        tri = k.triangles
+        assert np.array_equal(edges[:, 0], tri[:, [0, 1]])
+        assert np.array_equal(edges[:, 1], tri[:, [0, 2]])
+        assert np.array_equal(edges[:, 2], tri[:, [1, 2]])
+
+    def test_invalid_complex_has_no_index(self):
+        k = tetrahedron()
+        report = validate_complex(SimplicialComplex2(k.labels, k.edges[1:], k.triangles))
+        assert not report.ok
+        assert report.edge_vertices is None and report.triangle_edges is None
+
+    def test_index_arrays_take_no_part_in_equality_or_printing(self):
+        report = validate_complex(tetrahedron())
+        assert report == type(report)(True)
+        assert repr(report) == "ValidationReport(ok=True, problems=())"
 
 
 class TestMakeComplex:
