@@ -1,10 +1,16 @@
 """Vectorized Smith diagonalization.
 
-One numpy sweep runs the same gcd-driven elimination with smallest-pivot
-selection as the big-int reference ``exactmat._smith_exact``, updating
-whole rows and columns per step.  It starts on int64 while every entry is
-within ``ENTRY_BOUND``: with |entries| <= 2^31 - 1 a single update
-``x - q*y`` is bounded by 2^62 + 2^31, so each int64 update is exact.
+One numpy sweep runs gcd-driven elimination, updating whole rows and
+columns per step.  Each pivot starts as the smallest nonzero entry of the
+block still to be reduced.  Before each reduction of its column (row) by
+floor division, a smaller nonzero entry of that column (row) takes its
+place; a pivot that does not divide the rest of the block adds the first
+row it fails to divide to its own.  On request the sweep records its row
+and column operations in transform matrices ``S`` and ``T``; it then runs
+on Python ints throughout, so the transforms are exact.  Otherwise it
+starts on int64 while every entry is within ``ENTRY_BOUND``: with
+|entries| <= 2^31 - 1 a single update ``x - q*y`` is bounded by
+2^62 + 2^31, so each int64 update is exact.
 
 An update that would leave the bound hands the sweep to a modulus ``mu``
 that is a multiple of every invariant factor still to come (Hafner and
@@ -70,14 +76,19 @@ def backend_name() -> str:
     return "numpy"
 
 
-def smith_diagonal_int64(arr: np.ndarray) -> list[int]:
+def smith_diagonal_int64(arr: np.ndarray, s: np.ndarray | None = None,
+                         t: np.ndarray | None = None) -> list[int]:
     """Invariant factors of an integer matrix, zeros trimmed, unit factors kept.
 
     ``arr`` is int64 with every entry within ``ENTRY_BOUND``, or ``object``
     holding Python ints of any size.  Works on a private copy, so ``arr`` is
-    left untouched.
+    left untouched.  Given ``s`` and ``t``, identity ``object`` arrays of
+    the row and of the column count, the sweep runs on Python ints and
+    records each row operation in the columns of ``s`` and each column
+    operation in the rows of ``t``, so that ``arr = s @ diag @ t`` on return
+    (a negative pivot negates its column of ``s``).
     """
-    a = np.array(arr, order="C", copy=True)
+    a = np.array(arr, dtype=object if s is not None else arr.dtype, order="C", copy=True)
     m, n = a.shape
     mind = min(m, n)
     diag = []
@@ -91,11 +102,9 @@ def smith_diagonal_int64(arr: np.ndarray) -> list[int]:
             break
         mag[sub == 0] = top + 1
         i, j = divmod(int(mag.argmin()), n - k)
-        if i:
-            a[[k, k + i], k:] = a[[k + i, k], k:]
-        if j:
-            a[k:, [k, k + j]] = a[k:, [k + j, k]]
-        p = _clear_pivot(a, k, mu)
+        _swap_rows(a, s, k, k + i)
+        _swap_cols(a, t, k, k + j)
+        p = _clear_pivot(a, k, mu, s, t)
         if p is None:
             # the input is equivalent to diag(diag) beside the block a[k:, k:];
             # take the modulus of whichever of the input and that block is cheaper
@@ -110,6 +119,8 @@ def smith_diagonal_int64(arr: np.ndarray) -> list[int]:
                     det *= math.prod(diag)
                 a = _residues(a, mu)
             continue
+        if p < 0 and s is not None:
+            s[:, k] = -s[:, k]
         diag.append(abs(p))
         k += 1
     if mu:
@@ -119,11 +130,15 @@ def smith_diagonal_int64(arr: np.ndarray) -> list[int]:
     return diag
 
 
-def _clear_pivot(a: np.ndarray, k: int, mu: int) -> int | None:
+def _clear_pivot(a: np.ndarray, k: int, mu: int, s: np.ndarray | None,
+                 t: np.ndarray | None) -> int | None:
     """Clear row and column k of ``a`` in place until the pivot ``a[k, k]``
-    divides the whole trailing block, and return the pivot.  Returns None,
-    with ``a`` as it was before the offending update, when an int64 update
-    would leave ``ENTRY_BOUND``; ``mu`` > 0 reduces every update instead."""
+    divides the whole trailing block, and return the pivot.  Before each
+    reduction of column (row) k, the smallest nonzero entry of that column
+    (row) becomes the pivot if it is smaller than the pivot.  Returns None,
+    with the block ``a[k:, k:]`` equivalent to what it was before the
+    offending update, when an int64 update would leave ``ENTRY_BOUND``;
+    ``mu`` > 0 reduces every update instead."""
     rounds = 0
     while True:
         rounds += 1
@@ -132,33 +147,34 @@ def _clear_pivot(a: np.ndarray, k: int, mu: int) -> int | None:
         col = a[k + 1 :, k]
         nz = np.nonzero(col)[0]
         if nz.size:
+            i = int(nz[np.abs(col[nz]).argmin()])
+            if abs(col[i]) < abs(a[k, k]):
+                _swap_rows(a, s, k, k + 1 + i)
             rows = k + 1 + nz
             q = col[nz] // int(a[k, k])
             block = _settle(a[rows, k:] - q[:, None] * a[k, k:], mu)
             if block is None:
                 return None
             a[rows, k:] = block
-            col = a[k + 1 :, k]
-            nz = np.nonzero(col)[0]
-            if nz.size:
-                # a remainder smaller than the pivot exists; promote it
-                i = int(nz[np.abs(col[nz]).argmin()]) + 1
-                a[[k, k + i], k:] = a[[k + i, k], k:]
+            if s is not None:
+                s[:, k] += s[:, rows] @ q
+            if np.any(a[rows, k]):
                 continue
         row = a[k, k + 1 :]
         nz = np.nonzero(row)[0]
         if nz.size:
+            j = int(nz[np.abs(row[nz]).argmin()])
+            if abs(row[j]) < abs(a[k, k]):
+                _swap_cols(a, t, k, k + 1 + j)
             cols = k + 1 + nz
             q = row[nz] // int(a[k, k])
             block = _settle(a[k:, cols] - np.outer(a[k:, k], q), mu)
             if block is None:
                 return None
             a[k:, cols] = block
-            row = a[k, k + 1 :]
-            nz = np.nonzero(row)[0]
-            if nz.size:
-                j = int(nz[np.abs(row[nz]).argmin()]) + 1
-                a[k:, [k, k + j]] = a[k:, [k + j, k]]
+            if t is not None:
+                t[k] += q @ t[cols]
+            if np.any(a[k, cols]):
                 continue
         if np.any(a[k + 1 :, k]):
             continue
@@ -166,10 +182,31 @@ def _clear_pivot(a: np.ndarray, k: int, mu: int) -> int | None:
         bad = np.nonzero((a[k + 1 :, k + 1 :] % p).any(axis=1))[0]
         if bad.size == 0:
             return p
-        block = _settle(a[k, k:] + a[k + 1 + int(bad[0]), k:], mu)
+        i = k + 1 + int(bad[0])
+        block = _settle(a[k, k:] + a[i, k:], mu)
         if block is None:
             return None
         a[k, k:] = block
+        if s is not None:
+            s[:, i] -= s[:, k]
+
+
+def _swap_rows(a: np.ndarray, s: np.ndarray | None, k: int, i: int):
+    """Swap rows k and i of the trailing block of ``a``, and columns k and i
+    of ``s``."""
+    if i != k:
+        a[[k, i], k:] = a[[i, k], k:]
+        if s is not None:
+            s[:, [k, i]] = s[:, [i, k]]
+
+
+def _swap_cols(a: np.ndarray, t: np.ndarray | None, k: int, j: int):
+    """Swap columns k and j of the trailing block of ``a``, and rows k and j
+    of ``t``."""
+    if j != k:
+        a[k:, [k, j]] = a[k:, [j, k]]
+        if t is not None:
+            t[[k, j]] = t[[j, k]]
 
 
 def _settle(block: np.ndarray, mu: int) -> np.ndarray | None:

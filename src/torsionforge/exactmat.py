@@ -1,14 +1,14 @@
 """Exact integer matrix kernel: Bareiss determinant, Smith normal form,
 and canonical finitely generated abelian groups.
 
-Everything here is exact at any magnitude.  Smith reduction without
-transforms runs the vectorized sweep in :mod:`torsionforge._kernels`, which
-starts on int64 and, once an entry would outgrow the int64-safe bound,
-continues on int64 modulo a multiple of the determinant computed from the
-input (Hafner and McCurley 1991, with the largest invariant factor taken
-from a rational solve as in Saunders and Wan 2004), or on Python ints when
-no such modulus fits; transform matrices come from the big-int reduction
-``_smith_exact``.  Groups are put in invariant-factor form by gcd and lcm,
+Everything here is exact at any magnitude.  Smith reduction runs the
+vectorized sweep in :mod:`torsionforge._kernels`, which starts on int64
+and, once an entry would outgrow the int64-safe bound, continues on int64
+modulo a multiple of the determinant computed from the input (Hafner and
+McCurley 1991, with the largest invariant factor taken from a rational
+solve as in Saunders and Wan 2004), or on Python ints when no such modulus
+fits.  With transform matrices requested, the same sweep runs on Python
+ints throughout and records its operations in them.  Groups are put in invariant-factor form by gcd and lcm,
 with no factoring.  Only the prime-power view factors, and only the largest
 invariant factor, by trial division, Miller-Rabin and Pollard-Brent rho.
 Rho has a fixed step budget, and a probable prime above the Miller-Rabin
@@ -409,11 +409,11 @@ def det_bareiss(m: IntMatrix) -> int:
 def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SnfResult:
     """Smith normal form with divisibility-ordered nonnegative diagonal.
 
-    Transform matrices are only computed when ``transforms`` is set, by the
-    big-int reduction; without them the vectorized sweep of
-    :mod:`torsionforge._kernels` runs, on int64 while entries stay small,
-    then modulo a determinant multiple or on Python ints.  An all-zero
-    matrix yields empty invariant factors with identity transforms.
+    The vectorized sweep of :mod:`torsionforge._kernels` runs on int64
+    while entries stay small, then modulo a determinant multiple or on
+    Python ints.  With ``transforms`` it runs on Python ints throughout and
+    records its row and column operations in ``s`` and ``t``, which start
+    as identities; an all-zero matrix keeps them so.
     """
     bound = _kernels.ENTRY_BOUND
     try:
@@ -422,20 +422,14 @@ def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SnfResult:
             a = a.astype(object)
     except OverflowError:
         a = np.array(m.entries, dtype=object)
-    if not a.any():
-        return SnfResult(
-            a=IntMatrix.zero(m.rows, m.cols),
-            s=IntMatrix.identity(m.rows),
-            t=IntMatrix.identity(m.cols),
-            invariant_factors=(),
-        )
+    s = t = None
     if transforms:
-        return _smith_exact(m)
-    diag = _kernels.smith_diagonal_int64(a.reshape(m.rows, m.cols))
+        s, t = np.identity(m.rows, dtype=object), np.identity(m.cols, dtype=object)
+    diag = _kernels.smith_diagonal_int64(a.reshape(m.rows, m.cols), s, t)
     return SnfResult(
         a=_diag_matrix(m.rows, m.cols, diag),
-        s=None,
-        t=None,
+        s=None if s is None else IntMatrix.from_rows(s.tolist()),
+        t=None if t is None else IntMatrix.from_rows(t.tolist()),
         invariant_factors=tuple(diag),
     )
 
@@ -445,126 +439,6 @@ def _diag_matrix(rows: int, cols: int, diag: Sequence[int]) -> IntMatrix:
     for i, d in enumerate(diag):
         flat[i * cols + i] = int(d)
     return IntMatrix(rows, cols, tuple(flat))
-
-
-def _smith_exact(matrix: IntMatrix) -> SnfResult:
-    """Big-int Smith reduction, maintaining original = S * A * T throughout."""
-    m, n = matrix.rows, matrix.cols
-    a = matrix.to_rows()
-    s = [[int(i == j) for j in range(m)] for i in range(m)]
-    t = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_swap(i, k):
-        a[i], a[k] = a[k], a[i]
-        for r in range(m):
-            s[r][i], s[r][k] = s[r][k], s[r][i]
-
-    def row_submul(i, k, q):
-        # a[i] -= q * a[k]  (undone in S by adding q * col i to col k)
-        ai, ak = a[i], a[k]
-        for j in range(n):
-            ai[j] -= q * ak[j]
-        for r in range(m):
-            s[r][k] += q * s[r][i]
-
-    def row_negate(i):
-        ai = a[i]
-        for j in range(n):
-            ai[j] = -ai[j]
-        for r in range(m):
-            s[r][i] = -s[r][i]
-
-    def col_swap(j, l):
-        for i in range(m):
-            a[i][j], a[i][l] = a[i][l], a[i][j]
-        t[j], t[l] = t[l], t[j]
-
-    def col_submul(j, l, q):
-        # col j -= q * col l  (undone in T by adding q * row j to row l)
-        for i in range(m):
-            a[i][j] -= q * a[i][l]
-        tl, tj = t[l], t[j]
-        for c in range(n):
-            tl[c] += q * tj[c]
-
-    mind = min(m, n)
-    k = 0
-    while k < mind:
-        bi = bj = -1
-        bv = None
-        for i in range(k, m):
-            for j in range(k, n):
-                v = abs(a[i][j])
-                if v and (bv is None or v < bv):
-                    bi, bj, bv = i, j, v
-            if bv == 1:
-                break
-        if bi < 0:
-            break
-        if bi != k:
-            row_swap(k, bi)
-        if bj != k:
-            col_swap(k, bj)
-        while True:
-            bi = k
-            bv = abs(a[k][k])
-            for i in range(k + 1, m):
-                v = abs(a[i][k])
-                if v and v < bv:
-                    bi, bv = i, v
-            if bi != k:
-                row_swap(k, bi)
-            dirty = False
-            for i in range(k + 1, m):
-                if a[i][k]:
-                    q = a[i][k] // a[k][k]
-                    if q:
-                        row_submul(i, k, q)
-                    if a[i][k]:
-                        dirty = True
-            if dirty:
-                continue
-            bj = k
-            bv = abs(a[k][k])
-            for j in range(k + 1, n):
-                v = abs(a[k][j])
-                if v and v < bv:
-                    bj, bv = j, v
-            if bj != k:
-                col_swap(k, bj)
-            dirty = False
-            for j in range(k + 1, n):
-                if a[k][j]:
-                    q = a[k][j] // a[k][k]
-                    if q:
-                        col_submul(j, k, q)
-                    if a[k][j]:
-                        dirty = True
-            if dirty:
-                continue
-            if any(a[i][k] for i in range(k + 1, m)):
-                continue
-            p = a[k][k]
-            bad = -1
-            for i in range(k + 1, m):
-                if any(x % p for x in a[i][k + 1 :]):
-                    bad = i
-                    break
-            if bad < 0:
-                break
-            row_submul(k, bad, -1)
-        k += 1
-
-    for i in range(min(m, n)):
-        if a[i][i] < 0:
-            row_negate(i)
-    diag = [a[i][i] for i in range(min(m, n)) if a[i][i]]
-    return SnfResult(
-        a=IntMatrix.from_rows(a),
-        s=IntMatrix.from_rows(s),
-        t=IntMatrix.from_rows(t),
-        invariant_factors=tuple(diag),
-    )
 
 
 def rank(m: IntMatrix) -> int:

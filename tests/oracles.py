@@ -1,8 +1,9 @@
 """Independent brute-force oracles.  Nothing here shares code with the
 package: determinants come from cofactor expansion, invariant factors from
-gcds of k x k minors, components from union-find, sequence validity from
-the direct quartic scan of the definition, and HMT(n) from a face-by-face
-plain-Python construction.
+gcds of k x k minors or from a diagonal form by extended-gcd elimination,
+components from union-find, sequence validity from the direct quartic scan
+of the definition, and HMT(n) from a face-by-face plain-Python
+construction.
 """
 
 from __future__ import annotations
@@ -46,6 +47,62 @@ def snf_factors_by_minor_gcds(rows) -> list[int]:
         out.append(g // prev)
         prev = g
     return out
+
+
+def snf_factors_by_elimination(rows) -> list[int]:
+    """Invariant factors from a diagonal form.  Each pivot's row and column
+    are cleared by unimodular 2 x 2 extended-gcd combinations, so the pivot
+    becomes the gcd instead of moving to the smallest entry; the diagonal is
+    then put in divisibility order by (a, b) -> (gcd, lcm).
+
+    Polynomial, for the matrices too large for the minor gcds.
+    """
+    a = [list(r) for r in rows]
+    m, n = len(a), len(a[0])
+    diag = []
+    for k in range(min(m, n)):
+        at = next(((i, j) for i in range(k, m) for j in range(k, n) if a[i][j]), None)
+        if at is None:
+            break
+        i, j = at
+        a[k], a[i] = a[i], a[k]
+        for r in a:
+            r[k], r[j] = r[j], r[k]
+        while any(a[i][k] for i in range(k + 1, m)) or any(a[k][j] for j in range(k + 1, n)):
+            for i in range(k + 1, m):
+                a[k], a[i] = _gcd_combination(a[k], a[i], a[k][k], a[i][k])
+            cols = [list(c) for c in zip(*a)]
+            for j in range(k + 1, n):
+                cols[k], cols[j] = _gcd_combination(cols[k], cols[j], cols[k][k], cols[j][k])
+            a = [list(r) for r in zip(*cols)]
+        diag.append(abs(a[k][k]))
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
+    return diag
+
+
+def _gcd_combination(u, v, x, y):
+    """Rows (u', v') = U (u, v) for a unimodular U taking (x, y) to (g, 0),
+    x != 0; U is a plain row subtraction when x divides y."""
+    if y % x == 0:
+        return u, [b - y // x * a for a, b in zip(u, v)]
+    # s x + t y = g by the extended Euclidean algorithm
+    r0, r1, s0, s1, t0, t1 = x, y, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1, s0, s1, t0, t1 = r1, r0 - q * r1, s1, s0 - q * s1, t1, t0 - q * t1
+    g = r0
+    return ([s0 * a + t0 * b for a, b in zip(u, v)],
+            [-y // g * a + x // g * b for a, b in zip(u, v)])
+
+
+def snf_factors(rows) -> list[int]:
+    """Invariant factors by the minor gcds up to 5 x 5, else by elimination."""
+    if max(len(rows), len(rows[0])) <= 5:
+        return snf_factors_by_minor_gcds(rows)
+    return snf_factors_by_elimination(rows)
 
 
 def component_count(vertices, edges) -> int:

@@ -1,7 +1,6 @@
 import hashlib
 import io
 import json
-import random
 import time
 
 import pytest
@@ -12,9 +11,12 @@ from torsionforge.fileio import read_matrix, write_matrix
 from torsionforge.hadamard import walsh
 
 
-# full `snf --transforms` stdout; S and T depend on the exact pivot order
+# input and full `snf --transforms` stdout; S and T depend on the exact
+# pivot order.  On the three "promote" inputs a sweep that reduces before it
+# promotes the smallest entry of the pivot column or row gives other S and T.
 SNF_TRANSFORMS_GOLDEN = {
-    "seeded5": """\
+    # random.Random(5), entries in [-9, 9]
+    "seeded5": ([[-1, 2, 7, -9, 5], [-2, -8, -4, -6, 2], [6, -2, 3, 8, -6], [9, -2, -9, -3, 4], [-1, -4, 3, -4, -7]], """\
 invariant_factors: 1 1 1 1 87640
 rank: 5
 S:
@@ -38,8 +40,8 @@ T:
 0 -1150 0 1 -2360
 0 -23900 0 0 1314501
 0 1 0 0 -55
-""",
-    "walsh4": """\
+"""),
+    "walsh4": (walsh(4).to_rows(), """\
 invariant_factors: 1 2 2 4
 rank: 4
 S:
@@ -60,7 +62,61 @@ T:
 0 1 0 1
 0 0 1 1
 0 0 0 1
-""",
+"""),
+    "promote2x3": ([[9, -8, -4], [-7, -5, 4]], """\
+invariant_factors: 1 1
+rank: 2
+S:
+2 2
+-3 -2
+5 3
+A:
+2 3
+1 0 0
+0 1 0
+T:
+3 3
+13 -34 -4
+-24 55 8
+-3 7 1
+"""),
+    "promote2x4": ([[-4, 2, 4, 2], [5, -8, -8, -7]], """\
+invariant_factors: 1 2
+rank: 2
+S:
+2 2
+0 1
+1 -5
+A:
+2 4
+1 0 0 0
+0 2 0 0
+T:
+4 4
+-15 2 12 3
+-2 1 2 1
+0 0 1 0
+1 0 0 0
+"""),
+    "promote3x3": ([[4, -3, 5], [-8, 2, -9], [-4, 4, 0]], """\
+invariant_factors: 1 1 84
+rank: 3
+S:
+3 3
+-3 -34 -2
+2 17 1
+4 52 3
+A:
+3 3
+1 0 0
+0 1 0
+0 0 84
+T:
+3 3
+-12 1 -13
+-4 0 1
+1 0 0
+"""),
 }
 
 
@@ -254,15 +310,11 @@ class TestPipelines:
 
     @pytest.mark.parametrize("name", sorted(SNF_TRANSFORMS_GOLDEN))
     def test_snf_transforms_golden(self, name, capsys, monkeypatch):
-        if name == "seeded5":
-            rng = random.Random(5)
-            m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)])
-        else:
-            m = walsh(4)
-        monkeypatch.setattr("sys.stdin", io.StringIO(write_matrix(m)))
+        rows, golden = SNF_TRANSFORMS_GOLDEN[name]
+        monkeypatch.setattr("sys.stdin", io.StringIO(write_matrix(IntMatrix.from_rows(rows))))
         code, out, _ = run(capsys, "snf", "--transforms")
         assert code == 0
-        assert out == SNF_TRANSFORMS_GOLDEN[name]
+        assert out == golden
 
     def test_malformed_matrix_reports_position(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("2 2\n1 oops\n3 4\n"))

@@ -4,11 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from torsionforge import _kernels, exactmat
-from torsionforge.exactmat import IntMatrix, _smith_exact, det_bareiss, smith_normal_form
+from torsionforge import _kernels
+from torsionforge.exactmat import IntMatrix, det_bareiss, smith_normal_form
 from torsionforge.hadamard import walsh
 from torsionforge.hmt_builder import build_hmt
 from torsionforge.homology import simplicial_homology
+
+from .oracles import snf_factors
 
 
 def random_matrix(rng, max_dim=8, lo=-9, hi=9):
@@ -33,7 +35,7 @@ def test_backends_agree_with_exact():
     cases = [random_matrix(rng) for _ in range(120)] + [near_bound_matrix(rng) for _ in range(60)]
     for rows in cases:
         arr = np.array(rows, dtype=np.int64)
-        expected = list(_smith_exact(IntMatrix.from_rows(rows)).invariant_factors)
+        expected = snf_factors(rows)
         assert _kernels.smith_diagonal_int64(arr) == expected, rows
         # an int64 input with a factor past the bound left int64 mid-sweep
         promoted += max(expected, default=0) > _kernels.ENTRY_BOUND
@@ -44,33 +46,36 @@ def test_overflow_promotes_in_place():
     b = _kernels.ENTRY_BOUND
     rows = [[1, b], [b, b]]
     diag = _kernels.smith_diagonal_int64(np.array(rows, dtype=np.int64))
-    assert diag == list(_smith_exact(IntMatrix.from_rows(rows)).invariant_factors)
+    assert diag == snf_factors(rows)
     assert diag[0] * diag[1] == abs(b - b * b)
 
 
-def test_huge_entries_run_sweep_in_object_dtype(monkeypatch):
-    m = IntMatrix.from_rows([[2**40, 1], [3, 2**50]])
-    dtypes = []
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The dtype of the input of every ``smith_diagonal_int64`` call."""
+    seen = []
     sweep = _kernels.smith_diagonal_int64
 
-    def spy(arr):
-        dtypes.append(arr.dtype)
-        return sweep(arr)
+    def spy(arr, *args):
+        seen.append(arr.dtype)
+        return sweep(arr, *args)
 
     monkeypatch.setattr(_kernels, "smith_diagonal_int64", spy)
+    return seen
+
+
+def test_huge_entries_run_sweep_in_object_dtype(sweeps):
+    m = IntMatrix.from_rows([[2**40, 1], [3, 2**50]])
     res = smith_normal_form(m)
-    assert dtypes == [np.dtype(object)]
-    assert res.invariant_factors == _smith_exact(m).invariant_factors
+    assert sweeps == [np.dtype(object)]
+    assert list(res.invariant_factors) == snf_factors(m.to_rows())
 
 
-def test_overflowing_input_never_restarts_in_big_int(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("_smith_exact called without transforms")
-
-    monkeypatch.setattr(exactmat, "_smith_exact", fail)
+def test_overflowing_input_never_restarts_in_big_int(sweeps):
     b = _kernels.ENTRY_BOUND
     res = smith_normal_form(IntMatrix.from_rows([[1, b], [b, b]]))
     assert res.invariant_factors == (1, b * b - b)
+    assert sweeps == [np.dtype(np.int64)]
 
 
 def test_kernel_leaves_input_untouched():
@@ -96,7 +101,7 @@ def handoffs(monkeypatch):
 
 
 def sweep_agrees(rows):
-    expected = list(_smith_exact(IntMatrix.from_rows(rows)).invariant_factors)
+    expected = snf_factors(rows)
     assert _kernels.smith_diagonal_int64(np.array(rows, dtype=np.int64)) == expected, rows
     return expected
 
@@ -147,6 +152,19 @@ def test_wide_and_tall_take_the_modulus_route(handoffs, shape):
         sweep_agrees(near_bound_matrix(rng, rows=shape[0], cols=shape[1]))
     assert handoffs and all(h is not None and h[1] is None for h in handoffs)
 
+
+def test_transforms_never_take_a_modulus(handoffs):
+    # the same input hands off without transforms; with them the sweep
+    # stays on Python ints, so S and T are exact
+    m = IntMatrix.from_rows(near_bound_matrix(random.Random(18), rows=5))
+    plain = smith_normal_form(m)
+    assert handoffs and handoffs[0] is not None
+    handoffs.clear()
+    res = smith_normal_form(m, transforms=True)
+    assert handoffs == []
+    assert res.s @ res.a @ res.t == m
+    assert abs(det_bareiss(res.s)) == abs(det_bareiss(res.t)) == 1
+    assert res.invariant_factors == plain.invariant_factors
 
 def test_rank_deficient_input_falls_back_to_python_ints(handoffs):
     rng = random.Random(13)
