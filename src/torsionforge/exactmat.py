@@ -59,14 +59,6 @@ class IntMatrix:
         flat = tuple(int(x) if isinstance(x, (int, np.integer)) else x for r in rows for x in r)
         return cls(len(rows), width, flat)
 
-    @classmethod
-    def identity(cls, n: int) -> IntMatrix:
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> IntMatrix:
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
         if not (0 <= i < self.rows and 0 <= j < self.cols):

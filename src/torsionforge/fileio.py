@@ -31,13 +31,16 @@ class FileFormatError(ValueError):
         super().__init__(message)
 
 
-def _tokens_with_positions(text: str):
+def _token_lines(text: str) -> dict[int, list[tuple[str, int, int]]]:
+    """The (token, line, col) triples of each non-blank line, by line."""
+    lines: dict[int, list[tuple[str, int, int]]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         col = 1
         for tok in line.split():
             col = line.index(tok, col - 1) + 1
-            yield tok, lineno, col
+            lines.setdefault(lineno, []).append((tok, lineno, col))
             col += len(tok)
+    return lines
 
 
 def _parse_int(tok: str, line: int, col: int) -> int:
@@ -63,7 +66,7 @@ def _read_matrix_with_positions(text: str) -> IntMatrix:
     """The token-by-token parse that reports the line and column where a
     matrix file is malformed; :func:`read_matrix` runs it only on text its
     single pass rejects."""
-    toks = list(_tokens_with_positions(text))
+    toks = [tok for line in _token_lines(text).values() for tok in line]
     if len(toks) < 2:
         raise FileFormatError("matrix file needs a 'rows cols' header", 1, 1)
     rows = _parse_int(*toks[0])
@@ -107,43 +110,49 @@ def write_matrix(m: IntMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _int_table(text: str) -> np.ndarray | None:
+    """The non-blank lines of ``text`` as the rows of an int64 array; None
+    when there are none, they differ in length or a token is not an int64."""
+    widths = [len(toks) for toks in map(str.split, text.splitlines()) if toks]
+    if len(set(widths)) != 1:
+        return None
+    try:
+        values = np.fromiter(map(int, text.split()), dtype=np.int64, count=len(widths) * widths[0])
+    except (ValueError, OverflowError):
+        return None
+    return values.reshape(len(widths), widths[0])
+
+
 def read_sequence(text: str) -> ValidSequence:
-    perms: dict[int, list[int]] = {}
-    for tok, line, col in _tokens_with_positions(text):
-        perms.setdefault(line, []).append(_parse_int(tok, line, col))
-    if not perms:
-        raise FileFormatError("empty sequence file", 1, 1)
-    n = len(perms)
-    for line, p in perms.items():
-        if len(p) != n:
-            raise FileFormatError(f"ordering has {len(p)} labels, expected {n}", line, 1)
-    return ValidSequence(n, tuple(map(tuple, perms.values())))
+    """One ordering per non-blank line, parsed in one pass; text that pass
+    rejects is scanned again for the line and column of the fault."""
+    perms = _int_table(text)
+    if perms is not None and perms.shape[0] == perms.shape[1]:
+        return ValidSequence(perms)
+    lines = _token_lines(text)
+    for tok in (t for toks in lines.values() for t in toks):
+        if not -_MAX_ID - 1 <= _parse_int(*tok) <= _MAX_ID:
+            raise FileFormatError(f"label {tok[0]} does not fit in 64 bits", tok[1], tok[2])
+    for line, toks in lines.items():
+        if len(toks) != len(lines):
+            raise FileFormatError(f"ordering has {len(toks)} labels, expected {len(lines)}", line, 1)
+    raise FileFormatError("empty sequence file", 1, 1)
 
 
 def write_sequence(seq: ValidSequence) -> str:
-    return "\n".join(" ".join(map(str, p)) for p in seq.perms) + "\n"
+    """One line per ordering, each row through one format string."""
+    line = " ".join(["%d"] * seq.n) + "\n"
+    return "".join([line % tuple(row.tolist()) for row in seq.perms])
 
 
 def read_facets(text: str) -> SimplicialComplex2:
     """The complex of a facet file, parsed in one pass; text that pass
-    rejects goes to :func:`_raise_facet_error` for the error position."""
-    try:
-        triangles = {tuple(map(int, line.split())) for line in text.splitlines()} - {()}
-        tri = np.array(list(triangles), dtype=np.int64)
-    except (ValueError, OverflowError):
-        tri = np.zeros(0, dtype=np.int64)
-    if tri.shape[1:] != (3,) or not ((0 <= tri[:, 0]) & (tri[:, 0] < tri[:, 1]) & (tri[:, 1] < tri[:, 2])).all():
-        _raise_facet_error(text)
-    return make_complex({v: str(v) for v in np.unique(tri).tolist()}, tri)
-
-
-def _raise_facet_error(text: str):
-    """Report the first malformed line of a facet file that
-    :func:`read_facets` rejects, with its line and column."""
-    lines: dict[int, list[tuple[str, int, int]]] = {}
-    for tok in _tokens_with_positions(text):
-        lines.setdefault(tok[1], []).append(tok)
-    for lineno, toks in lines.items():
+    rejects is scanned again for the first malformed line.  A repeated line
+    is a duplicate triangle, which :func:`make_complex` rejects."""
+    tri = _int_table(text)
+    if tri is not None and tri.shape[1] == 3 and ((0 <= tri[:, 0]) & (tri[:, 0] < tri[:, 1]) & (tri[:, 1] < tri[:, 2])).all():
+        return make_complex({v: str(v) for v in np.unique(tri).tolist()}, tri)
+    for lineno, toks in _token_lines(text).items():
         if len(toks) != 3:
             raise FileFormatError(f"facet line needs 3 vertex ids, got {len(toks)}", lineno, 1)
         a, b, c = [_parse_int(*t) for t in toks]

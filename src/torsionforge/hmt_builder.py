@@ -19,10 +19,10 @@ import time
 import numpy as np
 
 from .exactmat import group_from_factors
-from .hadamard import hadamard_snf_closed_form, is_power_of_two
+from .hadamard import hadamard_snf_closed_form
 from .homology import simplicial_homology
 from .triangulation import SimplicialComplex2, euler_characteristic, face_vector, make_complex
-from .valid_sequences import sequence_array
+from .valid_sequences import valid_sequence
 
 
 def hmt_face_vector(n: int) -> tuple[int, int, int]:
@@ -73,10 +73,8 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
             "n=1 is excluded: its single all-positive disc triangulates as one "
             "triangle with a subdivided boundary; this family needs a power of two >= 2"
         )
-    if not isinstance(n, int) or not is_power_of_two(n) or n < 2:
-        raise ValueError(f"order must be a power of two >= 2, got {n}")
+    col = valid_sequence(n).perms - 1  # 0-based column of each ring step; rejects other orders
     shift = 0 if keep_first_digon else 2
-    col = sequence_array(n) - 1  # 0-based column of each ring step
     disc = np.arange(n)[:, None]
     # parity of the k = log2(n) bits of (i-1) & (j-1)
     common = disc & col

@@ -3,8 +3,9 @@ that no ordered pair of consecutive labels repeats across discs with the
 same entry signs.  That property is exactly what keeps the shield diagonals
 of the Hadamard triangulations disjoint.
 
-Sequences are indexed 1-based throughout (disc numbers, positions, cycle
-labels), matching the file format.
+A sequence is one read-only (n, n) int64 array of 1-based cycle labels,
+row i the ordering of disc i + 1: built by doubling, checked by one sort,
+and the same array is read, written and used by ``build_hmt``.
 """
 
 from __future__ import annotations
@@ -14,27 +15,35 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactmat import IntMatrix
-from .hadamard import is_power_of_two
+from .hadamard import _require_power_of_two
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ValidSequence:
-    """One ordering per disc.  Validity is decided by :func:`check_valid`,
-    so the constructor only enforces shape: n tuples of n integers."""
+    """One ordering per disc, as the rows of a square int64 array.  Validity
+    is decided by :func:`check_valid`, so the constructor only enforces
+    shape and integer labels; it keeps a read-only copy."""
 
-    n: int
-    perms: tuple[tuple[int, ...], ...]
+    perms: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("sequence needs n >= 1")
-        if len(self.perms) != self.n:
-            raise ValueError(f"expected {self.n} orderings, got {len(self.perms)}")
-        for i, p in enumerate(self.perms):
-            if len(p) != self.n:
-                raise ValueError(f"ordering {i + 1} has length {len(p)}, expected {self.n}")
-            if not all(isinstance(x, int) for x in p):
-                raise ValueError(f"ordering {i + 1} has non-integer labels")
+        perms = np.asarray(self.perms)
+        if perms.ndim != 2 or perms.shape[0] != perms.shape[1] or not perms.size:
+            raise ValueError(f"expected an (n, n) array of orderings with n >= 1, got shape {perms.shape}")
+        if perms.dtype.kind not in "iu":
+            raise ValueError(f"orderings must hold integer labels, got dtype {perms.dtype}")
+        perms = perms.astype(np.int64)
+        perms.flags.writeable = False
+        object.__setattr__(self, "perms", perms)
+
+    @property
+    def n(self) -> int:
+        return len(self.perms)
+
+    def __eq__(self, other):
+        if not isinstance(other, ValidSequence):
+            return NotImplemented
+        return np.array_equal(self.perms, other.perms)
 
 
 @dataclass(frozen=True)
@@ -52,53 +61,46 @@ class ValidityReport:
 def check_valid(seq: ValidSequence, m: IntMatrix) -> ValidityReport:
     """Check a sequence against a +-1 square matrix.
 
-    Condition 1: every ordering is a permutation of 1..n starting with 1.
+    Condition 1: every ordering is a permutation of 1..n starting with 1;
+    the first disc that breaks it is reported.
     Condition 2: whenever two distinct discs carry the same ordered pair of
     cyclically consecutive labels, the matrix entries under at least one of
     the two labels differ in sign.
 
-    Runs in O(n^2) by hashing (label pair, sign pair); reports the
-    lexicographically first violating (disc1, pos1, disc2, pos2).
+    One stable sort of the (label pair, sign pair) keys of every position
+    puts repeats next to each other in disc-major order; the
+    lexicographically first violating (disc1, pos1, disc2, pos2) is the
+    repeat whose first position comes first.
     """
-    if any(e not in (1, -1) for e in m.entries):
+    if not set(m.entries) <= {1, -1}:
         raise ValueError("validity is defined against a matrix with +-1 entries")
-    if not m.is_square or m.rows != seq.n:
-        raise ValueError(f"sequence for n={seq.n} cannot be checked against a {m.rows}x{m.cols} matrix")
     n = seq.n
-    full = frozenset(range(1, n + 1))
-    for i, p in enumerate(seq.perms, start=1):
-        if frozenset(p) != full or len(p) != n:
-            return ValidityReport(False, 1, f"disc {i}: not a permutation of 1..{n}")
-        if p[0] != 1:
-            return ValidityReport(False, 1, f"disc {i}: ordering starts with {p[0]}, not 1")
+    if not m.is_square or m.rows != n:
+        raise ValueError(f"sequence for n={n} cannot be checked against a {m.rows}x{m.cols} matrix")
+    perms = seq.perms
+    not_perm = (np.sort(perms, axis=1) != np.arange(1, n + 1)).any(axis=1)
+    bad = np.flatnonzero(not_perm | (perms[:, 0] != 1))
+    if bad.size:
+        i = int(bad[0])
+        if not_perm[i]:
+            return ValidityReport(False, 1, f"disc {i + 1}: not a permutation of 1..{n}")
+        return ValidityReport(False, 1, f"disc {i + 1}: ordering starts with {perms[i, 0]}, not 1")
 
-    seen: dict[tuple[int, int, int, int], tuple[int, int]] = {}
-    best: tuple[int, int, int, int] | None = None
-    for i, p in enumerate(seq.perms, start=1):
-        mrow = m.row(i - 1)
-        for j in range(1, n + 1):
-            a = p[j - 1]
-            b = p[j % n]
-            key = (a, b, mrow[a - 1], mrow[b - 1])
-            first = seen.get(key)
-            if first is None:
-                seen[key] = (i, j)
-            else:
-                cand = (first[0], first[1], i, j)
-                if best is None or cand < best:
-                    best = cand
-    if best is not None:
-        i1, j1, i2, j2 = best
-        a = seq.perms[i1 - 1][j1 - 1]
-        b = seq.perms[i1 - 1][j1 % n]
-        return ValidityReport(
-            False,
-            2,
-            f"discs {i1} and {i2} repeat the pair ({a},{b}) at positions {j1} and {j2} "
-            "with identical signs",
-            best,
-        )
-    return ValidityReport(True, None, "ok")
+    negative = np.array(m.entries).reshape(n, n) < 0
+    sign = np.take_along_axis(negative, perms - 1, axis=1)
+    succ = np.roll(perms, -1, axis=1)
+    keys = ((((perms - 1) * n + succ - 1) * 2 + sign) * 2 + np.roll(sign, -1, axis=1)).ravel()
+    order = np.argsort(keys, kind="stable")
+    repeats = np.flatnonzero(keys[order[1:]] == keys[order[:-1]])
+    if not repeats.size:
+        return ValidityReport(True, None, "ok")
+    k = repeats[np.argmin(order[repeats])]
+    (i1, j1), (i2, j2) = divmod(int(order[k]), n), divmod(int(order[k + 1]), n)
+    detail = (
+        f"discs {i1 + 1} and {i2 + 1} repeat the pair ({perms[i1, j1]},{succ[i1, j1]}) "
+        f"at positions {j1 + 1} and {j2 + 1} with identical signs"
+    )
+    return ValidityReport(False, 2, detail, (i1 + 1, j1 + 1, i2 + 1, j2 + 1))
 
 
 def _doubled(perms: np.ndarray) -> np.ndarray:
@@ -118,24 +120,14 @@ def extend_sequence(seq: ValidSequence) -> ValidSequence:
     even positions of the first copy and the odd positions of the second.
     Validity is preserved.
     """
-    perms = _doubled(np.array(seq.perms, dtype=np.int64))
-    return ValidSequence(2 * seq.n, tuple(map(tuple, perms.tolist())))
-
-
-def sequence_array(n: int) -> np.ndarray:
-    """The canonical valid sequence for the order-n Walsh matrix as an
-    (n, n) array of 1-based labels, one ordering per row.
-
-    Obtained by iterated doubling from ((1)); total work O(n^2).
-    """
-    if not is_power_of_two(n):
-        raise ValueError(f"order must be a power of two, got {n}")
-    perms = np.ones((1, 1), dtype=np.int64)
-    while len(perms) < n:
-        perms = _doubled(perms)
-    return perms
+    return ValidSequence(_doubled(seq.perms))
 
 
 def valid_sequence(n: int) -> ValidSequence:
-    """The canonical valid sequence for the order-n Walsh matrix."""
-    return ValidSequence(n, tuple(map(tuple, sequence_array(n).tolist())))
+    """The canonical valid sequence for the order-n Walsh matrix, by
+    iterated doubling from ((1)); total work O(n^2)."""
+    _require_power_of_two(n)
+    perms = np.ones((1, 1), dtype=np.int64)
+    while len(perms) < n:
+        perms = _doubled(perms)
+    return ValidSequence(perms)

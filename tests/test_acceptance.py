@@ -17,7 +17,7 @@ from torsionforge.hmt_builder import build_hmt, hmt_face_vector, hmt_torsion_gro
 from torsionforge.homology import boundary_matrices, simplicial_homology
 from torsionforge.speyer import build_speyer_complex, speyer_matrix
 from torsionforge.triangulation import face_vector, triangulate_generic, validate_complex
-from torsionforge.valid_sequences import check_valid, valid_sequence
+from torsionforge.valid_sequences import ValidSequence, check_valid, valid_sequence
 
 from .test_triangulation import claimed
 from .test_valid_sequences import H4_SEQUENCE, H8_SEQUENCE
@@ -102,8 +102,8 @@ def test_criterion_6_valid_sequences():
     while n <= 256:
         ok = ok and check_valid(valid_sequence(n), walsh(n)).ok
         n *= 2
-    ok = ok and valid_sequence(4).perms == H4_SEQUENCE
-    ok = ok and valid_sequence(8).perms == H8_SEQUENCE
+    ok = ok and valid_sequence(4) == ValidSequence(H4_SEQUENCE)
+    ok = ok and valid_sequence(8) == ValidSequence(H8_SEQUENCE)
     elapsed = time.perf_counter() - t0
     assert report(6, "valid sequences n<=256, verbatim n=4,8", ok, f"{elapsed:.2f}s")
 

@@ -173,6 +173,15 @@ class TestValidSeq:
         assert "condition 2" in out
         assert "quadruple: 1 1 3 1" in out
 
+    def test_label_past_64_bits_is_input_error(self, capsys, tmp_path):
+        seqfile = tmp_path / "seq.txt"
+        matfile = tmp_path / "mat.txt"
+        seqfile.write_text("1 2\n1 99999999999999999999\n")
+        matfile.write_text(write_matrix(walsh(2)))
+        code, out, err = run(capsys, "valid-seq", "--check", str(seqfile), "--matrix", str(matfile))
+        assert code == 2 and out == ""
+        assert "line 2, col 3: label 99999999999999999999 does not fit in 64 bits" in err
+
     def test_check_needs_both_files(self, capsys, tmp_path):
         seqfile = tmp_path / "seq.txt"
         seqfile.write_text("1\n")
@@ -271,6 +280,12 @@ class TestPipelines:
         code, _, err = run(capsys, "homology")
         assert code == 2
         assert "vertex id" in err
+
+    def test_repeated_facet_line_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("0 1 2\n0 1 3\n0 1 2\n"))
+        code, out, err = run(capsys, "homology")
+        assert code == 2 and out == ""
+        assert "error: duplicate triangle (0, 1, 2)" in err
 
     @pytest.mark.parametrize(
         "vertices, triangles",

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from torsionforge.exactmat import IntMatrix
@@ -106,6 +107,16 @@ class TestSequenceFormat:
         seq = read_sequence("1 1\n2 1\n")
         assert isinstance(seq, ValidSequence)
 
+    def test_reads_one_int64_array(self):
+        seq = read_sequence("\n1 2\n\n1 2\n")
+        assert seq.perms.dtype == np.int64 and seq.perms.tolist() == [[1, 2], [1, 2]]
+
+    @pytest.mark.parametrize("label", [str(2**63), str(-(2**63) - 1)])
+    def test_label_past_64_bits_names_position(self, label):
+        with pytest.raises(FileFormatError) as exc:
+            read_sequence(f"1 2\n1 {label}\n")
+        assert str(exc.value) == f"line 2, col 3: label {label} does not fit in 64 bits"
+
 
 class TestFacetFormat:
     def test_round_trip_simplices(self):
@@ -131,6 +142,11 @@ class TestFacetFormat:
     def test_rejects_empty(self):
         with pytest.raises(FileFormatError, match="no triangles"):
             read_facets("\n\n")
+
+    def test_rejects_repeated_line(self):
+        # the JSON form rejects a repeated triangle too
+        with pytest.raises(ValueError, match=r"^duplicate triangle \(0, 1, 2\)$"):
+            read_facets("0 1 2\n1 2 3\n0 1 2\n")
 
     def test_json_complex_round_trip_keeps_labels(self):
         k = build_hmt(2)

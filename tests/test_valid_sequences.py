@@ -4,13 +4,9 @@ import pytest
 
 from torsionforge.exactmat import IntMatrix
 from torsionforge.hadamard import walsh
-from torsionforge.valid_sequences import (
-    ValidSequence,
-    check_valid,
-    extend_sequence,
-    sequence_array,
-    valid_sequence,
-)
+import numpy as np
+
+from torsionforge.valid_sequences import ValidSequence, check_valid, extend_sequence, valid_sequence
 
 from .oracles import check_valid_bruteforce, valid_sequence_perms
 
@@ -29,27 +25,25 @@ H8_SEQUENCE = (
 
 class TestConstruction:
     def test_base_case(self):
-        assert valid_sequence(1).perms == ((1,),)
+        assert valid_sequence(1) == ValidSequence(((1,),))
 
     def test_order_two(self):
-        assert valid_sequence(2).perms == ((1, 2), (1, 2))
+        assert valid_sequence(2) == ValidSequence(((1, 2), (1, 2)))
 
     def test_order_four_canonical(self):
-        assert valid_sequence(4).perms == H4_SEQUENCE
+        assert valid_sequence(4) == ValidSequence(H4_SEQUENCE)
 
     def test_order_eight_canonical(self):
-        assert valid_sequence(8).perms == H8_SEQUENCE
+        assert valid_sequence(8) == ValidSequence(H8_SEQUENCE)
 
     def test_extend_steps(self):
-        assert extend_sequence(ValidSequence(1, ((1,),))).perms == ((1, 2), (1, 2))
-        assert extend_sequence(ValidSequence(2, ((1, 2), (1, 2)))).perms == H4_SEQUENCE
-        assert extend_sequence(ValidSequence(4, H4_SEQUENCE)).perms == H8_SEQUENCE
+        assert extend_sequence(ValidSequence(((1,),))) == ValidSequence(((1, 2), (1, 2)))
+        assert extend_sequence(ValidSequence(((1, 2), (1, 2)))) == ValidSequence(H4_SEQUENCE)
+        assert extend_sequence(ValidSequence(H4_SEQUENCE)) == ValidSequence(H8_SEQUENCE)
 
     @pytest.mark.parametrize("n", [1, 2, 16, 256])
     def test_matches_ordering_by_ordering_reference(self, n):
-        expected = valid_sequence_perms(n)
-        assert valid_sequence(n).perms == tuple(expected)
-        assert sequence_array(n).tolist() == [list(p) for p in expected]
+        assert valid_sequence(n).perms.tolist() == [list(p) for p in valid_sequence_perms(n)]
 
     def test_rejects_non_powers(self):
         with pytest.raises(ValueError):
@@ -68,11 +62,11 @@ class TestConstruction:
 class TestChecker:
     def test_accepts_alternative_sequence(self):
         # a second valid sequence exists; validity is not uniqueness
-        seq = ValidSequence(4, ((1, 3, 2, 4), (1, 2, 4, 3), (1, 3, 2, 4), (1, 4, 3, 2)))
+        seq = ValidSequence(((1, 3, 2, 4), (1, 2, 4, 3), (1, 3, 2, 4), (1, 4, 3, 2)))
         assert check_valid(seq, walsh(4)).ok
 
     def test_repeated_ordering_violates(self):
-        seq = ValidSequence(4, ((1, 2, 3, 4),) * 4)
+        seq = ValidSequence(((1, 2, 3, 4),) * 4)
         report = check_valid(seq, walsh(4))
         assert not report.ok
         assert report.condition == 2
@@ -80,20 +74,20 @@ class TestChecker:
         assert report.violation == (1, 1, 3, 1)
 
     def test_condition_one_not_a_permutation(self):
-        seq = ValidSequence(2, ((1, 1), (1, 2)))
+        seq = ValidSequence(((1, 1), (1, 2)))
         report = check_valid(seq, walsh(2))
         assert not report.ok and report.condition == 1
         assert "disc 1" in report.detail
 
     def test_condition_one_wrong_start(self):
-        seq = ValidSequence(2, ((1, 2), (2, 1)))
+        seq = ValidSequence(((1, 2), (2, 1)))
         report = check_valid(seq, walsh(2))
         assert not report.ok and report.condition == 1
         assert "disc 2" in report.detail
 
     def test_wraparound_pair_is_checked(self):
         # identical orderings whose only shared pair is (last, first)
-        seq = ValidSequence(2, ((1, 2), (1, 2)))
+        seq = ValidSequence(((1, 2), (1, 2)))
         m = IntMatrix.from_rows([[1, 1], [1, 1]])  # any +-1 matrix is allowed
         report = check_valid(seq, m)
         assert not report.ok and report.violation == (1, 1, 2, 1)
@@ -107,32 +101,59 @@ class TestChecker:
             check_valid(valid_sequence(2), walsh(4))
 
     def test_matches_bruteforce_on_mutations(self):
+        # swaps behind position 1 keep condition 1 (for n > 2); on every
+        # second trial a repeated label or a moved label 1 may break it, in
+        # up to three discs at once
         rng = random.Random(4242)
+        several_broken = 0
         for n in (2, 4, 8):
             w = walsh(n)
             rows = w.to_rows()
-            base = [list(p) for p in valid_sequence(n).perms]
-            for _ in range(60):
+            base = valid_sequence(n).perms.tolist()
+            for trial in range(120):
+                kinds = ("swap", "repeat", "move-1") if trial % 2 else ("swap",)
                 perms = [p[:] for p in base]
                 for _ in range(rng.randint(1, 3)):
-                    i = rng.randrange(n)
-                    if n > 2:
+                    p = perms[rng.randrange(n)]
+                    kind = rng.choice(kinds)
+                    if kind == "swap" and n > 2:
                         a, b = rng.sample(range(1, n), 2)
-                        perms[i][a], perms[i][b] = perms[i][b], perms[i][a]
+                    elif kind == "repeat":
+                        a, b = rng.sample(range(n), 2)
+                        p[a] = p[b]
+                        continue
                     else:
-                        perms[i] = perms[i][::-1]
-                got = check_valid(ValidSequence(n, tuple(tuple(p) for p in perms)), w)
+                        a, b = 0, rng.randrange(1, n)
+                    p[a], p[b] = p[b], p[a]
+                got = check_valid(ValidSequence(perms), w)
                 expected = check_valid_bruteforce(perms, rows)
                 if expected[0] == "ok":
                     assert got.ok
                 elif expected[0] == "cond1":
+                    disc = expected[1]
                     assert not got.ok and got.condition == 1
+                    assert got.detail.startswith(f"disc {disc}: ")
+                    permutes = sorted(perms[disc - 1]) == list(range(1, n + 1))
+                    assert ("starts with" in got.detail) == permutes
+                    several_broken += sum(sorted(p) != list(range(1, n + 1)) or p[0] != 1 for p in perms) > 1
                 else:
                     assert not got.ok and got.condition == 2
                     assert got.violation == expected[1]
+        assert several_broken >= 10
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            ValidSequence(2, ((1, 2),))
+            ValidSequence(((1, 2),))
         with pytest.raises(ValueError):
-            ValidSequence(2, ((1, 2, 3), (1, 2)))
+            ValidSequence(((1, 2, 3), (1, 2)))
+        with pytest.raises(ValueError):
+            ValidSequence(())
+        with pytest.raises(ValueError):
+            ValidSequence(((1.0, 2.0), (1.0, 2.0)))
+
+    def test_holds_one_read_only_int64_array(self):
+        seq = ValidSequence([[1, 2], [1, 2]])
+        assert seq.perms.dtype == np.int64 and seq.perms.shape == (2, 2) and seq.n == 2
+        with pytest.raises(ValueError):
+            seq.perms[0, 0] = 2
+        assert seq == valid_sequence(2) and seq != ValidSequence([[1, 2], [2, 1]])
