@@ -5,11 +5,11 @@ Smith-normal-form homology."""
 from .disc_complex import DiscComplexSpec, cellular_homology, from_matrix
 from .exactmat import (
     AbelianGroup,
-    IntMatrix,
     SnfResult,
     det_bareiss,
     free_group,
     group_from_factors,
+    int_matrix,
     smith_normal_form,
 )
 from .hadamard import augment, hadamard_snf_closed_form, is_hadamard, sylvester_double, walsh
@@ -34,7 +34,6 @@ __all__ = [
     "DiscComplexSpec",
     "FaceVector",
     "HomologyResult",
-    "IntMatrix",
     "SimplicialComplex2",
     "SnfResult",
     "ValidSequence",
@@ -57,6 +56,7 @@ __all__ = [
     "hmt_certificate",
     "hmt_face_vector",
     "hmt_torsion_group",
+    "int_matrix",
     "is_hadamard",
     "simplicial_homology",
     "smith_normal_form",

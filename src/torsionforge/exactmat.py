@@ -1,6 +1,8 @@
 """Exact integer matrix kernel: Bareiss determinant, Smith normal form,
 and canonical finitely generated abelian groups.
 
+A matrix is a 2-D numpy array as :func:`int_matrix` makes it: int64 when
+every entry fits, otherwise ``dtype=object`` holding Python ints.
 Everything here is exact at any magnitude.  Smith reduction runs the
 vectorized sweep in :mod:`torsionforge._kernels`, which starts on int64
 and, once an entry would outgrow the int64-safe bound, continues on int64
@@ -8,112 +10,68 @@ modulo a multiple of the determinant computed from the input (Hafner and
 McCurley 1991, with the largest invariant factor taken from a rational
 solve as in Saunders and Wan 2004), or on Python ints when no such modulus
 fits.  With transform matrices requested, the same sweep runs on Python
-ints throughout and records its operations in them.  Groups are put in invariant-factor form by gcd and lcm,
-with no factoring.  Only the prime-power view factors, and only the largest
-invariant factor, by trial division, Miller-Rabin and Pollard-Brent rho.
-Rho has a fixed step budget, and a probable prime above the Miller-Rabin
-bound cannot be certified; either way :class:`FactorizationBudgetError`
-names the cofactor.
+ints throughout and records its operations in them.  Groups are put in
+invariant-factor form by gcd and lcm, with no factoring.  Only the
+prime-power view factors, and only the largest invariant factor, by trial
+division, Miller-Rabin and Pollard-Brent rho.  Rho has a fixed step
+budget, and a probable prime above the Miller-Rabin bound cannot be
+certified; either way :class:`FactorizationBudgetError` names the
+cofactor.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from . import _kernels
 
+_INT64_MAX = np.iinfo(np.int64).max
 
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense row-major matrix of arbitrary-precision integers."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix needs at least one row and one column")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
-        for e in self.entries:
-            if not isinstance(e, int):
-                raise ValueError(f"non-integer entry {e!r}")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> IntMatrix:
-        rows = [list(r) for r in rows]
-        if not rows:
-            raise ValueError("matrix needs at least one row")
-        width = len(rows[0])
-        for i, r in enumerate(rows):
-            if len(r) != width:
-                raise ValueError(f"ragged matrix: row {i + 1} has {len(r)} entries, expected {width}")
-        flat = tuple(int(x) if isinstance(x, (int, np.integer)) else x for r in rows for x in r)
-        return cls(len(rows), width, flat)
-
-    def __getitem__(self, ij: tuple[int, int]) -> int:
-        i, j = ij
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"index {(i, j)} out of range for {self.rows}x{self.cols} matrix")
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
-
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise ValueError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        orows = other.to_rows()
-        for i in range(self.rows):
-            srow = self.row(i)
-            acc = [0] * other.cols
-            for t, s in enumerate(srow):
-                if s:
-                    orow = orows[t]
-                    for j in range(other.cols):
-                        acc[j] += s * orow[j]
-            out.append(acc)
-        return IntMatrix.from_rows(out)
-
-    @property
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
-    def __str__(self):
-        return "\n".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
+def int_matrix(rows: Iterable[Iterable[int]]) -> np.ndarray:
+    """The 2-D matrix of ``rows``: int64 when every entry fits, otherwise
+    ``dtype=object`` holding Python ints.  The dtype is never left to numpy's
+    inference, which makes ``[[-1, 2**63]]`` float64 and ``[[2**63]]``
+    uint64.  Rows must be non-empty, of one length, and hold ints."""
+    rows = [list(r) for r in rows]
+    # check each distinct entry type once, not each entry
+    kinds = set(map(type, itertools.chain.from_iterable(rows)))
+    bad = {t for t in kinds if not issubclass(t, (int, np.integer)) or issubclass(t, bool)}
+    if bad:
+        x = next(x for x in itertools.chain.from_iterable(rows) if type(x) in bad)
+        raise ValueError(f"non-integer matrix entry {x!r}")
+    width = len(rows[0]) if rows else 0
+    for i, r in enumerate(rows, start=1):
+        if len(r) != width:
+            raise ValueError(f"ragged matrix: row {i} has {len(r)} entries, expected {width}")
+    if not width:
+        raise ValueError("matrix needs at least one row and one column")
+    try:
+        return np.array(rows, dtype=np.int64)
+    except OverflowError:
+        return np.array([[int(x) for x in r] for r in rows], dtype=object)
 
 
 @dataclass(frozen=True)
 class SnfResult:
     """Smith normal form ``original = s @ a @ t`` with unimodular s, t.
 
-    ``s`` and ``t`` are only populated when transforms were requested;
-    ``invariant_factors`` are the positive diagonal entries (zeros trimmed,
-    unit factors kept), chain-divisible.
+    ``s`` and ``t`` are only populated when transforms were requested, as
+    ``dtype=object`` arrays of Python ints, so products with them are exact;
+    ``a`` is int64 unless its diagonal outgrows it.  ``invariant_factors``
+    are the positive diagonal entries (zeros trimmed, unit factors kept),
+    chain-divisible.
     """
 
-    a: IntMatrix
-    s: IntMatrix | None
-    t: IntMatrix | None
+    a: np.ndarray
+    s: np.ndarray | None
+    t: np.ndarray | None
     invariant_factors: tuple[int, ...]
 
     @property
@@ -367,12 +325,12 @@ def free_group(rank: int) -> AbelianGroup:
     return AbelianGroup(rank, ())
 
 
-def det_bareiss(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free elimination."""
-    if not m.is_square:
-        raise ValueError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    a = m.to_rows()
+def det_bareiss(m: np.ndarray) -> int:
+    """Exact determinant by fraction-free elimination on Python ints."""
+    n, cols = m.shape
+    if n != cols:
+        raise ValueError(f"determinant needs a square matrix, got {n}x{cols}")
+    a = m.tolist()
     sign = 1
     prev = 1
     for t in range(n - 1):
@@ -398,41 +356,31 @@ def det_bareiss(m: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def smith_normal_form(m: IntMatrix, transforms: bool = False) -> SnfResult:
+def smith_normal_form(m: np.ndarray, transforms: bool = False) -> SnfResult:
     """Smith normal form with divisibility-ordered nonnegative diagonal.
 
-    The vectorized sweep of :mod:`torsionforge._kernels` runs on int64
-    while entries stay small, then modulo a determinant multiple or on
-    Python ints.  With ``transforms`` it runs on Python ints throughout and
-    records its row and column operations in ``s`` and ``t``, which start
-    as identities; an all-zero matrix keeps them so.
+    ``m`` is a matrix as :func:`int_matrix` makes it.  The vectorized sweep
+    of :mod:`torsionforge._kernels` runs on int64 while entries stay small,
+    then modulo a determinant multiple or on Python ints.  With
+    ``transforms`` it runs on Python ints throughout and records its row and
+    column operations in ``s`` and ``t``, which start as identities; an
+    all-zero matrix keeps them so.
     """
+    if m.ndim != 2 or m.dtype not in (np.int64, object):
+        raise ValueError(f"expected a 2-D int64 or object matrix, got {m.ndim}-D {m.dtype}")
     bound = _kernels.ENTRY_BOUND
-    try:
-        a = np.array(m.entries, dtype=np.int64)
-        if a.max() > bound or a.min() < -bound:
-            a = a.astype(object)
-    except OverflowError:
-        a = np.array(m.entries, dtype=object)
+    if m.dtype == np.int64 and (m.max() > bound or m.min() < -bound):
+        m = m.astype(object)
     s = t = None
     if transforms:
-        s, t = np.identity(m.rows, dtype=object), np.identity(m.cols, dtype=object)
-    diag = _kernels.smith_diagonal_int64(a.reshape(m.rows, m.cols), s, t)
-    return SnfResult(
-        a=_diag_matrix(m.rows, m.cols, diag),
-        s=None if s is None else IntMatrix.from_rows(s.tolist()),
-        t=None if t is None else IntMatrix.from_rows(t.tolist()),
-        invariant_factors=tuple(diag),
-    )
+        s, t = np.identity(len(m), dtype=object), np.identity(m.shape[1], dtype=object)
+    diag = _kernels.smith_diagonal_int64(m, s, t)
+    a = np.zeros(m.shape, dtype=np.int64 if not diag or diag[-1] <= _INT64_MAX else object)
+    r = np.arange(len(diag))
+    a[r, r] = np.array(diag, dtype=a.dtype)
+    return SnfResult(a, s, t, tuple(diag))
 
 
-def _diag_matrix(rows: int, cols: int, diag: Sequence[int]) -> IntMatrix:
-    flat = [0] * (rows * cols)
-    for i, d in enumerate(diag):
-        flat[i * cols + i] = int(d)
-    return IntMatrix(rows, cols, tuple(flat))
-
-
-def rank(m: IntMatrix) -> int:
+def rank(m: np.ndarray) -> int:
     """Rank over the integers (= rank over Q)."""
     return smith_normal_form(m).rank

@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .exactmat import IntMatrix
+from .exactmat import int_matrix
 from .triangulation import SimplicialComplex2, make_complex
 from .valid_sequences import ValidSequence
 
@@ -50,7 +50,9 @@ def _parse_int(tok: str, line: int, col: int) -> int:
         raise FileFormatError(f"expected an integer, got {tok!r}", line, col) from None
 
 
-def read_matrix(text: str) -> IntMatrix:
+def read_matrix(text: str) -> np.ndarray:
+    """The matrix of a text or JSON matrix file, as :func:`int_matrix`
+    makes it: int64 when every entry fits, otherwise Python ints."""
     if text.lstrip().startswith("{"):
         return _read_matrix_json(text)
     try:
@@ -58,11 +60,12 @@ def read_matrix(text: str) -> IntMatrix:
     except ValueError:
         values = []
     if len(values) >= 2 and min(values[:2]) >= 1 and len(values) == values[0] * values[1] + 2:
-        return IntMatrix(values[0], values[1], tuple(values[2:]))
+        rows, cols = values[:2]
+        return int_matrix(values[2 + i * cols : 2 + (i + 1) * cols] for i in range(rows))
     return _read_matrix_with_positions(text)
 
 
-def _read_matrix_with_positions(text: str) -> IntMatrix:
+def _read_matrix_with_positions(text: str) -> np.ndarray:
     """The token-by-token parse that reports the line and column where a
     matrix file is malformed; :func:`read_matrix` runs it only on text its
     single pass rejects."""
@@ -81,10 +84,10 @@ def _read_matrix_with_positions(text: str) -> IntMatrix:
         extra = body[need]
         raise FileFormatError("unexpected extra token after matrix entries", extra[1], extra[2])
     entries = [_parse_int(*t) for t in body]
-    return IntMatrix(rows, cols, tuple(entries))
+    return int_matrix(entries[i * cols : (i + 1) * cols] for i in range(rows))
 
 
-def _read_matrix_json(text: str) -> IntMatrix:
+def _read_matrix_json(text: str) -> np.ndarray:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -94,20 +97,17 @@ def _read_matrix_json(text: str) -> IntMatrix:
     rows = obj["rows"]
     if not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows):
         raise FileFormatError('"rows" must be a non-empty list of integer lists')
-    for r in rows:
-        for x in r:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise FileFormatError(f"non-integer matrix entry {x!r}")
     try:
-        return IntMatrix.from_rows(rows)
+        return int_matrix(rows)
     except ValueError as e:
         raise FileFormatError(str(e)) from None
 
 
-def write_matrix(m: IntMatrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    lines.extend(" ".join(str(x) for x in m.row(i)) for i in range(m.rows))
-    return "\n".join(lines) + "\n"
+def write_matrix(m: np.ndarray) -> str:
+    """The ``rows cols`` header, then each row through one format string."""
+    rows, cols = m.shape
+    line = " ".join(["%d"] * cols) + "\n"
+    return f"{rows} {cols}\n" + "".join([line % tuple(row) for row in m.tolist()])
 
 
 def _int_table(text: str) -> np.ndarray | None:

@@ -1,5 +1,6 @@
 """Walsh-Hadamard matrices, Sylvester doubling, the digon-augmented matrix,
-and the closed form of their Smith normal form.
+and the closed form of their Smith normal form.  Each matrix is an int64
+numpy array, built by block arithmetic.
 
 Only the Sylvester/Walsh family (orders 2^k) is generated; other Hadamard
 orders are out of scope.
@@ -10,8 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .exactmat import IntMatrix
 
 
 def is_power_of_two(n: int) -> bool:
@@ -24,31 +23,28 @@ def _require_power_of_two(n: int) -> int:
     return n.bit_length() - 1
 
 
-def walsh(n: int) -> IntMatrix:
+def walsh(n: int) -> np.ndarray:
     """The order-n Walsh matrix, built by repeated Sylvester doubling from (1)."""
     _require_power_of_two(n)
-    rows = [[1]]
-    while len(rows) < n:
-        rows = [r + r for r in rows] + [r + [-x for x in r] for r in rows]
-    return IntMatrix.from_rows(rows)
+    h = np.ones((1, 1), dtype=np.int64)
+    while len(h) < n:
+        h = np.block([[h, h], [h, -h]])
+    return h
 
 
-def is_hadamard(m: IntMatrix) -> bool:
+def is_hadamard(m: np.ndarray) -> bool:
     """Square, all entries +-1, rows mutually orthogonal."""
-    if not m.is_square:
+    n, cols = m.shape
+    if n != cols or not (np.abs(m) == 1).all():
         return False
-    if any(e not in (1, -1) for e in m.entries):
-        return False
-    a = np.array(m.to_rows(), dtype=np.int64)
-    return bool(np.array_equal(a @ a.T, m.rows * np.eye(m.rows, dtype=np.int64)))
+    return bool(np.array_equal(m @ m.T, n * np.eye(n, dtype=np.int64)))
 
 
-def sylvester_double(h: IntMatrix) -> IntMatrix:
+def sylvester_double(h: np.ndarray) -> np.ndarray:
     """Double a Hadamard matrix: block layout (H H; H -H)."""
     if not is_hadamard(h):
         raise ValueError("sylvester doubling needs a Hadamard matrix (+-1 entries, orthogonal rows)")
-    rows = h.to_rows()
-    return IntMatrix.from_rows([r + r for r in rows] + [r + [-x for x in r] for r in rows])
+    return np.block([[h, h], [h, -h]])
 
 
 def hadamard_snf_closed_form(n: int) -> tuple[int, ...]:
@@ -64,27 +60,17 @@ def hadamard_snf_closed_form(n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def augment(h: IntMatrix) -> IntMatrix:
+def augment(h: np.ndarray) -> np.ndarray:
     """Split each column into positive/negative parts and append digon rows.
 
     Column j of the n x n input becomes columns 2j-1 (its positive entries)
     and 2j (absolute values of its negative entries); row n+j marks the
     digon joining the two copies with 1s in those columns.
     """
-    if not h.is_square:
-        raise ValueError(f"augmentation needs a square matrix, got {h.rows}x{h.cols}")
-    if any(e not in (1, -1) for e in h.entries):
+    n, cols = h.shape
+    if n != cols:
+        raise ValueError(f"augmentation needs a square matrix, got {n}x{cols}")
+    if not (np.abs(h) == 1).all():
         raise ValueError("augmentation needs +-1 entries")
-    n = h.rows
-    out = []
-    for i in range(n):
-        row = []
-        for x in h.row(i):
-            row.extend((1, 0) if x > 0 else (0, 1))
-        out.append(row)
-    for j in range(n):
-        row = [0] * (2 * n)
-        row[2 * j] = 1
-        row[2 * j + 1] = 1
-        out.append(row)
-    return IntMatrix.from_rows(out)
+    parts = np.stack([h > 0, h < 0], axis=2).reshape(n, 2 * n)
+    return np.vstack([parts, np.repeat(np.eye(n, dtype=np.int64), 2, axis=1)])

@@ -5,7 +5,8 @@ The boundaries are assembled once as sparse rows: an edge is the pair of
 its endpoint indices, a triangle a ``{edge index: +-1}`` row.  Both
 indices come from :func:`torsionforge.triangulation.validate_complex`,
 whose closure check finds them, so this module never indexes a complex
-itself and only adds the signs.  Following
+itself and only adds the signs; :func:`boundary_matrices` fills dense
+int64 d1 and d2 straight from the same index arrays.  Following
 Dumas, Heckenbach, Saunders and Welker (2003), most of the work never
 reaches a dense Smith form:
 
@@ -14,8 +15,9 @@ reaches a dense Smith form:
   sparsest column first, each adding 1 to rank d2 and a unit invariant
   factor;
 - only the rows and columns still nonzero afterwards (the core) are
-  densified and passed to :func:`torsionforge.exactmat.smith_normal_form`,
-  which supplies the remaining rank and every torsion coefficient.
+  densified into a numpy matrix, int64 unless an entry outgrows it, and
+  passed to :func:`torsionforge.exactmat.smith_normal_form`, which
+  supplies the remaining rank and every torsion coefficient.
 
 Unimodular row and column operations leave the invariant factors
 unchanged, so the result equals the Smith form of the full d2.  Simplices
@@ -27,8 +29,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactmat import AbelianGroup, IntMatrix, free_group, group_from_factors, smith_normal_form
-from .triangulation import SimplicialComplex2, validate_complex
+import numpy as np
+
+from .exactmat import AbelianGroup, free_group, group_from_factors, int_matrix, smith_normal_form
+from .triangulation import SimplicialComplex2, ValidationReport, validate_complex
 
 
 @dataclass(frozen=True)
@@ -44,25 +48,32 @@ class HomologyResult:
         return f"H0 = {self.h0}; H1 = {self.h1}; H2 = {self.h2}"
 
 
-def _sparse_boundaries(k: SimplicialComplex2) -> tuple[int, list[tuple[int, int]], list[dict[int, int]]]:
-    """Validate ``k`` and assemble its boundaries sparsely.
-
-    Returns (vertex count, d1, d2): d1 lists each edge as its (tail, head)
-    vertex indices, d2 each triangle as a ``{edge index: +-1}`` row.
-    Simplex indices follow the sorted orders of the complex; both come
-    from the index arrays of the validation report.
-    """
+def _validated(k: SimplicialComplex2) -> ValidationReport:
+    """The validation report of ``k``, whose index arrays give the
+    boundaries; ValueError if ``k`` is invalid or has no triangles."""
     report = validate_complex(k)
     if not report.ok:
         raise ValueError("invalid complex: " + "; ".join(report.problems[:5]))
     if not len(k.triangles):
         raise ValueError("complex has no triangles")
+    return report
+
+
+def _sparse_boundaries(k: SimplicialComplex2) -> tuple[int, list[tuple[int, int]], list[dict[int, int]]]:
+    """Validate ``k`` and assemble its boundaries sparsely.
+
+    Returns (vertex count, d1, d2): d1 lists each edge as its (tail, head)
+    vertex indices, d2 each triangle as a ``{edge index: +-1}`` row.
+    Simplex indices follow the sorted orders of the complex.
+    """
+    report = _validated(k)
     d2 = [{ab: 1, ac: -1, bc: 1} for ab, ac, bc in zip(*report.triangle_edges.T.tolist())]
     return len(k.labels), list(zip(*report.edge_vertices.T.tolist())), d2
 
 
-def _densify(rows: list[dict[int, int]], columns) -> IntMatrix:
-    """Dense matrix of sparse ``rows`` over the listed column ids."""
+def _densify(rows: list[dict[int, int]], columns) -> np.ndarray:
+    """Dense matrix of sparse ``rows`` over the listed column ids, int64
+    unless an entry outgrows it (a Speyer core holds k itself)."""
     where = {c: t for t, c in enumerate(columns)}
     dense = []
     for row in rows:
@@ -70,18 +81,24 @@ def _densify(rows: list[dict[int, int]], columns) -> IntMatrix:
         for c, v in row.items():
             line[where[c]] = v
         dense.append(line)
-    return IntMatrix.from_rows(dense)
+    return int_matrix(dense)
 
 
-def boundary_matrices(k: SimplicialComplex2) -> tuple[IntMatrix, IntMatrix]:
-    """(edges x vertices, triangles x edges) boundary matrices, densified.
+def boundary_matrices(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
+    """(edges x vertices, triangles x edges) dense int64 boundary matrices.
 
     Row (a, b) of the first has -1 at a and +1 at b; row (a, b, c) of the
     second has +1 at (a,b), -1 at (a,c), +1 at (b,c).  Their composition
-    vanishes.  Simplex indices follow the sorted orders of the complex.
+    vanishes.  Simplex indices follow the sorted orders of the complex and
+    come from the index arrays of the validation report.
     """
-    n0, d1, d2 = _sparse_boundaries(k)
-    return _densify([{a: -1, b: 1} for a, b in d1], range(n0)), _densify(d2, range(len(d1)))
+    report = _validated(k)
+    ev, te = report.edge_vertices, report.triangle_edges
+    d1 = np.zeros((len(ev), len(k.labels)), dtype=np.int64)
+    d1[np.arange(len(ev))[:, None], ev] = (-1, 1)
+    d2 = np.zeros((len(te), len(ev)), dtype=np.int64)
+    d2[np.arange(len(te))[:, None], te] = (1, -1, 1)
+    return d1, d2
 
 
 def _component_count(n0: int, edges: list[tuple[int, int]]) -> int:

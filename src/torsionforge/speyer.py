@@ -5,13 +5,14 @@ The torsion of the complex has order k on O(log k) vertices.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .disc_complex import from_matrix
-from .exactmat import IntMatrix
 from .triangulation import SimplicialComplex2, triangulate_generic
 
 
-def speyer_matrix(k: int) -> IntMatrix:
-    """(m+1) x (m+1) matrix with det k, for k >= 2 with m = floor(log2 k).
+def speyer_matrix(k: int) -> np.ndarray:
+    """(m+1) x (m+1) int64 matrix with det k, for k >= 2 with m = floor(log2 k).
 
     The first row alternates the signs of the binary digits of k (leading
     digit first); each lower row carries a 1 on the diagonal and a 2 just
@@ -20,15 +21,9 @@ def speyer_matrix(k: int) -> IntMatrix:
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k}")
     digits = [int(c) for c in bin(k)[2:]]
-    m = len(digits) - 1
-    first = [(-1) ** i * d for i, d in enumerate(digits)]
-    rows = [first]
-    for r in range(1, m + 1):
-        row = [0] * (m + 1)
-        row[r - 1] = 1
-        row[r] = 2
-        rows.append(row)
-    return IntMatrix.from_rows(rows)
+    out = np.eye(len(digits), k=-1, dtype=np.int64) + 2 * np.eye(len(digits), dtype=np.int64)
+    out[0] = [(-1) ** i * d for i, d in enumerate(digits)]
+    return out
 
 
 def build_speyer_complex(k: int) -> SimplicialComplex2:

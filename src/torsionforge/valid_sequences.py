@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exactmat import IntMatrix
 from .hadamard import _require_power_of_two
 
 
@@ -58,7 +57,7 @@ class ValidityReport:
         return self.ok
 
 
-def check_valid(seq: ValidSequence, m: IntMatrix) -> ValidityReport:
+def check_valid(seq: ValidSequence, m: np.ndarray) -> ValidityReport:
     """Check a sequence against a +-1 square matrix.
 
     Condition 1: every ordering is a permutation of 1..n starting with 1;
@@ -72,11 +71,11 @@ def check_valid(seq: ValidSequence, m: IntMatrix) -> ValidityReport:
     lexicographically first violating (disc1, pos1, disc2, pos2) is the
     repeat whose first position comes first.
     """
-    if not set(m.entries) <= {1, -1}:
+    if not (np.abs(m) == 1).all():
         raise ValueError("validity is defined against a matrix with +-1 entries")
     n = seq.n
-    if not m.is_square or m.rows != n:
-        raise ValueError(f"sequence for n={n} cannot be checked against a {m.rows}x{m.cols} matrix")
+    if m.shape != (n, n):
+        raise ValueError(f"sequence for n={n} cannot be checked against a {len(m)}x{m.shape[1]} matrix")
     perms = seq.perms
     not_perm = (np.sort(perms, axis=1) != np.arange(1, n + 1)).any(axis=1)
     bad = np.flatnonzero(not_perm | (perms[:, 0] != 1))
@@ -86,7 +85,7 @@ def check_valid(seq: ValidSequence, m: IntMatrix) -> ValidityReport:
             return ValidityReport(False, 1, f"disc {i + 1}: not a permutation of 1..{n}")
         return ValidityReport(False, 1, f"disc {i + 1}: ordering starts with {perms[i, 0]}, not 1")
 
-    negative = np.array(m.entries).reshape(n, n) < 0
+    negative = m < 0
     sign = np.take_along_axis(negative, perms - 1, axis=1)
     succ = np.roll(perms, -1, axis=1)
     keys = ((((perms - 1) * n + succ - 1) * 2 + sign) * 2 + np.roll(sign, -1, axis=1)).ravel()

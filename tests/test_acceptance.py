@@ -7,11 +7,10 @@ scaling criterion is a non-gating report by design.
 import random
 import time
 
-import numpy as np
 import pytest
 
 from torsionforge.disc_complex import cellular_homology, from_matrix
-from torsionforge.exactmat import IntMatrix, det_bareiss, group_from_factors, smith_normal_form
+from torsionforge.exactmat import det_bareiss, group_from_factors, int_matrix, smith_normal_form
 from torsionforge.hadamard import hadamard_snf_closed_form, walsh
 from torsionforge.hmt_builder import build_hmt, hmt_face_vector, hmt_torsion_group
 from torsionforge.homology import boundary_matrices, simplicial_homology
@@ -121,7 +120,7 @@ def test_criterion_7_homology_route_equivalence():
             continue
         if not all(any(row[j] for row in rows) for j in range(c)):
             continue
-        m = IntMatrix.from_rows(rows)
+        m = int_matrix(rows)
         expected = cellular_homology(m)
         for ordering in ("grouped", "interleaved"):
             got = simplicial_homology(triangulate_generic(from_matrix(m, ordering)))
@@ -142,13 +141,13 @@ def test_criterion_8_structural_invariants():
         rows = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(r)]
         if not all(any(row) for row in rows) or not all(any(row[j] for row in rows) for j in range(c)):
             continue
-        complexes.append(triangulate_generic(from_matrix(IntMatrix.from_rows(rows))))
+        complexes.append(triangulate_generic(from_matrix(int_matrix(rows))))
 
     ok = True
     for k in complexes:
         ok = ok and validate_complex(k).ok
         d1, d2 = boundary_matrices(k)
-        composed = np.array(d2.to_rows(), dtype=np.int64) @ np.array(d1.to_rows(), dtype=np.int64)
+        composed = d2 @ d1
         ok = ok and not composed.any()
         fv = face_vector(k)
         hom = simplicial_homology(k)

@@ -3,10 +3,11 @@ import io
 import json
 import time
 
+import numpy as np
 import pytest
 
 from torsionforge.cli import main
-from torsionforge.exactmat import IntMatrix
+from torsionforge.exactmat import int_matrix
 from torsionforge.fileio import read_matrix, write_matrix
 from torsionforge.hadamard import walsh
 
@@ -41,7 +42,7 @@ T:
 0 -23900 0 0 1314501
 0 1 0 0 -55
 """),
-    "walsh4": (walsh(4).to_rows(), """\
+    "walsh4": (walsh(4).tolist(), """\
 invariant_factors: 1 2 2 4
 rank: 4
 S:
@@ -120,6 +121,61 @@ T:
 }
 
 
+# matrix files with entries past int64 and their `snf --transforms` stdout;
+# `snf` prints its first two lines.  Left to numpy's dtype inference, the
+# first file reads as float64 and the second as uint64.
+SNF_BIG_INT_GOLDEN = {
+    "float64-trap": ("2 2\n-1 9223372036854775808\n3 5\n", """\
+invariant_factors: 1 27670116110564327429
+rank: 2
+S:
+2 2
+-1 0
+3 1
+A:
+2 2
+1 0
+0 27670116110564327429
+T:
+2 2
+1 -9223372036854775808
+0 1
+"""),
+    "uint64-trap": ("2 3\n9223372036854775813 6 4\n2 18446744073709551615 8\n", """\
+invariant_factors: 1 3
+rank: 2
+S:
+2 2
+9223372036854775813 4611686018427387906
+2 1
+A:
+2 3
+1 0 0
+0 3 0
+T:
+3 3
+1 -85070591730234615898125453986933768184 -36893488147419103244
+0 56713727820156410604899217349192362661 24595658764946068832
+0 19242157653267353598420212030506507896 8344955652392416211
+"""),
+    "json-past-int64": ('{"rows": [[1180591620717411303424, 6], [10, -36893488147419103232]]}\n', """\
+invariant_factors: 2 21778071482940061661655974875633165533214
+rank: 2
+S:
+2 2
+3 1
+-18446744073709551616 -6148914691236517205
+A:
+2 2
+2 0
+0 21778071482940061661655974875633165533214
+T:
+2 2
+-3629678580490010276745897209152625704965 1
+1 0
+"""),
+}
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -130,12 +186,12 @@ class TestWalsh:
     def test_emits_matrix(self, capsys):
         code, out, _ = run(capsys, "walsh", "--n", "4")
         assert code == 0
-        assert read_matrix(out) == walsh(4)
+        assert np.array_equal(read_matrix(out), walsh(4))
 
     def test_augment_flag(self, capsys):
         code, out, _ = run(capsys, "walsh", "--n", "2", "--augment")
         assert code == 0
-        assert read_matrix(out).to_rows() == [
+        assert read_matrix(out).tolist() == [
             [1, 0, 1, 0],
             [1, 0, 0, 1],
             [1, 1, 0, 0],
@@ -315,21 +371,40 @@ class TestPipelines:
         code, out, _ = run(capsys, "snf", "--transforms")
         assert code == 0
         assert "S:" in out and "A:" in out and "T:" in out
-        m = IntMatrix.from_rows([[2, 4], [6, 8]])
+        m = int_matrix([[2, 4], [6, 8]])
         blocks = {}
         for name in ("S", "A", "T"):
             start = out.index(f"{name}:\n") + len(name) + 2
             rest = out[start:]
             blocks[name] = read_matrix("\n".join(rest.splitlines()[:3]))
-        assert blocks["S"] @ blocks["A"] @ blocks["T"] == m
+        assert np.array_equal(blocks["S"] @ blocks["A"] @ blocks["T"], m)
 
     @pytest.mark.parametrize("name", sorted(SNF_TRANSFORMS_GOLDEN))
     def test_snf_transforms_golden(self, name, capsys, monkeypatch):
         rows, golden = SNF_TRANSFORMS_GOLDEN[name]
-        monkeypatch.setattr("sys.stdin", io.StringIO(write_matrix(IntMatrix.from_rows(rows))))
+        monkeypatch.setattr("sys.stdin", io.StringIO(write_matrix(int_matrix(rows))))
         code, out, _ = run(capsys, "snf", "--transforms")
         assert code == 0
         assert out == golden
+
+    @pytest.mark.parametrize("transforms", [False, True], ids=["snf", "transforms"])
+    @pytest.mark.parametrize("name", sorted(SNF_BIG_INT_GOLDEN))
+    def test_snf_big_int_golden(self, name, transforms, capsys, tmp_path):
+        text, golden = SNF_BIG_INT_GOLDEN[name]
+        matfile = tmp_path / "m.txt"
+        matfile.write_text(text)
+        argv = ["snf", "--matrix", str(matfile)] + ["--transforms"] * transforms
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out == (golden if transforms else "".join(golden.splitlines(keepends=True)[:2]))
+
+    def test_triangulate_rejects_huge_word_quickly(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n1000000000000\n"))
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "triangulate")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert "error: matrix needs 1000000000000 boundary letters" in err
 
     def test_malformed_matrix_reports_position(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("2 2\n1 oops\n3 4\n"))

@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,11 +10,11 @@ from torsionforge import exactmat
 from torsionforge.exactmat import (
     AbelianGroup,
     FactorizationBudgetError,
-    IntMatrix,
     _prime_factors,
     det_bareiss,
     free_group,
     group_from_factors,
+    int_matrix,
     smith_normal_form,
 )
 from torsionforge.hadamard import walsh
@@ -26,39 +27,59 @@ def matrices(max_dim=6, lo=-5, hi=5):
     return st.integers(1, max_dim).flatmap(
         lambda r: st.integers(1, max_dim).flatmap(
             lambda c: st.lists(st.integers(lo, hi), min_size=r * c, max_size=r * c).map(
-                lambda es: IntMatrix(r, c, tuple(es))
+                lambda es: int_matrix(es[i * c : (i + 1) * c] for i in range(r))
             )
         )
     )
 
 
-class TestIntMatrix:
+class TestMatrixConstructor:
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            IntMatrix(2, 2, (1, 2, 3))
-        with pytest.raises(ValueError):
-            IntMatrix(0, 1, ())
-        with pytest.raises(ValueError):
-            IntMatrix.from_rows([[1, 2], [3]])
-        with pytest.raises(ValueError):
-            IntMatrix.from_rows([[1.5]])
+        with pytest.raises(ValueError, match="ragged matrix: row 2 has 1 entries, expected 2"):
+            int_matrix([[1, 2], [3]])
+        for empty in ([], [[]], [[], []]):
+            with pytest.raises(ValueError, match="matrix needs at least one row and one column"):
+                int_matrix(empty)
+        with pytest.raises(ValueError, match="ragged matrix: row 2 has 1 entries, expected 0"):
+            int_matrix([[], [1]])
+        for bad in (1.5, 2.0, True, np.bool_(False), "3"):
+            with pytest.raises(ValueError, match=f"non-integer matrix entry {bad!r}"):
+                int_matrix([[1, bad]])
+
+    def test_dtype_is_int64_when_every_entry_fits(self):
+        for rows in ([[1, 2], [3, 4]], [[-(2**63), 2**63 - 1]], [[np.int64(5), np.int32(-7)]]):
+            m = int_matrix(rows)
+            assert m.dtype == np.int64 and m.tolist() == [[int(x) for x in r] for r in rows]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[[-1, 2**63]], [[2**63]], [[2**64 - 1, 0]], [[3, -(2**63) - 1]], [[np.int64(-1), 2**200]]],
+        ids=["float64-trap", "uint64-trap", "uint64-max", "below-int64", "numpy-and-python"],
+    )
+    def test_object_holds_python_ints_past_int64(self, rows):
+        m = int_matrix(rows)
+        assert m.dtype == object
+        assert all(type(x) is int for x in m.ravel())
+        assert m.tolist() == [[int(x) for x in r] for r in rows]
 
     def test_accessors(self):
-        m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+        m = int_matrix([[1, 2, 3], [4, 5, 6]])
         assert m[1, 2] == 6
-        assert m.row(0) == (1, 2, 3)
-        assert m.transpose().to_rows() == [[1, 4], [2, 5], [3, 6]]
-        assert (m @ m.transpose()).to_rows() == [[14, 32], [32, 77]]
+        assert m[0].tolist() == [1, 2, 3]
+        assert m.T.tolist() == [[1, 4], [2, 5], [3, 6]]
+        assert (m @ m.T).tolist() == [[14, 32], [32, 77]]
+        big = int_matrix([[2**64, 1], [0, 1]])
+        assert (big @ big.T).tolist() == [[2**128 + 1, 1], [1, 1]]
 
     def test_big_entries_survive(self):
         big = 2**300
-        m = IntMatrix.from_rows([[big]])
+        m = int_matrix([[big]])
         assert det_bareiss(m) == big
 
 
 class TestDet:
     def test_identity(self):
-        assert det_bareiss(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
+        assert det_bareiss(int_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
 
     def test_walsh4_attains_hadamard_bound(self):
         assert abs(det_bareiss(walsh(4))) == 16
@@ -68,76 +89,87 @@ class TestDet:
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            det_bareiss(IntMatrix.from_rows([[1, 2]]))
+            det_bareiss(int_matrix([[1, 2]]))
 
     def test_singular(self):
-        assert det_bareiss(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
+        assert det_bareiss(int_matrix([[1, 2], [2, 4]])) == 0
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(max_dim=5))
     def test_matches_cofactor_expansion(self, m):
-        if not m.is_square:
-            m = IntMatrix.from_rows([r[: min(m.rows, m.cols)] for r in m.to_rows()[: min(m.rows, m.cols)]])
-        assert det_bareiss(m) == det_cofactor(m.to_rows())
+        k = min(m.shape)
+        m = m[:k, :k]
+        assert det_bareiss(m) == det_cofactor(m.tolist())
 
 
 class TestSmith:
     def test_row_vector(self):
-        assert smith_normal_form(IntMatrix.from_rows([[2, 2]])).invariant_factors == (2,)
+        assert smith_normal_form(int_matrix([[2, 2]])).invariant_factors == (2,)
 
     def test_walsh2(self):
         assert smith_normal_form(walsh(2)).invariant_factors == (1, 2)
 
     def test_identity(self):
         for n in (1, 2, 5):
-            eye = IntMatrix.from_rows([[int(i == j) for j in range(n)] for i in range(n)])
+            eye = int_matrix([[int(i == j) for j in range(n)] for i in range(n)])
             assert smith_normal_form(eye).invariant_factors == (1,) * n
 
     def test_speyer11(self):
         assert smith_normal_form(speyer_matrix(11)).invariant_factors == (1, 1, 1, 11)
 
     def test_zero_matrix_convention(self):
-        zero = IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]])
+        zero = int_matrix([[0, 0, 0], [0, 0, 0]])
         res = smith_normal_form(zero, transforms=True)
         assert res.invariant_factors == ()
-        assert res.s == IntMatrix.from_rows([[1, 0], [0, 1]])
-        assert res.t == IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert res.a == zero
+        assert np.array_equal(res.s, int_matrix([[1, 0], [0, 1]]))
+        assert np.array_equal(res.t, int_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        assert np.array_equal(res.a, zero)
+        assert res.s.dtype == res.t.dtype == object and res.a.dtype == np.int64
         assert smith_normal_form(zero).s is None
 
     def test_transforms_absent_by_default(self):
         res = smith_normal_form(walsh(2))
         assert res.s is None and res.t is None
 
+    def test_non_integer_array_rejected(self):
+        for bad in (np.ones((2, 2)), np.ones((2, 2), dtype=np.int32), np.ones(3, dtype=np.int64)):
+            with pytest.raises(ValueError, match="expected a 2-D int64 or object matrix"):
+                smith_normal_form(bad)
+
+    def test_diagonal_past_int64_is_object(self):
+        res = smith_normal_form(int_matrix([[2**64, 0], [0, 3]]))
+        assert res.invariant_factors == (1, 3 * 2**64)
+        assert res.a.dtype == object and res.a.tolist() == [[1, 0], [0, 3 * 2**64]]
+
     @settings(max_examples=80, deadline=None)
     @given(matrices())
     def test_sat_decomposition_exact(self, m):
         res = smith_normal_form(m, transforms=True)
-        assert res.s @ res.a @ res.t == m
+        assert np.array_equal(res.s @ res.a @ res.t, m)
         assert det_bareiss(res.s) in (1, -1)
         assert det_bareiss(res.t) in (1, -1)
-        diag = [res.a[i, i] for i in range(min(m.rows, m.cols))]
+        diag = [res.a[i, i] for i in range(min(m.shape))]
         assert all(d >= 0 for d in diag)
         nz = [d for d in diag if d]
         assert nz == list(res.invariant_factors)
         for x, y in zip(nz, nz[1:]):
             assert y % x == 0
         # off-diagonal must vanish
-        for i in range(m.rows):
-            for j in range(m.cols):
+        for i in range(len(m)):
+            for j in range(m.shape[1]):
                 if i != j:
                     assert res.a[i, j] == 0
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(max_dim=4, lo=-5, hi=5))
     def test_matches_minor_gcd_oracle(self, m):
-        expected = snf_factors_by_minor_gcds(m.to_rows())
+        expected = snf_factors_by_minor_gcds(m.tolist())
         assert list(smith_normal_form(m).invariant_factors) == expected
 
     @settings(max_examples=50, deadline=None)
     @given(matrices(max_dim=5))
     def test_det_is_product_of_factors(self, m):
-        if not m.is_square:
+        if m.shape[0] != m.shape[1]:
             return
         d = det_bareiss(m)
         factors = smith_normal_form(m).invariant_factors
@@ -147,16 +179,16 @@ class TestSmith:
                 prod *= f
             assert prod == abs(d)
         else:
-            assert len(factors) < m.rows
+            assert len(factors) < len(m)
 
     @settings(max_examples=50, deadline=None)
     @given(matrices(), st.randoms(use_true_random=False))
     def test_permutation_invariance(self, m, rng):
-        rows = m.to_rows()
+        rows = m.tolist()
         rng.shuffle(rows)
-        cols = list(range(m.cols))
+        cols = list(range(m.shape[1]))
         rng.shuffle(cols)
-        shuffled = IntMatrix.from_rows([[r[j] for j in cols] for r in rows])
+        shuffled = int_matrix([[r[j] for j in cols] for r in rows])
         assert (
             smith_normal_form(shuffled).invariant_factors
             == smith_normal_form(m).invariant_factors
@@ -165,7 +197,7 @@ class TestSmith:
     @settings(max_examples=60, deadline=None)
     @given(matrices())
     def test_fast_path_agrees_with_exact(self, m):
-        assert list(smith_normal_form(m).invariant_factors) == snf_factors(m.to_rows())
+        assert list(smith_normal_form(m).invariant_factors) == snf_factors(m.tolist())
 
     def test_sympy_cross_check(self):
         sympy = pytest.importorskip("sympy")
@@ -176,13 +208,13 @@ class TestSmith:
         for _ in range(15):
             r = rng.randint(2, 6)
             mats.append(
-                IntMatrix.from_rows([[rng.randint(-7, 7) for _ in range(r)] for _ in range(r)])
+                int_matrix([[rng.randint(-7, 7) for _ in range(r)] for _ in range(r)])
             )
         for m in mats:
             if det_bareiss(m) == 0:
                 continue
-            diag = sympy_snf(sympy.Matrix(m.to_rows()))
-            expected = sorted(abs(int(diag[i, i])) for i in range(m.rows))
+            diag = sympy_snf(sympy.Matrix(m.tolist()))
+            expected = sorted(abs(int(diag[i, i])) for i in range(len(m)))
             assert sorted(smith_normal_form(m).invariant_factors) == expected
 
 

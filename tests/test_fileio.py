@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from torsionforge.exactmat import IntMatrix
+from torsionforge.exactmat import int_matrix
 from torsionforge.fileio import (
     FileFormatError,
     complex_from_json,
@@ -23,21 +23,22 @@ from torsionforge.valid_sequences import ValidSequence, valid_sequence
 
 class TestMatrixFormat:
     def test_round_trip(self):
-        m = IntMatrix.from_rows([[1, -2, 3], [0, 5, -6]])
-        assert read_matrix(write_matrix(m)) == m
+        m = int_matrix([[1, -2, 3], [0, 5, -6]])
+        assert np.array_equal(read_matrix(write_matrix(m)), m)
 
     def test_text_layout(self):
         assert write_matrix(walsh(2)) == "2 2\n1 1\n1 -1\n"
 
     def test_big_integers(self):
-        m = IntMatrix.from_rows([[2**100, -(2**90)]])
-        assert read_matrix(write_matrix(m)) == m
+        m = int_matrix([[2**100, -(2**90)]])
+        back = read_matrix(write_matrix(m))
+        assert back.dtype == object and np.array_equal(back, m)
 
     def test_entries_may_wrap_lines(self):
-        assert read_matrix("2 2\n1 2 3\n4\n") == IntMatrix.from_rows([[1, 2], [3, 4]])
+        assert np.array_equal(read_matrix("2 2\n1 2 3\n4\n"), int_matrix([[1, 2], [3, 4]]))
 
     def test_any_whitespace_separates_entries(self):
-        assert read_matrix("2 2\r\n1\t2\n\n3 \x0c4\v") == IntMatrix.from_rows([[1, 2], [3, 4]])
+        assert np.array_equal(read_matrix("2 2\r\n1\t2\n\n3 \x0c4\v"), int_matrix([[1, 2], [3, 4]]))
 
     def test_bad_token_deep_in_large_matrix(self):
         rows = [[str((7 * i + 3 * j) % 19 - 9) for j in range(100)] for i in range(100)]
@@ -50,7 +51,7 @@ class TestMatrixFormat:
 
     def test_json_object_form(self):
         m = read_matrix('{"rows": [[1, 1], [1, -1]]}')
-        assert m == walsh(2)
+        assert np.array_equal(m, walsh(2))
 
     def test_bad_token_position(self):
         with pytest.raises(FileFormatError) as exc:
@@ -76,6 +77,45 @@ class TestMatrixFormat:
     def test_json_ragged_rejected(self):
         with pytest.raises(FileFormatError, match="ragged"):
             read_matrix('{"rows": [[1, 2], [3]]}')
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"rows": [[true]]}', "non-integer matrix entry True"),
+            ('{"rows": [[1, "2"]]}', "non-integer matrix entry '2'"),
+            ('{"rows": [[]]}', "matrix needs at least one row and one column"),
+            ('{"rows": []}', '"rows" must be a non-empty list of integer lists'),
+            ('{"rows": [1, 2]}', '"rows" must be a non-empty list of integer lists'),
+            ("0 1\n", "matrix dimensions 0x1 must be positive"),
+            ("2 0\n", "matrix dimensions 2x0 must be positive"),
+            ("", "matrix file needs a 'rows cols' header"),
+        ],
+        ids=["json-bool", "json-string", "json-no-column", "json-no-row", "json-flat", "text-no-row",
+             "text-no-column", "text-empty"],
+    )
+    def test_shape_and_entry_errors(self, text, message):
+        with pytest.raises(FileFormatError, match=message):
+            read_matrix(text)
+
+    @pytest.mark.parametrize(
+        "text, rows",
+        [
+            ("2 2\n-1 9223372036854775808\n3 5\n", [[-1, 2**63], [3, 5]]),
+            ("1 2\n18446744073709551615 2\n", [[2**64 - 1, 2]]),
+            ('{"rows": [[-1, 9223372036854775808]]}', [[-1, 2**63]]),
+        ],
+        ids=["text-float64-trap", "text-uint64-trap", "json-float64-trap"],
+    )
+    def test_entries_past_int64_are_python_ints(self, text, rows):
+        m = read_matrix(text)
+        assert m.dtype == object and m.tolist() == rows
+        assert all(type(x) is int for x in m.ravel())
+
+    def test_int64_entries_stay_int64(self):
+        text = "1 2\n-9223372036854775808 9223372036854775807\n"
+        m = read_matrix(text)
+        assert m.dtype == np.int64 and m.tolist() == [[-(2**63), 2**63 - 1]]
+        assert write_matrix(m) == text
 
 
 class TestSequenceFormat:

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from torsionforge.exactmat import IntMatrix, det_bareiss, smith_normal_form
+from torsionforge.exactmat import det_bareiss, int_matrix, smith_normal_form
 from torsionforge.hadamard import (
     augment,
     hadamard_snf_closed_form,
@@ -12,18 +13,19 @@ from torsionforge.hadamard import (
 
 class TestWalsh:
     def test_order_one(self):
-        assert walsh(1).to_rows() == [[1]]
+        assert walsh(1).tolist() == [[1]]
 
     def test_order_two(self):
-        assert walsh(2).to_rows() == [[1, 1], [1, -1]]
+        assert walsh(2).tolist() == [[1, 1], [1, -1]]
 
     def test_order_four(self):
-        assert walsh(4).to_rows() == [
+        assert walsh(4).tolist() == [
             [1, 1, 1, 1],
             [1, -1, 1, -1],
             [1, 1, -1, -1],
             [1, -1, -1, 1],
         ]
+        assert walsh(4).dtype == np.int64
 
     @pytest.mark.parametrize("bad", [0, 3, 6, 12, -2])
     def test_rejects_non_powers_of_two(self, bad):
@@ -42,18 +44,23 @@ class TestWalsh:
 
 class TestSylvester:
     def test_doubles_the_base(self):
-        assert sylvester_double(IntMatrix.from_rows([[1]])) == walsh(2)
+        assert np.array_equal(sylvester_double(int_matrix([[1]])), walsh(2))
 
     def test_doubles_order_two(self):
-        assert sylvester_double(walsh(2)) == walsh(4)
+        assert np.array_equal(sylvester_double(walsh(2)), walsh(4))
+
+    def test_object_matrix_doubles_exactly(self):
+        h = walsh(2).astype(object)
+        assert is_hadamard(h)
+        assert np.array_equal(sylvester_double(h), walsh(4))
 
     def test_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):
-            sylvester_double(IntMatrix.from_rows([[1, 1], [1, 1]]))
+            sylvester_double(int_matrix([[1, 1], [1, 1]]))
 
     def test_rejects_non_pm_one(self):
         with pytest.raises(ValueError):
-            sylvester_double(IntMatrix.from_rows([[2]]))
+            sylvester_double(int_matrix([[2]]))
 
 
 class TestClosedForm:
@@ -93,7 +100,7 @@ class TestDeterminantBound:
 
 class TestAugment:
     def test_order_two(self):
-        assert augment(walsh(2)).to_rows() == [
+        assert augment(walsh(2)).tolist() == [
             [1, 0, 1, 0],
             [1, 0, 0, 1],
             [1, 1, 0, 0],
@@ -101,7 +108,8 @@ class TestAugment:
         ]
 
     def test_order_one(self):
-        assert augment(walsh(1)).to_rows() == [[1, 0], [1, 1]]
+        assert augment(walsh(1)).tolist() == [[1, 0], [1, 1]]
+        assert augment(walsh(1)).dtype == np.int64
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16])
     def test_preserves_absolute_determinant(self, n):
@@ -110,6 +118,6 @@ class TestAugment:
 
     def test_rejects_non_pm_one(self):
         with pytest.raises(ValueError):
-            augment(IntMatrix.from_rows([[1, 0], [0, 1]]))
+            augment(int_matrix([[1, 0], [0, 1]]))
         with pytest.raises(ValueError):
-            augment(IntMatrix.from_rows([[1, 1, -1]]))
+            augment(int_matrix([[1, 1, -1]]))

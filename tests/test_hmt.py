@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from torsionforge.disc_complex import cellular_homology
-from torsionforge.exactmat import IntMatrix
 from torsionforge.fileio import write_facets
 from torsionforge.hadamard import augment, walsh
 from torsionforge.hmt_builder import (
@@ -51,12 +50,11 @@ HMT2_LABELS = {
 }
 
 
-def reduced_augmented_matrix(n: int) -> IntMatrix:
+def reduced_augmented_matrix(n: int) -> np.ndarray:
     """Augmented Walsh matrix without the never-used first negative cycle:
     drop the first digon row and the column of that cycle."""
-    full = augment(walsh(n)).to_rows()
-    del full[n]
-    return IntMatrix.from_rows([row[:1] + row[2:] for row in full])
+    full = augment(walsh(n))
+    return np.delete(np.delete(full, n, axis=0), 1, axis=1)
 
 
 class TestBuild:

@@ -5,7 +5,7 @@ import pytest
 
 from torsionforge import homology
 from torsionforge.disc_complex import cellular_homology, from_matrix
-from torsionforge.exactmat import IntMatrix, free_group, group_from_factors, smith_normal_form
+from torsionforge.exactmat import free_group, group_from_factors, int_matrix, smith_normal_form
 from torsionforge.hadamard import walsh
 from torsionforge.hmt_builder import build_hmt
 from torsionforge.homology import boundary_matrices, simplicial_homology
@@ -39,8 +39,8 @@ class TestBoundaryMatrices:
         k = complex_from_triangles([(0, 1, 2)])
         d1, d2 = boundary_matrices(k)
         # edges sorted: (0,1), (0,2), (1,2)
-        assert d2.to_rows() == [[1, -1, 1]]
-        assert d1.to_rows() == [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]]
+        assert d2.tolist() == [[1, -1, 1]]
+        assert d1.tolist() == [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]]
 
     def test_tetrahedron_rank(self):
         from torsionforge.exactmat import rank
@@ -50,13 +50,13 @@ class TestBoundaryMatrices:
 
     def test_hmt2_shapes(self):
         d1, d2 = boundary_matrices(build_hmt(2))
-        assert (d1.rows, d1.cols) == (24, 9)
-        assert (d2.rows, d2.cols) == (16, 24)
+        assert d1.shape == (24, 9) and d1.dtype == np.int64
+        assert d2.shape == (16, 24) and d2.dtype == np.int64
 
     def test_boundary_of_boundary_vanishes(self):
         for k in corpus():
             d1, d2 = boundary_matrices(k)
-            prod = np.array(d2.to_rows(), dtype=np.int64) @ np.array(d1.to_rows(), dtype=np.int64)
+            prod = d2 @ d1
             assert not prod.any()
 
     def test_invalid_complex_rejected(self):
@@ -84,7 +84,7 @@ class TestSimplicialHomology:
         from torsionforge.exactmat import smith_normal_form
 
         _, d2 = boundary_matrices(complex_from_triangles(RP2_TRIANGLES))
-        diag = sympy_snf(sympy.Matrix(d2.to_rows()))
+        diag = sympy_snf(sympy.Matrix(d2.tolist()))
         expected = sorted(
             abs(int(diag[i, i])) for i in range(min(diag.shape)) if diag[i, i] != 0
         )
@@ -135,7 +135,7 @@ class TestSimplicialHomology:
     def test_elementary_torsion_discs(self):
         # a single disc with r identified coherent edges carries Z_r
         for r in range(2, 8):
-            k = triangulate_generic(from_matrix(IntMatrix.from_rows([[r]])))
+            k = triangulate_generic(from_matrix(int_matrix([[r]])))
             hom = simplicial_homology(k)
             assert (str(hom.h0), str(hom.h2)) == ("Z", "0")
             assert hom.h1 == group_from_factors([r])
@@ -148,9 +148,9 @@ def reference_homology(k):
     snf2 = smith_normal_form(d2)
     r2 = snf2.rank
     return (
-        free_group(d1.cols - r1),
-        group_from_factors([f for f in snf2.invariant_factors if f > 1], d1.rows - r1 - r2),
-        free_group(d2.rows - r2),
+        free_group(d1.shape[1] - r1),
+        group_from_factors([f for f in snf2.invariant_factors if f > 1], len(d1) - r1 - r2),
+        free_group(len(d2) - r2),
     )
 
 
@@ -177,7 +177,7 @@ class TestSparseEngine:
         shapes = []
 
         def spy(m, *args, **kwargs):
-            shapes.append((m.rows, m.cols))
+            shapes.append(m.shape)
             return smith_normal_form(m, *args, **kwargs)
 
         monkeypatch.setattr(homology, "smith_normal_form", spy)
@@ -196,6 +196,19 @@ class TestSparseEngine:
         assert pivots == 2
         assert core and all(v not in (1, -1) for row in core for v in row.values())
         assert pivots + smith_normal_form(homology._densify(core, range(4))).rank == dense_rank
+
+    @pytest.mark.parametrize("k, dtype", [(2**61 - 1, np.int64), (2**64 - 59, object)], ids=["61-bit", "64-bit"])
+    def test_core_dtype_follows_its_entries(self, k, dtype, monkeypatch):
+        # the Speyer core is one row holding k itself
+        cores = []
+
+        def spy(m, *args, **kwargs):
+            cores.append(m)
+            return smith_normal_form(m, *args, **kwargs)
+
+        monkeypatch.setattr(homology, "smith_normal_form", spy)
+        assert simplicial_homology(build_speyer_complex(k)).h1 == group_from_factors([k])
+        assert cores[0].dtype == dtype and k in cores[0].tolist()[0]
 
     def test_empty_core_skips_smith(self, monkeypatch):
         def fail(*args, **kwargs):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from torsionforge.disc_complex import from_matrix
@@ -9,18 +10,19 @@ from torsionforge.triangulation import face_vector, validate_complex, vertex_cou
 
 class TestSpeyerMatrix:
     def test_eleven(self):
-        assert speyer_matrix(11).to_rows() == [
+        assert speyer_matrix(11).tolist() == [
             [1, 0, 1, -1],
             [1, 2, 0, 0],
             [0, 1, 2, 0],
             [0, 0, 1, 2],
         ]
+        assert speyer_matrix(11).dtype == np.int64
 
     def test_two(self):
-        assert speyer_matrix(2).to_rows() == [[1, 0], [1, 2]]
+        assert speyer_matrix(2).tolist() == [[1, 0], [1, 2]]
 
     def test_three(self):
-        assert speyer_matrix(3).to_rows() == [[1, -1], [1, 2]]
+        assert speyer_matrix(3).tolist() == [[1, -1], [1, 2]]
 
     def test_determinant_is_k(self):
         for k in range(2, 513):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from torsionforge.exactmat import IntMatrix
+from torsionforge.exactmat import int_matrix
 from torsionforge.hadamard import walsh
 import numpy as np
 
@@ -88,13 +88,13 @@ class TestChecker:
     def test_wraparound_pair_is_checked(self):
         # identical orderings whose only shared pair is (last, first)
         seq = ValidSequence(((1, 2), (1, 2)))
-        m = IntMatrix.from_rows([[1, 1], [1, 1]])  # any +-1 matrix is allowed
+        m = int_matrix([[1, 1], [1, 1]])  # any +-1 matrix is allowed
         report = check_valid(seq, m)
         assert not report.ok and report.violation == (1, 1, 2, 1)
 
     def test_rejects_non_pm_one_matrix(self):
         with pytest.raises(ValueError):
-            check_valid(valid_sequence(2), IntMatrix.from_rows([[1, 0], [0, 1]]))
+            check_valid(valid_sequence(2), int_matrix([[1, 0], [0, 1]]))
 
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -108,7 +108,7 @@ class TestChecker:
         several_broken = 0
         for n in (2, 4, 8):
             w = walsh(n)
-            rows = w.to_rows()
+            rows = w.tolist()
             base = valid_sequence(n).perms.tolist()
             for trial in range(120):
                 kinds = ("swap", "repeat", "move-1") if trial % 2 else ("swap",)
