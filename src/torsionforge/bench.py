@@ -46,13 +46,14 @@ def construction_timings(max_n: int, repeats: int = 3) -> list[tuple[int, float]
 
 def scaling_report(max_n: int = 512, repeats: int = 3) -> dict:
     """Doubling ratios t(2n)/t(n); the headline average skips the smallest
-    sizes, where per-call overhead swamps the quadratic term."""
+    sizes, where per-call overhead swamps the quadratic term, and is None
+    when ``max_n`` is below 64."""
     timings = construction_timings(max_n, repeats)
     ratios = []
     for (n_prev, t_prev), (n, t) in zip(timings, timings[1:]):
         ratios.append((n, t / t_prev if t_prev > 0 else float("nan")))
     meaningful = [r for n, r in ratios if n >= 64]
-    avg = sum(meaningful) / len(meaningful) if meaningful else float("nan")
+    avg = sum(meaningful) / len(meaningful) if meaningful else None
     return {
         "timings": timings,
         "ratios": ratios,
@@ -70,8 +71,11 @@ def format_scaling_report(rep: dict) -> str:
         r = ratio_by_n.get(n)
         lines.append(f"{n:>6} {t:>12.6f} {r:>12.2f}" if r is not None else f"{n:>6} {t:>12.6f} {'-':>12}")
     lo, hi = rep["quadratic_band"]
-    lines.append(
-        f"average ratio (n >= 64): {rep['average_ratio']:.2f}  "
-        f"(quadratic scaling expects roughly {lo}..{hi})"
-    )
+    if rep["average_ratio"] is None:
+        lines.append("average ratio (n >= 64): none measured, as the largest n is below 64")
+    else:
+        lines.append(
+            f"average ratio (n >= 64): {rep['average_ratio']:.2f}  "
+            f"(quadratic scaling expects roughly {lo}..{hi})"
+        )
     return "\n".join(lines)

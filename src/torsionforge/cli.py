@@ -136,6 +136,8 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.max_n < 2:
+        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
     report = bench_mod.format_scaling_report(bench_mod.scaling_report(args.max_n))
     _write_output(args.output, report + "\n")
     return EXIT_OK

@@ -379,8 +379,3 @@ def smith_normal_form(m: np.ndarray, transforms: bool = False) -> SnfResult:
     r = np.arange(len(diag))
     a[r, r] = np.array(diag, dtype=a.dtype)
     return SnfResult(a, s, t, tuple(diag))
-
-
-def rank(m: np.ndarray) -> int:
-    """Rank over the integers (= rank over Q)."""
-    return smith_normal_form(m).rank

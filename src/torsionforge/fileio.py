@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .exactmat import int_matrix
-from .triangulation import SimplicialComplex2, make_complex
+from .triangulation import SimplicialComplex2
 from .valid_sequences import ValidSequence
 
 # Vertex ids are stored as int64.
@@ -148,10 +148,10 @@ def write_sequence(seq: ValidSequence) -> str:
 def read_facets(text: str) -> SimplicialComplex2:
     """The complex of a facet file, parsed in one pass; text that pass
     rejects is scanned again for the first malformed line.  A repeated line
-    is a duplicate triangle, which :func:`make_complex` rejects."""
+    is a duplicate triangle, which :class:`SimplicialComplex2` rejects."""
     tri = _int_table(text)
     if tri is not None and tri.shape[1] == 3 and ((0 <= tri[:, 0]) & (tri[:, 0] < tri[:, 1]) & (tri[:, 1] < tri[:, 2])).all():
-        return make_complex({v: str(v) for v in np.unique(tri).tolist()}, tri)
+        return SimplicialComplex2({v: str(v) for v in np.unique(tri).tolist()}, tri)
     for lineno, toks in _token_lines(text).items():
         if len(toks) != 3:
             raise FileFormatError(f"facet line needs 3 vertex ids, got {len(toks)}", lineno, 1)
@@ -193,9 +193,11 @@ def _id_table(rows, width: int, what: str) -> np.ndarray:
 
 
 def complex_from_json(text: str) -> SimplicialComplex2:
-    """The complex of a JSON object.  Its triangles must be valid, but its
-    edges are kept as given for :func:`validate_complex` to check.  Vertex
-    ids must be JSON integers, each vertex listed once."""
+    """The complex of a JSON object.  Vertex ids must be JSON integers,
+    each vertex listed once; the triangles must make a valid complex, and
+    the edges, in any order, must be exactly the sides of the triangles.
+    A listed edge that is not a side, a side that is not listed and an edge
+    listed twice raise FileFormatError naming the first such edge."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
@@ -213,7 +215,29 @@ def complex_from_json(text: str) -> SimplicialComplex2:
         triangles = _id_table(obj["triangles"], 3, "triangle")
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise FileFormatError(f"bad complex object: {e}") from None
-    return make_complex(labels, triangles, edges=edges)
+    k = SimplicialComplex2(labels, triangles)
+    _check_edges(edges, k.edges)
+    return k
+
+
+def _check_edges(given: np.ndarray, sides: np.ndarray):
+    """Raise FileFormatError unless the rows of ``given`` are, each in some
+    vertex order, the rows of the canonical edge array ``sides``.  Once
+    ``given`` is in canonical order too, the first row where the two
+    differ names the fault."""
+    given = np.sort(given, axis=1)
+    given = given[np.lexsort(given.T[::-1])]
+    if np.array_equal(given, sides):
+        return
+    n = min(len(given), len(sides))
+    differ = np.flatnonzero((given[:n] != sides[:n]).any(axis=1))
+    i = differ[0] if differ.size else n
+    if i < len(sides) and (i == len(given) or sides[i].tolist() < given[i].tolist()):
+        raise FileFormatError(f"edge list misses triangle side {tuple(sides[i].tolist())}")
+    edge = tuple(given[i].tolist())
+    if i and np.array_equal(given[i], given[i - 1]):
+        raise FileFormatError(f"edge {edge} is listed twice")
+    raise FileFormatError(f"edge {edge} is not a side of any triangle")
 
 
 def read_complex(text: str) -> SimplicialComplex2:

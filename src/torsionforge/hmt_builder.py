@@ -21,7 +21,7 @@ import numpy as np
 from .exactmat import group_from_factors
 from .hadamard import hadamard_snf_closed_form
 from .homology import simplicial_homology
-from .triangulation import SimplicialComplex2, euler_characteristic, face_vector, make_complex
+from .triangulation import SimplicialComplex2, euler_characteristic, face_vector
 from .valid_sequences import valid_sequence
 
 
@@ -102,7 +102,7 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
     owner.append(np.repeat(n + np.arange(len(columns)), 3))
 
     owners = tuple(f"disc{i}" for i in range(1, n + 1)) + tuple(f"digon{j}" for j in columns.tolist())
-    return make_complex(
+    return SimplicialComplex2(
         _labels(n, keep_first_digon),
         np.concatenate(triangles),
         np.concatenate(claims),
@@ -114,9 +114,10 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
 def hmt_certificate(n: int) -> dict:
     """Build HMT(n), compute homology, and compare everything against the
     closed forms.  Returns a JSON-ready report; 'passed' is True only if
-    every check holds.  The complex is validated once, when
-    :func:`torsionforge.homology.simplicial_homology` assembles its sparse
-    boundaries, which raises ValueError on an invalid one."""
+    every check holds.  The complex is checked once, by its constructor;
+    :func:`torsionforge.homology.simplicial_homology` then calls
+    :func:`torsionforge.triangulation.validate_complex` once for its
+    boundary index."""
     t0 = time.perf_counter()
     complex_ = build_hmt(n)
     discrepancies: list[str] = []

@@ -2,11 +2,12 @@
 boundary maps.
 
 The boundaries are assembled once as sparse rows: an edge is the pair of
-its endpoint indices, a triangle a ``{edge index: +-1}`` row.  Both
-indices come from :func:`torsionforge.triangulation.validate_complex`,
-whose closure check finds them, so this module never indexes a complex
-itself and only adds the signs; :func:`boundary_matrices` fills dense
-int64 d1 and d2 straight from the same index arrays.  Following
+its endpoint indices, a triangle a ``{edge index: +-1}`` row.  A complex
+is valid by construction; both indices come from
+:func:`torsionforge.triangulation.validate_complex`, which looks every
+triangle side up among the edges once, so this module never indexes a
+complex itself and only adds the signs; :func:`boundary_matrices` fills
+dense int64 d1 and d2 straight from the same index arrays.  Following
 Dumas, Heckenbach, Saunders and Welker (2003), most of the work never
 reaches a dense Smith form:
 
@@ -50,7 +51,8 @@ class HomologyResult:
 
 def _validated(k: SimplicialComplex2) -> ValidationReport:
     """The validation report of ``k``, whose index arrays give the
-    boundaries; ValueError if ``k`` is invalid or has no triangles."""
+    boundaries; ValueError if the report has problems or ``k`` has no
+    triangles."""
     report = validate_complex(k)
     if not report.ok:
         raise ValueError("invalid complex: " + "; ".join(report.problems[:5]))

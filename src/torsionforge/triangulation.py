@@ -1,7 +1,9 @@
-"""Pure 2-dimensional simplicial complexes held as integer arrays, and the
-generic disc-complex triangulation: subdivide every cycle with two
-vertices, ring each disc with an inner polygon of ceil(3s/2) fresh
-vertices, cone the annulus, fan the inside.
+"""Pure 2-dimensional simplicial complexes held as integer arrays, checked
+once by their constructor, with edges derived from the triangles; the
+validator that turns a complex into its boundary index; and the generic
+disc-complex triangulation: subdivide every cycle with two vertices, ring
+each disc with an inner polygon of ceil(3s/2) fresh vertices, cone the
+annulus, fan the inside.
 
 Vertex ids are deterministic: 0, then the cycle subdivision vertices by
 (cycle, copy), then disc-interior vertices by (disc, position).  Facet
@@ -60,54 +62,67 @@ def _lex_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, _run_starts(rows[order])
 
 
-def _increasing(rows: np.ndarray) -> bool:
-    """Whether consecutive rows increase strictly in lexicographic order."""
-    later, earlier = rows[1:], rows[:-1]
-    up = later[:, -1] > earlier[:, -1]
-    for j in range(rows.shape[1] - 2, -1, -1):
-        up = (later[:, j] > earlier[:, j]) | ((later[:, j] == earlier[:, j]) & up)
-    return bool(up.all())
-
-
 @dataclass(eq=False)
 class SimplicialComplex2:
-    """Vertex labels plus edge and triangle arrays.
+    """A pure 2-complex: vertex labels, triangles and the edges they span,
+    valid by construction.
 
-    ``triangles`` is an (f2, 3) and ``edges`` an (f1, 2) int64 array; the
-    constructor coerces array-likes to these shapes.  In a complex made by
-    :func:`make_complex` every row is ascending and the rows are in
-    lexicographic order, which the writers and the boundary assembly rely
-    on; :func:`validate_complex` checks it for a complex assembled
-    directly.
+    The constructor coerces ``triangles`` to an (f2, 3) int64 array, sorts
+    every row ascending and the rows lexicographically, and raises
+    ValueError on a degenerate triangle, a triangle with a vertex outside
+    ``labels``, a duplicate triangle, a label that lies in no triangle, and
+    an interior edge claimed by two different owners.  ``edges`` is not a
+    parameter: it is derived as the distinct sides of the triangles, an
+    (f1, 2) int64 array in the same canonical order, which the writers and
+    the boundary assembly rely on.
 
     ``claims`` lists the interior edges of the construction units
     (discs/digons) and ``claim_owner`` the index of each one's unit in
-    ``owners``; the validator uses them to certify that no two units share
-    an edge.  Complexes loaded from files carry no claims.
+    ``owners``; claim i is edge ``claims[i]`` for unit
+    ``owners[claim_owner[i]]``, and repeats by one owner count once.  They
+    are kept once per edge, sorted by edge.  Complexes loaded from files
+    carry no claims.
     """
 
     labels: dict[int, str]
-    edges: np.ndarray
     triangles: np.ndarray
     claims: np.ndarray = ()
     claim_owner: np.ndarray = ()
     owners: tuple[str, ...] = ()
+    edges: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        self.edges = _int_rows(self.edges, 2)
-        self.triangles = _int_rows(self.triangles, 3)
-        self.claims = _int_rows(self.claims, 2)
-        self.claim_owner = np.asarray(self.claim_owner, dtype=np.int64).reshape(-1)
-        if len(self.claim_owner) != len(self.claims):
-            raise ValueError(f"{len(self.claims)} claimed edges but {len(self.claim_owner)} owners")
+        tri = np.sort(_int_rows(self.triangles, 3), axis=1)
+        bad = np.flatnonzero((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]))
+        if bad.size:
+            raise ValueError(f"degenerate triangle {_ints(tri[bad[0]])}")
+        vids = np.array(sorted(self.labels), dtype=np.int64)
+        nv = len(vids)
+        idx, known = _index_in(vids, tri)
+        bad = np.flatnonzero(~known.all(axis=1))
+        if bad.size:
+            raise ValueError(f"triangle {_ints(tri[bad[0]])} uses an unknown vertex")
+
+        order, starts = _lex_order(tri)
+        if not starts.all():
+            raise ValueError(f"duplicate triangle {_ints(tri[order[~starts].min()])}")
+        # rebinding both names frees the given and the unsorted arrays before
+        # the edge keys are built, which keeps the peak memory of a build down
+        self.triangles = tri = tri[order]
+        covered = np.zeros(nv, dtype=bool)
+        covered[idx] = True
+        if not covered.all():
+            raise ValueError(f"vertex {int(vids[~covered][0])} lies in no triangle")
+
+        a, b, c = idx.T
+        ekeys = _sorted_unique(np.concatenate((a * nv + b, a * nv + c, b * nv + c)))
+        self.edges = vids[np.stack((ekeys // nv, ekeys % nv), axis=1)]
+        self.claims, self.claim_owner = _owned_claims(vids, self.claims, self.claim_owner, self.owners)
+        self.owners = tuple(self.owners)
 
     def same_simplices(self, other: SimplicialComplex2) -> bool:
-        """Same vertex ids, edges and triangles; both complexes canonical."""
-        return (
-            sorted(self.labels) == sorted(other.labels)
-            and np.array_equal(self.edges, other.edges)
-            and np.array_equal(self.triangles, other.triangles)
-        )
+        """Same vertex ids and triangles, hence the same edges."""
+        return sorted(self.labels) == sorted(other.labels) and np.array_equal(self.triangles, other.triangles)
 
 
 @dataclass(frozen=True)
@@ -122,13 +137,15 @@ class FaceVector:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Whether a complex is valid, the problems found if not, and for a
-    valid complex its boundary index: ``edge_vertices`` holds the (f1, 2)
-    vertex indices of the edges and ``triangle_edges`` the (f2, 3) edge
-    indices of each triangle's (a,b), (a,c), (b,c), with vertices indexed
-    by ascending id and edges and triangles in the complex's order.  Both
-    are None when the complex is invalid, and neither takes part in
-    equality or printing."""
+    """What :func:`validate_complex` found: whether the complex passed, the
+    problems if not (a triangle side missing from the edges, a claimed
+    interior edge that is no edge), and for a complex that passed its
+    boundary index: ``edge_vertices`` holds the (f1, 2) vertex indices of
+    the edges and ``triangle_edges`` the (f2, 3) edge indices of each
+    triangle's (a,b), (a,c), (b,c), with vertices indexed by ascending id
+    and edges and triangles in the complex's order.  Both are None when the
+    complex did not pass, and neither takes part in equality or
+    printing."""
 
     ok: bool
     problems: tuple[str, ...] = ()
@@ -139,57 +156,13 @@ class ValidationReport:
         return self.ok
 
 
-def make_complex(
-    labels: dict[int, str],
-    triangles,
-    claims=(),
-    claim_owner=(),
-    owners: tuple[str, ...] = (),
-    edges=None,
-) -> SimplicialComplex2:
-    """The canonical complex on ``triangles``, checked in vectorised passes.
-
-    Rejects degenerate triangles, triangles with a vertex outside
-    ``labels``, duplicate triangles, and an interior edge claimed by two
-    different owners (claim i is edge ``claims[i]`` for unit
-    ``owners[claim_owner[i]]``; repeats by one owner count once).  Rows come
-    out ascending and lexicographically sorted.  Edges are derived from the
-    triangles unless given, in which case they are only put in canonical
-    order and left for :func:`validate_complex` to check.
-    """
-    tri = np.sort(_int_rows(triangles, 3), axis=1)
-    bad = np.flatnonzero((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]))
-    if bad.size:
-        raise ValueError(f"degenerate triangle {_ints(tri[bad[0]])}")
-    vids = np.array(sorted(labels), dtype=np.int64)
-    nv = len(vids)
-    idx, known = _index_in(vids, tri)
-    bad = np.flatnonzero(~known.all(axis=1))
-    if bad.size:
-        raise ValueError(f"triangle {_ints(tri[bad[0]])} uses an unknown vertex")
-
-    order, starts = _lex_order(tri)
-    if not starts.all():
-        raise ValueError(f"duplicate triangle {_ints(tri[order[~starts].min()])}")
-    tri = tri[order]
-
-    if edges is None:
-        a, b, c = idx.T
-        ekeys = _sorted_unique(np.concatenate((a * nv + b, a * nv + c, b * nv + c)))
-        edges = vids[np.stack((ekeys // nv, ekeys % nv), axis=1)]
-    else:
-        edges = np.sort(_int_rows(edges, 2), axis=1)
-        edges = edges[_lex_order(edges)[0]]
-
-    claims, claim_owner = _owned_claims(vids, claims, claim_owner, owners)
-    return SimplicialComplex2(labels, edges, tri, claims, claim_owner, tuple(owners))
-
-
 def _owned_claims(vids: np.ndarray, claims, owner, owners) -> tuple[np.ndarray, np.ndarray]:
     """One (edge, owner index) per claimed edge, sorted by edge; raises on
     an edge claimed by two owners, naming the first conflicting claim."""
     claims = np.sort(_int_rows(claims, 2), axis=1)
     owner = np.asarray(owner, dtype=np.int64).reshape(-1)
+    if len(owner) != len(claims):
+        raise ValueError(f"{len(claims)} claimed edges but {len(owner)} owners")
     nv = len(vids)
     idx, known = _index_in(vids, claims)
     bad = np.flatnonzero(~known.all(axis=1))
@@ -259,7 +232,7 @@ def triangulate_generic(spec: DiscComplexSpec) -> SimplicialComplex2:
 
     claims_arr = _int_rows(claims, 3)
     owners = tuple(f"disc{i}" for i in range(1, len(spec.discs) + 1))
-    return make_complex(labels, triangles, claims_arr[:, :2], claims_arr[:, 2], owners)
+    return SimplicialComplex2(labels, triangles, claims_arr[:, :2], claims_arr[:, 2], owners)
 
 
 def vertex_count_formula(spec: DiscComplexSpec) -> int:
@@ -267,99 +240,34 @@ def vertex_count_formula(spec: DiscComplexSpec) -> int:
     return 1 + 2 * spec.n_cycles + sum((3 * len(w) + 1) // 2 for w in spec.discs)
 
 
-def _row_problems(rows: np.ndarray, known: np.ndarray, what: str, bad_text: str) -> tuple[list[str], np.ndarray]:
-    """Problems of rows with a repeated vertex or an unknown one, in row
-    order, and the mask of rows without a repeated vertex."""
-    srt = np.sort(rows, axis=1)
-    proper = (srt[:, 1:] != srt[:, :-1]).all(axis=1)
-    problems = []
-    for i in np.flatnonzero(~proper | ~known.all(axis=1)):
-        row = _ints(rows[i])
-        if not proper[i]:
-            problems.append(f"{bad_text} {row}")
-        else:
-            problems.extend(f"{what} {row} uses unknown vertex {v}" for v, ok in zip(row, known[i]) if not ok)
-    return problems, proper
-
-
-def _repeats(rows: np.ndarray) -> np.ndarray:
-    """Indices of the rows equal to an earlier row, ascending."""
-    order, starts = _lex_order(rows)
-    return np.sort(order[~starts])
-
-
 def validate_complex(k: SimplicialComplex2) -> ValidationReport:
-    """Report-style check of all structural invariants.
+    """The boundary index of ``k``, and the one check its construction
+    leaves open.
 
-    Covers loop-freeness, duplicate simplices, closure (triangle edges are
-    present, every edge and vertex lies in a triangle), vertex-set
-    consistency, single ownership of claimed interior edges, and the
-    canonical order of the arrays (ascending rows, sorted
-    lexicographically).
-
-    Closure looks every triangle side up once among the edges, encoded as
-    keys ``i * nv + j`` of vertex indices; a valid complex's report keeps
-    those lookups as its boundary index (see :class:`ValidationReport`).
+    Construction already rejects every fault of the triangles and labels
+    and derives the edges from the triangles.  This looks every triangle
+    side up once among the edges, encoded as keys ``i * nv + j`` of vertex
+    indices, and keeps those lookups as the report's boundary index (see
+    :class:`ValidationReport`); a side it does not find is reported as a
+    problem, never indexed.  It also reports every claimed interior edge
+    that is not an edge of the complex.
     """
-    tri, edges, claims = k.triangles, k.edges, k.claims
     vids = np.array(sorted(k.labels), dtype=np.int64)
-    tidx, tknown = _index_in(vids, tri)
-    eidx, eknown = _index_in(vids, edges)
-    cidx, cknown = _index_in(vids, claims)
-    ids = vids
-    if not (tknown.all() and eknown.all() and cknown.all()):
-        # index every id that occurs, so unknown ones can still be compared
-        ids = _sorted_unique(np.concatenate((vids, tri.ravel(), edges.ravel(), claims.ravel())))
-        tidx, eidx, cidx = (np.searchsorted(ids, x) for x in (tri, edges, claims))
-    nv = len(ids)
-
-    problems, proper = _row_problems(tri, tknown, "triangle", "degenerate triangle")
-    tsorted = np.sort(tidx[proper], axis=1)
-    if proper.all() and np.array_equal(tsorted, tidx) and _increasing(tidx):
-        tris = tidx
-    else:
-        dups = _repeats(tsorted)
-        problems += [f"duplicate triangle {_ints(ids[tsorted[i]])}" for i in dups]
-        if proper.all() and not dups.size:
-            problems.append("triangles are not in canonical order (ascending rows, lexicographically sorted)")
-        tris = np.delete(tsorted, dups, axis=0)
-
-    edge_problems, not_loop = _row_problems(edges, eknown, "edge", "loop or malformed edge")
-    problems += edge_problems
-    esorted = np.sort(eidx[not_loop], axis=1)
-    ekeys = esorted[:, 0] * nv + esorted[:, 1]
-    if not (not_loop.all() and np.array_equal(esorted, eidx) and _increasing(eidx)):
-        if _repeats(esorted).size:
-            problems.append("duplicate edges present")
-        elif not_loop.all():
-            problems.append("edges are not in canonical order (ascending rows, lexicographically sorted)")
-        ekeys = _sorted_unique(ekeys)
-
-    a, b, c = tris.T
+    nv = len(vids)
+    eidx = np.searchsorted(vids, k.edges)
+    ekeys = eidx[:, 0] * nv + eidx[:, 1]
+    a, b, c = np.searchsorted(vids, k.triangles).T
     # one row per triangle side, so each row's keys come in near-ascending
     # runs, which binary search walks faster than interleaved sides
     tedges, present = _index_in(ekeys, np.stack((a * nv + b, a * nv + c, b * nv + c)))
-    for i in np.flatnonzero(~present.all(axis=0)):
-        t = _ints(ids[tris[i]])
-        pairs = ((t[0], t[1]), (t[0], t[2]), (t[1], t[2]))
-        problems.extend(f"triangle {t} misses edge {e}" for e, ok in zip(pairs, present[:, i]) if not ok)
-    hit = np.zeros(len(ekeys), dtype=bool)
-    hit[tedges[present]] = True
-    problems += [f"edge {_ints(ids[[e // nv, e % nv]])} lies in no triangle" for e in ekeys[~hit]]
-    covered = np.zeros(nv, dtype=bool)
-    covered[tris.ravel()] = True
-    problems += [f"vertex {int(v)} lies in no triangle" for v in vids[~covered[np.searchsorted(ids, vids)]]]
-
-    ckeys = cidx[:, 0] * nv + cidx[:, 1]
-    _, is_edge = _index_in(ekeys, ckeys)
-    problems += [f"claimed interior edge {_ints(e)} is not an edge of the complex" for e in claims[~is_edge]]
-    if not (ckeys[1:] > ckeys[:-1]).all():  # unsorted, or some edge claimed twice
-        order = np.argsort(ckeys, kind="stable")
-        ckeys, owner = ckeys[order], k.claim_owner[order]
-        for key in _sorted_unique(ckeys[1:][(ckeys[1:] == ckeys[:-1]) & (owner[1:] != owner[:-1])]):
-            names = sorted({k.owners[o] for o in owner[ckeys == key]})
-            if len(names) > 1:
-                problems.append(f"interior edge {_ints(ids[[key // nv, key % nv]])} shared by {names}")
+    sides = ([0, 1], [0, 2], [1, 2])
+    problems = [
+        f"triangle {_ints(k.triangles[i])} misses edge {_ints(k.triangles[i, sides[j]])}"
+        for i, j in zip(*np.nonzero(~present.T))
+    ]
+    cidx = np.searchsorted(vids, k.claims)
+    _, is_edge = _index_in(ekeys, cidx[:, 0] * nv + cidx[:, 1])
+    problems += [f"claimed interior edge {_ints(e)} is not an edge of the complex" for e in k.claims[~is_edge]]
 
     if problems:
         return ValidationReport(False, tuple(problems))

@@ -10,6 +10,7 @@ from torsionforge.cli import main
 from torsionforge.exactmat import int_matrix
 from torsionforge.fileio import read_matrix, write_matrix
 from torsionforge.hadamard import walsh
+from torsionforge.speyer import MAX_SPEYER_BITS
 
 
 # input and full `snf --transforms` stdout; S and T depend on the exact
@@ -337,6 +338,36 @@ class TestPipelines:
         assert code == 2
         assert "vertex id" in err
 
+    def test_speyer_k_past_bit_bound_is_input_error(self, capsys):
+        k = 2**MAX_SPEYER_BITS  # the first k past the bound
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "build-speyer", "--k", str(k))
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert f"error: k has {MAX_SPEYER_BITS + 1} bits, more than the {MAX_SPEYER_BITS} allowed" in err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda obj: obj["edges"].pop(5), "edge list misses triangle side (0, 6)"),
+            (lambda obj: obj["edges"].append([7, 0]), "edge (0, 7) is not a side of any triangle"),
+            (lambda obj: obj["edges"].append([3, 3]), "edge (3, 3) is not a side of any triangle"),
+            (lambda obj: obj["edges"].append([2, 40]), "edge (2, 40) is not a side of any triangle"),
+            (lambda obj: obj["edges"].append([4, 1]), "edge (1, 4) is listed twice"),
+            (lambda obj: obj["vertices"].append([40, "stray"]), "vertex 40 lies in no triangle"),
+        ],
+        ids=["missing", "extra", "loop", "unknown-vertex", "duplicate", "stray-vertex"],
+    )
+    def test_json_edges_must_be_the_triangle_sides(self, edit, message, capsys, monkeypatch):
+        code, text, _ = run(capsys, "build-hmt", "--n", "2", "--format", "json")
+        assert code == 0
+        obj = json.loads(text)
+        edit(obj)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+        code, out, err = run(capsys, "homology")
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     def test_repeated_facet_line_is_input_error(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("0 1 2\n0 1 3\n0 1 2\n"))
         code, out, err = run(capsys, "homology")
@@ -460,6 +491,19 @@ class TestBench:
         code, out, _ = run(capsys, "bench", "--max-n", "8")
         assert code == 0
         assert "construction scaling" in out
+
+    @pytest.mark.parametrize("max_n", ["4", "2"])
+    def test_no_ratio_at_64_prints_no_nan(self, max_n, capsys):
+        code, out, _ = run(capsys, "bench", "--max-n", max_n)
+        assert code == 0
+        assert "nan" not in out
+        assert out.endswith("average ratio (n >= 64): none measured, as the largest n is below 64\n")
+
+    @pytest.mark.parametrize("max_n", ["1", "0", "-8"])
+    def test_max_n_below_2_rejected(self, max_n, capsys):
+        code, out, err = run(capsys, "bench", "--max-n", max_n)
+        assert code == 2 and out == ""
+        assert f"error: --max-n must be at least 2, got {max_n}" in err
 
     def test_kernels_option_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,4 @@
+import json
 import random
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from torsionforge.disc_complex import DiscComplexSpec, from_matrix
 from torsionforge.exactmat import int_matrix
-from torsionforge.fileio import write_facets
+from torsionforge.fileio import FileFormatError, complex_from_json, complex_to_json, write_facets
 from torsionforge.hadamard import walsh
 from torsionforge.hmt_builder import build_hmt
 from torsionforge.homology import boundary_matrices
@@ -14,7 +15,6 @@ from torsionforge.triangulation import (
     SimplicialComplex2,
     euler_characteristic,
     face_vector,
-    make_complex,
     triangulate_generic,
     validate_complex,
     vertex_count_formula,
@@ -46,7 +46,7 @@ H2_FACETS = """0 1 5
 
 
 def complex_from_triangles(tris):
-    return make_complex({v: str(v) for v in sorted({v for t in tris for v in t})}, tris)
+    return SimplicialComplex2({v: str(v) for v in sorted({v for t in tris for v in t})}, tris)
 
 
 def tetrahedron():
@@ -138,88 +138,98 @@ class TestGenericTriangulation:
             assert len(boundary_neighbors) == expected
 
 
+def with_json_edges(k, edges):
+    """The JSON text of ``k`` with its edge list replaced by ``edges``."""
+    obj = json.loads(complex_to_json(k))
+    obj["edges"] = [list(e) for e in edges]
+    return json.dumps(obj)
+
+
 class TestValidator:
+    """Faults of a complex: the constructor rejects those of its triangles,
+    labels and claims, the JSON reader those of a given edge list, and the
+    validator reports a triangle side missing from the edges."""
+
     def test_generic_output_passes(self):
         k = triangulate_generic(from_matrix(walsh(2)))
         assert validate_complex(k).ok
 
     def test_duplicate_triangle_detected(self):
         k = tetrahedron()
-        k = SimplicialComplex2(k.labels, k.edges, np.vstack([k.triangles, [(0, 1, 2)]]))
-        report = validate_complex(k)
-        assert not report.ok
-        assert any("duplicate triangle" in p for p in report.problems)
+        with pytest.raises(ValueError, match=r"^duplicate triangle \(0, 1, 2\)$"):
+            SimplicialComplex2(k.labels, np.vstack([k.triangles, [(0, 1, 2)]]))
 
     def test_missing_edge_detected(self):
         k = tetrahedron()
-        k = SimplicialComplex2(k.labels, k.edges[1:], k.triangles)
-        assert k.edges[0].tolist() != [0, 1]
+        k.edges = k.edges[1:]  # edges that disagree with the triangles, as a construction fault would leave
         report = validate_complex(k)
-        assert not report.ok
-        assert any("misses edge" in p for p in report.problems)
+        assert report.problems == (
+            "triangle (0, 1, 2) misses edge (0, 1)",
+            "triangle (0, 1, 3) misses edge (0, 1)",
+        )
 
     def test_loop_detected(self):
         k = tetrahedron()
-        k = SimplicialComplex2(k.labels, np.vstack([k.edges, [(2, 2)]]), k.triangles)
-        report = validate_complex(k)
-        assert not report.ok
-        assert any("loop" in p for p in report.problems)
+        with pytest.raises(FileFormatError, match=r"^edge \(2, 2\) is not a side of any triangle$"):
+            complex_from_json(with_json_edges(k, k.edges.tolist() + [(2, 2)]))
 
     def test_isolated_vertex_detected(self):
         k = tetrahedron()
-        k = SimplicialComplex2({**k.labels, 9: "stray"}, k.edges, k.triangles)
-        report = validate_complex(k)
-        assert not report.ok
-        assert any("vertex 9" in p for p in report.problems)
+        with pytest.raises(ValueError, match=r"^vertex 9 lies in no triangle$"):
+            SimplicialComplex2({**k.labels, 9: "stray"}, k.triangles)
 
     def test_dangling_edge_detected(self):
-        k = tetrahedron()
-        k = SimplicialComplex2({**k.labels, 9: "stray"}, np.vstack([k.edges, [(0, 9)]]), k.triangles)
-        report = validate_complex(k)
-        assert not report.ok
-        assert any("no triangle" in p for p in report.problems)
+        k = complex_from_triangles([(0, 1, 2), (1, 2, 3)])
+        with pytest.raises(FileFormatError, match=r"^edge \(0, 3\) is not a side of any triangle$"):
+            complex_from_json(with_json_edges(k, k.edges.tolist() + [(3, 0)]))
 
     def test_conflicting_interior_claims_detected(self):
         k = tetrahedron()
-        k = SimplicialComplex2(k.labels, k.edges, k.triangles, [(0, 1), (0, 1)], [0, 1], ("disc1", "disc2"))
-        report = validate_complex(k)
-        assert not report.ok
-        assert any("shared by" in p for p in report.problems)
+        with pytest.raises(ValueError, match=r"^interior edge \(0, 1\) claimed by both disc1 and disc2$"):
+            SimplicialComplex2(k.labels, k.triangles, [(0, 1), (0, 1)], [0, 1], ("disc1", "disc2"))
 
     def test_problem_texts_print_plain_ints(self):
         k = tetrahedron()
-        k = SimplicialComplex2(
-            {**k.labels, 9: "stray"},
-            np.vstack([k.edges[1:], [(5, 5), (0, 7)]]),
-            np.vstack([k.triangles, [(0, 1, 2), (3, 3, 1), (0, 2, 8)]]),
-            [(0, 1), (0, 1), (1, 4)],
-            [0, 1, 0],
-            ("disc1", "disc2"),
-        )
+        labels = {**k.labels, 7: "7", 9: "stray"}
+        triangles = np.vstack([k.triangles, [(0, 7, 9)]])
+        for bad, text in (
+            ([(3, 3, 1)], "degenerate triangle (1, 3, 3)"),
+            ([(0, 2, 8)], "triangle (0, 2, 8) uses an unknown vertex"),
+            ([(0, 1, 2)], "duplicate triangle (0, 1, 2)"),
+            ([], "vertex 7 lies in no triangle"),
+        ):
+            rows = np.vstack([k.triangles, np.array(bad, dtype=np.int64).reshape(-1, 3)])
+            with pytest.raises(ValueError) as exc:
+                SimplicialComplex2(labels, rows)
+            assert str(exc.value) == text
+        with pytest.raises(ValueError) as exc:
+            SimplicialComplex2(labels, triangles, np.array([(0, 1), (1, 0)]), np.array([0, 1]), ("disc1", "disc2"))
+        assert str(exc.value) == "interior edge (0, 1) claimed by both disc1 and disc2"
+        with pytest.raises(ValueError) as exc:
+            SimplicialComplex2(labels, triangles, np.array([(0, 4)]), np.array([0]), ("disc1",))
+        assert str(exc.value) == "interior edge (0, 4) uses an unknown vertex"
+
+        k = SimplicialComplex2(labels, triangles, np.array([(1, 0), (9, 1), (2, 7)]), np.array([0, 1, 0]), ("d1", "d2"))
+        k.edges = k.edges[1:]
         assert validate_complex(k).problems == (
-            "degenerate triangle (3, 3, 1)",
-            "triangle (0, 2, 8) uses unknown vertex 8",
-            "duplicate triangle (0, 1, 2)",
-            "loop or malformed edge (5, 5)",
-            "edge (0, 7) uses unknown vertex 7",
             "triangle (0, 1, 2) misses edge (0, 1)",
             "triangle (0, 1, 3) misses edge (0, 1)",
-            "triangle (0, 2, 8) misses edge (0, 8)",
-            "triangle (0, 2, 8) misses edge (2, 8)",
-            "edge (0, 7) lies in no triangle",
-            "vertex 9 lies in no triangle",
             "claimed interior edge (0, 1) is not an edge of the complex",
-            "claimed interior edge (0, 1) is not an edge of the complex",
-            "claimed interior edge (1, 4) is not an edge of the complex",
-            "interior edge (0, 1) shared by ['disc1', 'disc2']",
+            "claimed interior edge (1, 9) is not an edge of the complex",
+            "claimed interior edge (2, 7) is not an edge of the complex",
         )
 
-    def test_unsorted_arrays_detected(self):
-        k = tetrahedron()
-        report = validate_complex(SimplicialComplex2(k.labels, k.edges, k.triangles[::-1]))
-        assert report.problems == ("triangles are not in canonical order (ascending rows, lexicographically sorted)",)
-        report = validate_complex(SimplicialComplex2(k.labels, k.edges[:, ::-1], k.triangles))
-        assert report.problems == ("edges are not in canonical order (ascending rows, lexicographically sorted)",)
+    def test_shuffled_input_gives_the_same_complex(self):
+        rng = random.Random(99)
+        for k in (tetrahedron(), build_hmt(4), build_speyer_complex(11)):
+            rows = k.triangles.tolist()
+            rng.shuffle(rows)
+            for row in rows:
+                rng.shuffle(row)
+            again = SimplicialComplex2(dict(reversed(k.labels.items())), rows)
+            assert again.same_simplices(k)
+            assert np.array_equal(again.edges, k.edges)
+            assert write_facets(again) == write_facets(k)
 
 
 def relabeled_hmt2():
@@ -269,7 +279,8 @@ class TestBoundaryIndex:
 
     def test_invalid_complex_has_no_index(self):
         k = tetrahedron()
-        report = validate_complex(SimplicialComplex2(k.labels, k.edges[1:], k.triangles))
+        k.edges = k.edges[1:]
+        report = validate_complex(k)
         assert not report.ok
         assert report.edge_vertices is None and report.triangle_edges is None
 
@@ -280,36 +291,37 @@ class TestBoundaryIndex:
 
 
 class TestMakeComplex:
-    """The constructor's rejections, one per check."""
+    """What the constructor of SimplicialComplex2 derives and rejects, one
+    check per test."""
 
-    labels = {v: str(v) for v in range(5)}
+    labels = {v: str(v) for v in range(4)}
 
     def test_canonical_order_and_derived_edges(self):
-        k = make_complex(self.labels, [(3, 1, 2), (2, 0, 1)])
+        k = SimplicialComplex2(self.labels, [(3, 1, 2), (2, 0, 1)])
         assert k.triangles.tolist() == [[0, 1, 2], [1, 2, 3]]
         assert k.edges.tolist() == [[0, 1], [0, 2], [1, 2], [1, 3], [2, 3]]
         assert k.triangles.dtype == np.int64
 
     def test_degenerate_triangle(self):
         with pytest.raises(ValueError, match=r"^degenerate triangle \(1, 1, 3\)$"):
-            make_complex(self.labels, [(0, 1, 2), (3, 1, 1)])
+            SimplicialComplex2(self.labels, [(0, 1, 2), (3, 1, 1)])
 
     def test_duplicate_triangle(self):
         with pytest.raises(ValueError, match=r"^duplicate triangle \(1, 2, 3\)$"):
-            make_complex(self.labels, [(1, 2, 3), (0, 1, 2), (4, 0, 1), (3, 2, 1), (0, 4, 1)])
+            SimplicialComplex2(self.labels, [(1, 2, 3), (0, 1, 2), (3, 0, 1), (3, 2, 1), (0, 3, 1)])
 
     def test_unknown_vertex(self):
         with pytest.raises(ValueError, match=r"^triangle \(2, 3, 7\) uses an unknown vertex$"):
-            make_complex(self.labels, [(0, 1, 2), (7, 2, 3)])
+            SimplicialComplex2(self.labels, [(0, 1, 2), (7, 2, 3)])
 
     def test_conflicting_claims(self):
         with pytest.raises(ValueError, match=r"^interior edge \(0, 1\) claimed by both disc1 and disc2$"):
-            make_complex(
+            SimplicialComplex2(
                 self.labels, [(0, 1, 2), (0, 1, 3)], [(1, 0), (1, 2), (0, 1), (2, 1)], [0, 0, 1, 1], ("disc1", "disc2")
             )
 
     def test_repeated_claim_by_one_owner_counts_once(self):
-        k = make_complex(self.labels, [(0, 1, 2)], [(1, 0), (0, 1), (2, 1)], [1, 1, 0], ("disc1", "disc2"))
+        k = SimplicialComplex2(self.labels, [(0, 1, 2), (0, 1, 3)], [(1, 0), (0, 1), (2, 1)], [1, 1, 0], ("disc1", "disc2"))
         assert claimed(k) == [((0, 1), "disc2"), ((1, 2), "disc1")]
 
 
