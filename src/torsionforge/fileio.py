@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .exactmat import int_matrix
-from .triangulation import SimplicialComplex2
+from .triangulation import SimplicialComplex2, _index_in, _sorted_unique
 from .valid_sequences import ValidSequence
 
 # Vertex ids are stored as int64.
@@ -139,10 +139,26 @@ def read_sequence(text: str) -> ValidSequence:
     raise FileFormatError("empty sequence file", 1, 1)
 
 
+def _format_rows(rows: np.ndarray, ids: np.ndarray) -> str:
+    """The rows of an int64 array as lines of space-separated decimals.
+    ``ids`` are the ascending distinct values the rows hold (taken from the
+    rows when they hold others): each is formatted once, followed by a
+    space and by a newline, and the lines are one join of those words
+    looked up by index."""
+    idx, known = _index_in(ids, rows)
+    if not known.all():
+        ids = _sorted_unique(rows)
+        idx, _ = _index_in(ids, rows)
+    words = [str(v) for v in ids.tolist()]
+    out = np.empty(rows.shape, dtype=object)
+    out[:, :-1] = np.array([w + " " for w in words], dtype=object)[idx[:, :-1]]
+    out[:, -1] = np.array([w + "\n" for w in words], dtype=object)[idx[:, -1]]
+    return "".join(out.ravel().tolist())
+
+
 def write_sequence(seq: ValidSequence) -> str:
-    """One line per ordering, each row through one format string."""
-    line = " ".join(["%d"] * seq.n) + "\n"
-    return "".join([line % tuple(row.tolist()) for row in seq.perms])
+    """One line per ordering."""
+    return _format_rows(seq.perms, _sorted_unique(seq.perms))
 
 
 def read_facets(text: str) -> SimplicialComplex2:
@@ -151,7 +167,7 @@ def read_facets(text: str) -> SimplicialComplex2:
     is a duplicate triangle, which :class:`SimplicialComplex2` rejects."""
     tri = _int_table(text)
     if tri is not None and tri.shape[1] == 3 and ((0 <= tri[:, 0]) & (tri[:, 0] < tri[:, 1]) & (tri[:, 1] < tri[:, 2])).all():
-        return SimplicialComplex2({v: str(v) for v in np.unique(tri).tolist()}, tri)
+        return SimplicialComplex2({v: str(v) for v in _sorted_unique(tri).tolist()}, tri)
     for lineno, toks in _token_lines(text).items():
         if len(toks) != 3:
             raise FileFormatError(f"facet line needs 3 vertex ids, got {len(toks)}", lineno, 1)
@@ -166,8 +182,9 @@ def read_facets(text: str) -> SimplicialComplex2:
 
 
 def write_facets(k: SimplicialComplex2) -> str:
-    """One line per triangle, from the canonical (sorted) triangle array."""
-    return ("%d %d %d\n" * len(k.triangles)) % tuple(k.triangles.ravel().tolist())
+    """One line per triangle, from the canonical (sorted) triangle array;
+    every label lies in a triangle, so the labels are the ids it holds."""
+    return _format_rows(k.triangles, np.array(sorted(k.labels), dtype=np.int64))
 
 
 def complex_to_json(k: SimplicialComplex2) -> str:

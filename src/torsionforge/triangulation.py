@@ -20,9 +20,22 @@ from .disc_complex import DiscComplexSpec
 
 Triangle = tuple[int, int, int]
 
+# Vertices a complex may have: a triangle's key (a * nv + b) * nv + c of
+# its vertex indices must fit in an int64.
+MAX_VERTICES = 2**21
+
 
 def _int_rows(x, width: int) -> np.ndarray:
     return np.asarray(x, dtype=np.int64).reshape(-1, width)
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows of an (m, 2) or (m, 3) array, each sorted ascending by
+    compare-exchange of whole columns (np.sort along rows is slower)."""
+    cols = list(rows.T)
+    for i, j in [(0, 1)] if len(cols) == 2 else [(0, 1), (1, 2), (0, 1)]:
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    return np.stack(cols, axis=1)
 
 
 def _ints(row) -> tuple[int, ...]:
@@ -47,12 +60,27 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
 
 
 def _index_in(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position of every entry of x in the ascending ids, and whether the
-    entry is one of them."""
+    """Position of every entry of x in the ascending distinct ids, and
+    whether the entry is one of them.  Ids that form one contiguous run
+    are looked up by offset, others by binary search; an offset that wraps
+    past int64 lands below 0 or at len(ids) and beyond, because the last
+    id, ids[0] + len(ids) - 1, is an int64 itself."""
+    n = len(ids)
+    if n and int(ids[-1]) - int(ids[0]) == n - 1:
+        idx = x - ids[0]
+        return idx, (0 <= idx) & (idx < n)
     idx = np.searchsorted(ids, x)
-    if not len(ids):
+    if not n:
         return idx, np.zeros(x.shape, dtype=bool)
     return idx, ids.take(idx, mode="clip") == x
+
+
+def _unknown_rows(known: np.ndarray) -> np.ndarray:
+    """Indices of the rows of a mask from :func:`_index_in` that hold an
+    id outside the ids."""
+    if known.all():
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(~known.all(axis=1))
 
 
 def _lex_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,12 +97,13 @@ class SimplicialComplex2:
 
     The constructor coerces ``triangles`` to an (f2, 3) int64 array, sorts
     every row ascending and the rows lexicographically, and raises
-    ValueError on a degenerate triangle, a triangle with a vertex outside
-    ``labels``, a duplicate triangle, a label that lies in no triangle, and
-    an interior edge claimed by two different owners.  ``edges`` is not a
-    parameter: it is derived as the distinct sides of the triangles, an
-    (f1, 2) int64 array in the same canonical order, which the writers and
-    the boundary assembly rely on.
+    ValueError on more than MAX_VERTICES labels, a degenerate triangle, a
+    triangle with a vertex outside ``labels``, a duplicate triangle, a
+    label that lies in no triangle, and an interior edge claimed by two
+    different owners.  ``edges`` is not a parameter: it is derived as the
+    distinct sides of the triangles, an (f1, 2) int64 array in the same
+    canonical order, which the writers and the boundary assembly rely on.
+    The arrays it keeps are read-only.
 
     ``claims`` lists the interior edges of the construction units
     (discs/digons) and ``claim_owner`` the index of each one's unit in
@@ -92,33 +121,44 @@ class SimplicialComplex2:
     edges: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        tri = np.sort(_int_rows(self.triangles, 3), axis=1)
+        if len(self.labels) > MAX_VERTICES:
+            raise ValueError(f"{len(self.labels)} vertices, more than the {MAX_VERTICES} allowed")
+        tri = _sorted_rows(_int_rows(self.triangles, 3))
         bad = np.flatnonzero((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]))
         if bad.size:
             raise ValueError(f"degenerate triangle {_ints(tri[bad[0]])}")
         vids = np.array(sorted(self.labels), dtype=np.int64)
         nv = len(vids)
         idx, known = _index_in(vids, tri)
-        bad = np.flatnonzero(~known.all(axis=1))
+        bad = _unknown_rows(known)
         if bad.size:
             raise ValueError(f"triangle {_ints(tri[bad[0]])} uses an unknown vertex")
 
-        order, starts = _lex_order(tri)
-        if not starts.all():
+        # one key (a * nv + b) * nv + c per triangle of vertex indices: its
+        # sorted values are the triangles in lexicographic order
+        keys = np.sort((idx[:, 0] * nv + idx[:, 1]) * nv + idx[:, 2])
+        if (keys[1:] == keys[:-1]).any():
+            order, starts = _lex_order(tri)
             raise ValueError(f"duplicate triangle {_ints(tri[order[~starts].min()])}")
-        # rebinding both names frees the given and the unsorted arrays before
-        # the edge keys are built, which keeps the peak memory of a build down
-        self.triangles = tri = tri[order]
+        # every array is dropped once it is decoded, which keeps the peak
+        # memory of a build down
+        del tri, idx, known
+        ab, c = np.divmod(keys, nv)
+        a, b = np.divmod(ab, nv)
+        del keys, ab
         covered = np.zeros(nv, dtype=bool)
-        covered[idx] = True
+        covered[a] = covered[b] = covered[c] = True
         if not covered.all():
             raise ValueError(f"vertex {int(vids[~covered][0])} lies in no triangle")
 
-        a, b, c = idx.T
+        self.triangles = vids[np.stack((a, b, c), axis=1)]
         ekeys = _sorted_unique(np.concatenate((a * nv + b, a * nv + c, b * nv + c)))
-        self.edges = vids[np.stack((ekeys // nv, ekeys % nv), axis=1)]
+        del a, b, c
+        self.edges = vids[np.stack(np.divmod(ekeys, nv), axis=1)]
         self.claims, self.claim_owner = _owned_claims(vids, self.claims, self.claim_owner, self.owners)
         self.owners = tuple(self.owners)
+        for x in (self.triangles, self.edges, self.claims, self.claim_owner):
+            x.flags.writeable = False
 
     def same_simplices(self, other: SimplicialComplex2) -> bool:
         """Same vertex ids and triangles, hence the same edges."""
@@ -158,17 +198,27 @@ class ValidationReport:
 
 def _owned_claims(vids: np.ndarray, claims, owner, owners) -> tuple[np.ndarray, np.ndarray]:
     """One (edge, owner index) per claimed edge, sorted by edge; raises on
-    an edge claimed by two owners, naming the first conflicting claim."""
-    claims = np.sort(_int_rows(claims, 2), axis=1)
+    an edge claimed by two owners, naming the first conflicting claim.
+    When the owner indices lie in range(len(owners)) and one key per
+    (edge, owner) pair fits in an int64, a sort of those keys gives the
+    result; a conflict, or owners outside that, take the stable sort of
+    the edge keys that names the first conflicting claim in input order."""
+    claims = _sorted_rows(_int_rows(claims, 2))
     owner = np.asarray(owner, dtype=np.int64).reshape(-1)
     if len(owner) != len(claims):
         raise ValueError(f"{len(claims)} claimed edges but {len(owner)} owners")
-    nv = len(vids)
+    nv, m = len(vids), len(owners)
     idx, known = _index_in(vids, claims)
-    bad = np.flatnonzero(~known.all(axis=1))
+    bad = _unknown_rows(known)
     if bad.size:
         raise ValueError(f"interior edge {_ints(claims[bad[0]])} uses an unknown vertex")
     keys = idx[:, 0] * nv + idx[:, 1]
+    if m and nv * nv * m <= 2**63 and (0 <= owner).all() and (owner < m).all():
+        # one key edge * m + owner per claim: its distinct sorted values are
+        # the claims by edge, unless some edge comes with two owners
+        edge, edge_owner = np.divmod(_sorted_unique(keys * m + owner), m)
+        if not (edge[1:] == edge[:-1]).any():
+            return vids[np.stack(np.divmod(edge, nv), axis=1)], edge_owner
     order = np.argsort(keys, kind="stable")
     keys, sorted_owner = keys[order], owner[order]
     first = _run_starts(keys)
@@ -241,8 +291,8 @@ def vertex_count_formula(spec: DiscComplexSpec) -> int:
 
 
 def validate_complex(k: SimplicialComplex2) -> ValidationReport:
-    """The boundary index of ``k``, and the one check its construction
-    leaves open.
+    """The boundary index of ``k``, and the checks its construction leaves
+    open.
 
     Construction already rejects every fault of the triangles and labels
     and derives the edges from the triangles.  This looks every triangle
@@ -250,13 +300,26 @@ def validate_complex(k: SimplicialComplex2) -> ValidationReport:
     indices, and keeps those lookups as the report's boundary index (see
     :class:`ValidationReport`); a side it does not find is reported as a
     problem, never indexed.  It also reports every claimed interior edge
-    that is not an edge of the complex.
+    that is not an edge of the complex, and, on arrays assigned after
+    construction, every row with a vertex that is not a label and edges
+    out of canonical order.
     """
     vids = np.array(sorted(k.labels), dtype=np.int64)
     nv = len(vids)
-    eidx = np.searchsorted(vids, k.edges)
+    rows = {"edge": k.edges, "triangle": k.triangles, "claimed interior edge": k.claims}
+    lookups = {what: _index_in(vids, x) for what, x in rows.items()}
+    problems = [
+        f"{what} {_ints(rows[what][i])} uses an unknown vertex"
+        for what, (_, known) in lookups.items()
+        for i in _unknown_rows(known)
+    ]
+    if problems:
+        return ValidationReport(False, tuple(problems))
+    (eidx, _), (tidx, _), (cidx, _) = lookups.values()
+    a, b, c = tidx.T
     ekeys = eidx[:, 0] * nv + eidx[:, 1]
-    a, b, c = np.searchsorted(vids, k.triangles).T
+    if not (ekeys[1:] > ekeys[:-1]).all():
+        return ValidationReport(False, ("edges are not distinct and in canonical order",))
     # one row per triangle side, so each row's keys come in near-ascending
     # runs, which binary search walks faster than interleaved sides
     tedges, present = _index_in(ekeys, np.stack((a * nv + b, a * nv + c, b * nv + c)))
@@ -265,7 +328,6 @@ def validate_complex(k: SimplicialComplex2) -> ValidationReport:
         f"triangle {_ints(k.triangles[i])} misses edge {_ints(k.triangles[i, sides[j]])}"
         for i, j in zip(*np.nonzero(~present.T))
     ]
-    cidx = np.searchsorted(vids, k.claims)
     _, is_edge = _index_in(ekeys, cidx[:, 0] * nv + cidx[:, 1])
     problems += [f"claimed interior edge {_ints(e)} is not an edge of the complex" for e in k.claims[~is_edge]]
 

@@ -18,6 +18,7 @@ from torsionforge.fileio import (
 )
 from torsionforge.hadamard import walsh
 from torsionforge.hmt_builder import build_hmt
+from torsionforge.triangulation import SimplicialComplex2
 from torsionforge.valid_sequences import ValidSequence, valid_sequence
 
 
@@ -126,6 +127,19 @@ class TestSequenceFormat:
     def test_layout(self):
         assert write_sequence(valid_sequence(2)) == "1 2\n1 2\n"
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[5, -3, 9], [9, 5, -3], [-3, 9, 5]],
+            [[-(2**63), 0, 2**63 - 1], [2**63 - 1, -(2**63), 7], [0, 7, 0]],
+            [[4]],
+        ],
+    )
+    def test_matches_one_format_per_row(self, rows):
+        seq = ValidSequence(np.array(rows, dtype=np.int64))
+        line = " ".join(["%d"] * seq.n) + "\n"
+        assert write_sequence(seq) == "".join(line % tuple(row) for row in rows)
+
     def test_non_square_rejected(self):
         with pytest.raises(FileFormatError):
             read_sequence("1 2\n1\n")
@@ -170,6 +184,23 @@ class TestFacetFormat:
         tuples = [tuple(int(x) for x in l.split()) for l in lines]
         assert tuples == sorted(tuples)
         assert write_facets(k).endswith("\n")
+
+    @pytest.mark.parametrize(
+        "ids",
+        [[0, 3, 10, 11, 12, 40], [-7, -5, -2, 0, 9, 2**40], [-(2**63), -1, 0, 1, 2**63 - 2, 2**63 - 1]],
+        ids=["gaps", "negative", "int64-extremes"],
+    )
+    def test_matches_one_format_string(self, ids):
+        tris = [(0, 1, 2), (0, 2, 3), (3, 4, 5), (1, 4, 5), (0, 1, 5)]
+        k = SimplicialComplex2({v: str(v) for v in ids}, [tuple(ids[v] for v in t) for t in tris])
+        expected = ("%d %d %d\n" * len(k.triangles)) % tuple(k.triangles.ravel().tolist())
+        assert write_facets(k) == expected
+        assert write_facets(SimplicialComplex2({}, [])) == ""
+
+    def test_triangles_assigned_off_the_labels_are_written_as_they_are(self):
+        k = build_hmt(2)
+        k.triangles = k.triangles * 3 - 100
+        assert write_facets(k) == ("%d %d %d\n" * len(k.triangles)) % tuple(k.triangles.ravel().tolist())
 
     def test_rejects_unsorted_vertices(self):
         with pytest.raises(FileFormatError, match="ascending"):

@@ -3,7 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from torsionforge import triangulation
+from torsionforge.cli import main
 from torsionforge.disc_complex import DiscComplexSpec, from_matrix
 from torsionforge.exactmat import int_matrix
 from torsionforge.fileio import FileFormatError, complex_from_json, complex_to_json, write_facets
@@ -12,7 +16,10 @@ from torsionforge.hmt_builder import build_hmt
 from torsionforge.homology import boundary_matrices
 from torsionforge.speyer import build_speyer_complex, speyer_matrix
 from torsionforge.triangulation import (
+    MAX_VERTICES,
     SimplicialComplex2,
+    _index_in,
+    _sorted_rows,
     euler_characteristic,
     face_vector,
     triangulate_generic,
@@ -323,6 +330,179 @@ class TestMakeComplex:
     def test_repeated_claim_by_one_owner_counts_once(self):
         k = SimplicialComplex2(self.labels, [(0, 1, 2), (0, 1, 3)], [(1, 0), (0, 1), (2, 1)], [1, 1, 0], ("disc1", "disc2"))
         assert claimed(k) == [((0, 1), "disc2"), ((1, 2), "disc1")]
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+int64s = st.integers(INT64_MIN, INT64_MAX)
+
+
+@st.composite
+def id_sets(draw):
+    """Ascending distinct int64 ids: one contiguous run, or any set."""
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 20))
+        start = draw(st.integers(INT64_MIN, INT64_MAX - size + 1))
+        return np.arange(size, dtype=np.int64) + np.int64(start)
+    return np.array(sorted(draw(st.sets(int64s, max_size=20))), dtype=np.int64)
+
+
+class TestIndexIn:
+    """Ids to indices: by offset when the ids are one contiguous run, by
+    binary search otherwise, with the same answer either way."""
+
+    @staticmethod
+    def binary_search(ids, x):
+        idx = np.searchsorted(ids, x)
+        return idx, len(ids) > 0 and ids.take(idx, mode="clip") == x
+
+    @settings(max_examples=300, deadline=None)
+    @given(id_sets(), st.lists(int64s, max_size=10), st.data())
+    def test_offset_path_equals_binary_search(self, ids, others, data):
+        near = [int(v) + d for v in ids.tolist()[:3] + ids.tolist()[-3:] for d in (-1, 0, 1)]
+        near += [INT64_MIN, INT64_MAX] + others
+        x = np.array([v for v in near if INT64_MIN <= v <= INT64_MAX], dtype=np.int64)
+        idx, known = _index_in(ids, x)
+        ref_idx, ref_known = self.binary_search(ids, x)
+        assert np.array_equal(known, np.broadcast_to(ref_known, x.shape))
+        assert np.array_equal(idx[known], ref_idx[known])
+
+    @pytest.mark.parametrize(
+        "ids, x",
+        [
+            ([INT64_MAX - 2, INT64_MAX - 1, INT64_MAX], INT64_MIN + 1),
+            ([INT64_MIN, INT64_MIN + 1, INT64_MIN + 2], INT64_MAX),
+        ],
+        ids=["ids-at-max", "ids-at-min"],
+    )
+    def test_offset_that_wraps_is_unknown(self, ids, x):
+        ids = np.array(ids, dtype=np.int64)
+        assert int(ids[-1]) - int(ids[0]) == len(ids) - 1  # the offset path
+        _, known = _index_in(ids, np.array([x, ids[1]], dtype=np.int64))
+        assert known.tolist() == [False, True]
+
+    def test_rows_of_ids(self):
+        ids = np.array([3, 4, 5, 6], dtype=np.int64)
+        idx, known = _index_in(ids, np.array([[3, 6], [7, 4]], dtype=np.int64))
+        assert idx[known].tolist() == [0, 3, 1]
+        assert known.tolist() == [[True, True], [False, True]]
+
+
+class TestTriangleKeys:
+    """One int64 key per triangle: the duplicate check, canonical order and
+    the vertex bound that keeps the keys inside int64."""
+
+    def test_sorted_rows_match_np_sort(self):
+        rng = np.random.default_rng(3)
+        for width in (2, 3):
+            rows = rng.integers(-4, 4, size=(200, width))
+            assert np.array_equal(_sorted_rows(rows), np.sort(rows, axis=1))
+
+    def test_first_repeat_in_input_order_is_named(self):
+        # (0, 1, 2) sorts first, but (0, 1, 3) is repeated first
+        rows = [(0, 1, 3), (0, 1, 2), (3, 1, 0), (2, 1, 0)]
+        with pytest.raises(ValueError, match=r"^duplicate triangle \(0, 1, 3\)$"):
+            complex_from_triangles(rows)
+        with pytest.raises(ValueError, match=r"^duplicate triangle \(0, 1, 2\)$"):
+            complex_from_triangles(rows[1:] + rows[:1])
+
+    def test_keys_fit_in_int64(self):
+        assert MAX_VERTICES**3 <= 2**63
+
+    def test_too_many_vertices(self, monkeypatch):
+        monkeypatch.setattr(triangulation, "MAX_VERTICES", 3)
+        with pytest.raises(ValueError, match=r"^4 vertices, more than the 3 allowed$"):
+            tetrahedron()
+        assert complex_from_triangles([(0, 1, 2)]).triangles.tolist() == [[0, 1, 2]]
+
+    def test_homology_exits_2_past_the_vertex_bound(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "k.txt"
+        path.write_text(write_facets(build_hmt(4)))
+        monkeypatch.setattr(triangulation, "MAX_VERTICES", 18)
+        assert main(["homology", "--complex", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: 19 vertices, more than the 18 allowed\n"
+
+    @pytest.mark.parametrize("ids", [[-9, -4, 0, 2, 7, 40], [INT64_MIN, -1, 0, 5, INT64_MAX - 1, INT64_MAX]])
+    def test_wide_and_negative_ids(self, ids):
+        tris = [(0, 1, 2), (0, 2, 3), (3, 4, 5), (1, 4, 5), (0, 1, 5)]
+        rows = [tuple(ids[v] for v in t) for t in tris]
+        k = complex_from_triangles(rows[::-1])
+        assert k.triangles.tolist() == sorted(sorted(r) for r in rows)
+        assert validate_complex(k).ok
+
+
+class TestClaims:
+    """Claims kept once per edge, checked against a loop over the claims in
+    input order."""
+
+    @staticmethod
+    def reference(claims, owner, owners):
+        first = {}
+        for (u, v), o in zip(claims, owner):
+            e = (min(u, v), max(u, v))
+            first.setdefault(e, o)
+            if first[e] != o:
+                return f"interior edge {e} claimed by both {owners[first[e]]} and {owners[o]}"
+        return sorted(first.items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 2)), max_size=12), st.booleans())
+    def test_kept_claims_and_conflicts_match_a_loop(self, rows, one_owner_per_edge):
+        rows = [(u, v, o) for u, v, o in rows if u != v]
+        if one_owner_per_edge:
+            rows = [(u, v, (u + v) % 3) for u, v, _ in rows]
+        claims, owner = [(u, v) for u, v, _ in rows], [o for *_, o in rows]
+        owners = ("d1", "d2", "d3")
+        expected = self.reference(claims, owner, owners)
+        labels = {v: str(v) for v in range(5)}
+        triangles = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (1, 2, 4), (1, 3, 4), (2, 3, 4), (0, 1, 3)]
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as exc:
+                SimplicialComplex2(labels, triangles, claims, owner, owners)
+            assert str(exc.value) == expected
+        else:
+            k = SimplicialComplex2(labels, triangles, claims, owner, owners)
+            assert [(tuple(e), o) for e, o in zip(k.claims.tolist(), k.claim_owner.tolist())] == expected
+
+
+class TestAfterConstruction:
+    """What holds once a complex is built: its arrays are read-only, and the
+    validator reports ids that are not labels in arrays assigned later."""
+
+    def test_arrays_are_read_only(self):
+        k = SimplicialComplex2({v: str(v) for v in range(4)}, tetrahedron().triangles, [(0, 1)], [0], ("disc1",))
+        for name in ("triangles", "edges", "claims", "claim_owner"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(k, name)[0] = 0
+        k.triangles = k.triangles[1:]  # reassignment still works
+        assert len(k.triangles) == 3
+
+    def test_rewritten_row_with_unknown_vertex_is_reported(self):
+        k = complex_from_triangles([(0, 2, 4), (0, 2, 6), (0, 4, 6), (2, 4, 6)])
+        rows = k.triangles.copy()
+        rows[0] = (0, 1, 4)  # 1 is no label; binary search alone would take it for 2
+        k.triangles = rows
+        report = validate_complex(k)
+        assert report.problems == ("triangle (0, 1, 4) uses an unknown vertex",)
+        assert report.edge_vertices is None and report.triangle_edges is None
+
+    def test_unknown_vertices_past_contiguous_labels_are_reported(self):
+        k = SimplicialComplex2({v: str(v) for v in range(4)}, tetrahedron().triangles, [(0, 1)], [0], ("disc1",))
+        k.triangles = np.vstack([k.triangles, [(-1, 0, 1)]])
+        k.claims = np.array([(2, 9), (0, 1)])
+        k.edges = np.vstack([k.edges, [(3, 4)]])
+        assert validate_complex(k).problems == (
+            "edge (3, 4) uses an unknown vertex",
+            "triangle (-1, 0, 1) uses an unknown vertex",
+            "claimed interior edge (2, 9) uses an unknown vertex",
+        )
+
+    def test_edges_out_of_order_are_reported(self):
+        k = tetrahedron()
+        k.edges = k.edges[::-1]
+        assert validate_complex(k).problems == ("edges are not distinct and in canonical order",)
 
 
 class TestFaceVector:
