@@ -139,16 +139,13 @@ def read_sequence(text: str) -> ValidSequence:
     raise FileFormatError("empty sequence file", 1, 1)
 
 
-def _format_rows(rows: np.ndarray, ids: np.ndarray) -> str:
+def _format_rows(rows: np.ndarray) -> str:
     """The rows of an int64 array as lines of space-separated decimals.
-    ``ids`` are the ascending distinct values the rows hold (taken from the
-    rows when they hold others): each is formatted once, followed by a
-    space and by a newline, and the lines are one join of those words
-    looked up by index."""
-    idx, known = _index_in(ids, rows)
-    if not known.all():
-        ids = _sorted_unique(rows)
-        idx, _ = _index_in(ids, rows)
+    Each distinct value is formatted once, followed by a space and by a
+    newline, and the lines are one join of those words looked up by
+    index."""
+    ids = _sorted_unique(rows)
+    idx, _ = _index_in(ids, rows)
     words = [str(v) for v in ids.tolist()]
     out = np.empty(rows.shape, dtype=object)
     out[:, :-1] = np.array([w + " " for w in words], dtype=object)[idx[:, :-1]]
@@ -158,7 +155,7 @@ def _format_rows(rows: np.ndarray, ids: np.ndarray) -> str:
 
 def write_sequence(seq: ValidSequence) -> str:
     """One line per ordering."""
-    return _format_rows(seq.perms, _sorted_unique(seq.perms))
+    return _format_rows(seq.perms)
 
 
 def read_facets(text: str) -> SimplicialComplex2:
@@ -182,9 +179,8 @@ def read_facets(text: str) -> SimplicialComplex2:
 
 
 def write_facets(k: SimplicialComplex2) -> str:
-    """One line per triangle, from the canonical (sorted) triangle array;
-    every label lies in a triangle, so the labels are the ids it holds."""
-    return _format_rows(k.triangles, np.array(sorted(k.labels), dtype=np.int64))
+    """One line per triangle, from the canonical (sorted) triangle array."""
+    return _format_rows(k.triangles)
 
 
 def complex_to_json(k: SimplicialComplex2) -> str:

@@ -97,9 +97,10 @@ class SimplicialComplex2:
 
     The constructor coerces ``triangles`` to an (f2, 3) int64 array, sorts
     every row ascending and the rows lexicographically, and raises
-    ValueError on more than MAX_VERTICES labels, a degenerate triangle, a
-    triangle with a vertex outside ``labels``, a duplicate triangle, a
-    label that lies in no triangle, and an interior edge claimed by two
+    ValueError on more than MAX_VERTICES labels or owners, a degenerate
+    triangle, a triangle or claim with a vertex outside ``labels``, a
+    duplicate triangle, a label that lies in no triangle, a claim owner
+    index outside range(len(owners)), and an interior edge claimed by two
     different owners.  ``edges`` is not a parameter: it is derived as the
     distinct sides of the triangles, an (f1, 2) int64 array in the same
     canonical order, which the writers and the boundary assembly rely on.
@@ -198,39 +199,41 @@ class ValidationReport:
 
 def _owned_claims(vids: np.ndarray, claims, owner, owners) -> tuple[np.ndarray, np.ndarray]:
     """One (edge, owner index) per claimed edge, sorted by edge; raises on
-    an edge claimed by two owners, naming the first conflicting claim.
-    When the owner indices lie in range(len(owners)) and one key per
-    (edge, owner) pair fits in an int64, a sort of those keys gives the
-    result; a conflict, or owners outside that, take the stable sort of
-    the edge keys that names the first conflicting claim in input order."""
+    a claim whose vertex is not a label or whose owner index is outside
+    range(len(owners)), and on an edge claimed by two owners, naming the
+    first conflicting claim in input order."""
     claims = _sorted_rows(_int_rows(claims, 2))
     owner = np.asarray(owner, dtype=np.int64).reshape(-1)
     if len(owner) != len(claims):
         raise ValueError(f"{len(claims)} claimed edges but {len(owner)} owners")
     nv, m = len(vids), len(owners)
+    if m > MAX_VERTICES:
+        raise ValueError(f"{m} owners, more than the {MAX_VERTICES} allowed")
     idx, known = _index_in(vids, claims)
     bad = _unknown_rows(known)
     if bad.size:
         raise ValueError(f"interior edge {_ints(claims[bad[0]])} uses an unknown vertex")
+    bad = np.flatnonzero((owner < 0) | (owner >= m))
+    if bad.size:
+        at = bad[0]
+        raise ValueError(f"interior edge {_ints(claims[at])} has owner index {int(owner[at])}, not one of {m} owners")
     keys = idx[:, 0] * nv + idx[:, 1]
-    if m and nv * nv * m <= 2**63 and (0 <= owner).all() and (owner < m).all():
-        # one key edge * m + owner per claim: its distinct sorted values are
-        # the claims by edge, unless some edge comes with two owners
-        edge, edge_owner = np.divmod(_sorted_unique(keys * m + owner), m)
-        if not (edge[1:] == edge[:-1]).any():
-            return vids[np.stack(np.divmod(edge, nv), axis=1)], edge_owner
-    order = np.argsort(keys, kind="stable")
-    keys, sorted_owner = keys[order], owner[order]
-    first = _run_starts(keys)
-    first_owner = sorted_owner[first][np.cumsum(first) - 1]
-    clash = np.flatnonzero(sorted_owner != first_owner)
-    if clash.size:
+    # one key edge * m + owner per claim, below nv * nv * m <= MAX_VERTICES**3:
+    # its distinct sorted values are the claims by edge, unless some edge
+    # comes with two owners
+    edge, edge_owner = np.divmod(_sorted_unique(keys * m + owner), m)
+    if (edge[1:] == edge[:-1]).any():
+        order = np.argsort(keys, kind="stable")
+        sorted_owner = owner[order]
+        first = _run_starts(keys[order])
+        first_owner = sorted_owner[first][np.cumsum(first) - 1]
+        clash = np.flatnonzero(sorted_owner != first_owner)
         at = clash[np.argmin(order[clash])]
         raise ValueError(
             f"interior edge {_ints(claims[order[at]])} claimed by both "
             f"{owners[first_owner[at]]} and {owners[sorted_owner[at]]}"
         )
-    return claims[order[first]], sorted_owner[first]
+    return vids[np.stack(np.divmod(edge, nv), axis=1)], edge_owner
 
 
 def triangulate_generic(spec: DiscComplexSpec) -> SimplicialComplex2:

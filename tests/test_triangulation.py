@@ -424,6 +424,16 @@ class TestTriangleKeys:
         assert captured.out == ""
         assert captured.err == "error: 19 vertices, more than the 18 allowed\n"
 
+    def test_homology_exits_2_on_a_facet_file_past_the_vertex_bound(self, tmp_path, capsys):
+        # disjoint triangles on MAX_VERTICES + 1 vertices, at the real bound
+        rows = np.arange(MAX_VERTICES + 1).reshape(-1, 3)
+        path = tmp_path / "big.txt"
+        path.write_text(("%d %d %d\n" * len(rows)) % tuple(rows.ravel().tolist()))
+        assert main(["homology", "--complex", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {MAX_VERTICES + 1} vertices, more than the {MAX_VERTICES} allowed\n"
+
     @pytest.mark.parametrize("ids", [[-9, -4, 0, 2, 7, 40], [INT64_MIN, -1, 0, 5, INT64_MAX - 1, INT64_MAX]])
     def test_wide_and_negative_ids(self, ids):
         tris = [(0, 1, 2), (0, 2, 3), (3, 4, 5), (1, 4, 5), (0, 1, 5)]
@@ -465,6 +475,20 @@ class TestClaims:
         else:
             k = SimplicialComplex2(labels, triangles, claims, owner, owners)
             assert [(tuple(e), o) for e, o in zip(k.claims.tolist(), k.claim_owner.tolist())] == expected
+
+
+    @pytest.mark.parametrize("owner", [[0, 5], [-1, 0], [0, 1]])
+    def test_owner_index_outside_the_owners(self, owner):
+        bad = 0 if owner[0] else 1
+        with pytest.raises(ValueError, match=rf"^interior edge \(0, 1\) has owner index {owner[bad]}, not one of 1 owners$"):
+            SimplicialComplex2({v: str(v) for v in range(4)}, tetrahedron().triangles, [(1, 0), (0, 1)], owner, ("a",))
+        with pytest.raises(ValueError, match=r"^interior edge \(0, 1\) has owner index 0, not one of 0 owners$"):
+            SimplicialComplex2({v: str(v) for v in range(4)}, tetrahedron().triangles, [(1, 0)], [0])
+
+    def test_too_many_owners(self, monkeypatch):
+        monkeypatch.setattr(triangulation, "MAX_VERTICES", 4)
+        with pytest.raises(ValueError, match=r"^5 owners, more than the 4 allowed$"):
+            SimplicialComplex2({v: str(v) for v in range(4)}, tetrahedron().triangles, owners=tuple("abcde"))
 
 
 class TestAfterConstruction:
