@@ -18,18 +18,25 @@ McCurley, "Asymptotically fast triangularization of matrices over rings",
 SIAM J. Comput. 1991).  It is computed once, from a matrix ``B`` with the
 invariant factors ``d_1 | ... | d_m`` (``m <= n`` after transposing): the
 input, or the trailing block still to be reduced when the Hadamard bound
-of that block makes it the cheaper of the two.  Elimination modulo ~31-bit
-primes finds m columns of ``B`` that are independent modulo one prime;
-stacked elimination modulo further primes, combined by the Chinese
-remainder theorem up to the Hadamard bound, gives exact values:
+of that block makes it the cheaper of the two.  Elimination modulo a
+~31-bit prime finds m columns of ``B`` that are independent modulo that
+prime.  For a square matrix ``A`` of such columns, Dixon's p-adic lifting
+("Exact solution of linear equations using p-adic expansions", Numer.
+Math. 1982) solves ``A x = b`` for a fixed vector ``b``: one inverse
+modulo a prime ``p`` below 2^26, one O(n^2) step per base-``p`` digit up to
+twice the product of the Hadamard bounds on ``|det A|`` and on the Cramer
+numerators, then rational reconstruction of ``x`` with one shared
+denominator ``delta``.  ``delta`` divides ``det A``, and the cofactor
+``c = det A / delta`` comes from its residues modulo ``p`` and a few more
+~31-bit primes, combined by the Chinese remainder theorem up to the
+Hadamard bound over ``delta``; a prime that divides ``det A`` is skipped
+and replaced.  This gives exact values:
 
-- for a square ``B``, ``det B`` and ``adj(B) b`` for a fixed vector ``b``,
-  and ``mu = gcd(det B, adj(B) b) = |det B| / delta`` with ``delta`` the
-  denominator of ``B^-1 b``.  ``delta`` divides ``d_m``, so
-  ``d_1 ... d_(m-1)`` divides ``mu``; ``delta`` is almost always ``d_m``
-  itself, so ``mu`` is tiny (the "bonus" of Saunders and Wan, "Smith normal
-  form of dense integer matrices, fast algorithms into practice", ISSAC
-  2004);
+- for a square ``B``, ``det B`` and ``mu = |det B| / delta = |c|``.
+  ``delta`` divides ``d_m``, so ``d_1 ... d_(m-1)`` divides ``mu``;
+  ``delta`` is almost always ``d_m`` itself, so ``mu`` is tiny (the "bonus"
+  of Saunders and Wan, "Smith normal form of dense integer matrices, fast
+  algorithms into practice", ISSAC 2004);
 - for a wide ``B``, two exact maximal minors, whose gcd ``mu`` is a
   multiple of ``d_1 ... d_m``.
 
@@ -47,9 +54,11 @@ is ``|det| / (d_1 ... d_(m-1))``.
 
 Two cases keep the sweep exact on Python ints instead: no m columns are
 independent modulo the first prime (a rank-deficient input, say), or
-``mu`` exceeds ``ENTRY_BOUND``.  Then the working array is promoted to
-``dtype=object`` and the same sweep continues, so the result is always
-certified.
+``mu`` exceeds ``ENTRY_BOUND``.  For a square ``B`` the latter shows as
+soon as ``c`` modulo a product of primes above ``2 ENTRY_BOUND`` does, so
+it costs the lifting and typically one more elimination.  Then the
+working array is promoted to ``dtype=object`` and the same sweep
+continues, so the result is always certified.
 """
 
 from __future__ import annotations
@@ -66,6 +75,10 @@ ENTRY_BOUND = 2**31 - 1
 # Residues the stacked elimination modulo several primes holds at once
 # (32 MB of int64); a larger matrix takes its primes in several batches.
 _STACK_ENTRIES = 1 << 22
+
+# Dixon lifting works modulo one prime below this bound, so each step takes
+# one base-p digit of just under 26 bits.
+_LIFTING_PRIME_BOUND = 2**26
 
 # Re-pick/merge rounds per pivot; generous (each round shrinks |pivot|, so
 # legitimate runs stay way below this).
@@ -229,17 +242,18 @@ def _residues(x: np.ndarray, mu: int) -> np.ndarray:
     return x
 
 
-def _primes():
-    """Primes below 2^31, descending."""
+def _primes(below: int = 2**31):
+    """Primes below ``below``, descending."""
     from .exactmat import _passes_miller_rabin  # exactmat imports this module
 
-    return (c for c in range(2**31 - 1, 2, -2) if _passes_miller_rabin(c))
+    return (c for c in range((below - 2) | 1, 2, -2) if _passes_miller_rabin(c))
 
 
 def _crt_work(x: np.ndarray) -> float:
-    """Rough cost of :func:`_modulus` on ``x``: r^3 elimination steps per
-    prime for r = min(x.shape), times the bits of the Hadamard bound on its
-    maximal minors (plus one prime's worth), which set the prime count."""
+    """Rough cost of :func:`_modulus` on ``x``, to compare two candidates:
+    r^3 for r = min(x.shape), the order of each elimination, times the bits
+    of the Hadamard bound on its maximal minors (plus 32), which set the
+    number of lifting steps and of cofactor primes."""
     if x.shape[0] > x.shape[1]:
         x = x.T
     r = x.shape[0]
@@ -260,13 +274,16 @@ def _modulus(x: np.ndarray) -> tuple[int, int | None] | None:
     if len(cols) < m:
         return None
     if m == n:
-        det, adj_b = _det_and_adjugate_image(a, primes)
-        mu = math.gcd(det, *adj_b)
+        found = _det_and_denominator(a, primes, ENTRY_BOUND)
+        if found is None:
+            return None
+        det, delta = found
+        mu = abs(det) // delta
     else:
         other = [n - 1 - j for j in _pivot_columns(a[:, ::-1], p0)]
         det = None
-        mu = math.gcd(_det_and_adjugate_image(a[:, cols], primes)[0],
-                      _det_and_adjugate_image(a[:, other], primes)[0])
+        mu = math.gcd(_det_and_denominator(a[:, cols], primes)[0],
+                      _det_and_denominator(a[:, other], primes)[0])
     return (mu, det) if mu <= ENTRY_BOUND else None
 
 
@@ -292,45 +309,169 @@ def _pivot_columns(a: np.ndarray, p: int) -> list[int]:
     return cols
 
 
-def _det_and_adjugate_image(a: np.ndarray, primes) -> tuple[int, list[int]]:
-    """``det a`` and ``adj(a) b`` for the fixed vector ``b = (1, 2, ..., n)``,
-    exactly, for a square int64 ``a`` that is invertible modulo some prime
-    (so only the finitely many primes dividing ``det a`` are ever skipped,
-    and the loop ends).  Residues come from the
-    primes drawn from ``primes`` modulo which ``a`` is invertible; a prime
-    where it is singular is skipped and replaced.  They are combined once
-    their product exceeds twice the Hadamard bound on the determinant and
-    on every Cramer numerator ``det`` of ``a`` with one column replaced by
-    ``b``."""
+def _det_and_denominator(a: np.ndarray, primes, cap: int | None = None) -> tuple[int, int] | None:
+    """``(det a, delta)`` for a square int64 ``a`` that is invertible modulo
+    some prime, with ``delta`` the denominator of ``a^-1 b`` for the fixed
+    vector ``b = (1, 2, ..., n)``.  Dixon lifting modulo one prime ``p``
+    (the first of :func:`_lifting_primes` that does not divide ``det a``)
+    gives ``a^-1 b`` modulo a power of ``p`` above ``2 N D``, where ``D`` is
+    the Hadamard bound on ``|det a|`` and ``N`` that on every Cramer
+    numerator, and rational reconstruction gives ``delta``.  Then
+    ``det a = c delta`` with ``|c| <= D / delta``; ``c`` comes from its
+    residues modulo ``p`` and the primes drawn from ``primes`` modulo which
+    ``a`` is invertible (a prime dividing ``det a`` is skipped and
+    replaced), combined once their product exceeds ``2 D / delta``.
+    Returns None as soon as those residues show ``|c| > cap``."""
     n = a.shape[0]
-    w = np.concatenate([a, np.arange(1, n + 1, dtype=np.int64)[:, None]], axis=1)
-    norms = np.log2(np.sqrt((w.astype(float) ** 2).sum(axis=0)))
-    bits = norms[:n].sum() + max(0.0, norms[n] - norms[:n].min()) + 2
-    found, used, have = [], [], 0.0
-    while have <= bits:
-        # each prime carries just under 31 bits
-        need = max(1, min(math.ceil((bits - have) / 30.9), _STACK_ENTRIES // w.size))
-        batch = list(itertools.islice(primes, need))
-        residues, ok = _solve_mod(w, batch)
-        found.append(residues[ok])
-        used += [p for p, good in zip(batch, ok) if good]
-        have = sum(math.log2(p) for p in used)
-    exact = _crt(np.concatenate(found), used)
-    return exact[0], exact[1:]
+    squares = _column_squares(a)
+    hadamard = math.prod(squares)
+    d_bound = _ceil_sqrt(hadamard)
+    n_bound = _ceil_sqrt(hadamard // min(squares) * (n * (n + 1) * (2 * n + 1) // 6))
+    for p in _lifting_primes(a):
+        found = _inverse_mod(a, p)
+        if found is not None:
+            break
+    inv, perm, det_p = found
+    x, modulus = _lift(a, inv, perm, p, 2 * n_bound * d_bound)
+    delta = _denominator(x, modulus, n_bound, d_bound)
+    residues, used = [det_p * pow(delta, -1, p) % p], [p]
+    while (m := math.prod(used)) * delta <= 2 * d_bound:
+        if cap is not None and m <= 2 * cap:
+            need = 1  # with p, one ~31-bit prime tells whether |c| > cap
+        else:
+            # each prime carries just under 31 bits
+            need = (2 * d_bound // (m * delta)).bit_length() // 30 + 1
+        batch = list(itertools.islice(primes, max(1, min(need, _STACK_ENTRIES // a.size))))
+        dets, ok = _solve_mod(a, batch)
+        for q, v in zip(itertools.compress(batch, ok), dets[ok].tolist()):
+            residues.append(v * pow(delta, -1, q) % q)
+            used.append(q)
+        if cap is not None and math.prod(used) > 2 * cap and abs(_crt(residues, used)) > cap:
+            return None
+    return _crt(residues, used) * delta, delta
 
 
-def _solve_mod(w: np.ndarray, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """For the n x (n+1) matrix ``w = [a | b]`` and each prime ``p``, the
-    residues of ``det a`` and ``adj(a) b`` modulo ``p`` as one row of n + 1,
-    by Gaussian elimination of all primes at once; the mask marks the
-    primes modulo which ``a`` is invertible (other rows are meaningless)."""
-    n = w.shape[0]
+def _column_squares(a: np.ndarray) -> list[int]:
+    """The squared Euclidean norm of each column of the int64 ``a``."""
+    top = int(np.abs(a).max(initial=0))
+    w = a if top * top * a.shape[0] < 2**63 else a.astype(object)
+    return [int(v) for v in (w * w).sum(axis=0)]
+
+
+def _ceil_sqrt(x: int) -> int:
+    r = math.isqrt(x)
+    return r + (r * r < x)
+
+
+def _lifting_primes(a: np.ndarray):
+    """Primes for the Dixon lifting of the square int64 ``a``, descending:
+    below 2^26, and small enough that ``n max|a| p < 2^62`` and
+    ``n p^2 < 2^63``, so every int64 sum of n products in
+    :func:`_inverse_mod` and :func:`_lift` is exact."""
+    n = a.shape[0]
+    top = max(int(np.abs(a).max()), 1)
+    return _primes(min(_LIFTING_PRIME_BOUND, 2**62 // (n * top), math.isqrt(2**63 // n)))
+
+
+def _inverse_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """``(inv, perm, det)``: the inverse modulo ``p`` of ``a`` with its rows
+    taken in the order ``perm``, so that ``a^-1 r = inv @ r[perm]``, and
+    ``det a`` modulo ``p``, by Gauss-Jordan elimination in place; None when
+    ``p`` divides ``det a``.  Each step reduces only the pivot row and
+    column: every other entry loses one product of two residues per step,
+    which ``n p^2 < 2^63`` keeps within int64 for all n steps."""
+    n = a.shape[0]
+    m = a % p
+    perm = np.arange(n)
+    det = 1
+    for k in range(n):
+        col = m[:, k] % p
+        nz = np.flatnonzero(col[k:])
+        if not nz.size:
+            return None
+        i = k + int(nz[0])
+        if i != k:
+            m[[k, i]] = m[[i, k]]
+            col[[k, i]] = col[[i, k]]
+            perm[[k, i]] = perm[[i, k]]
+            det = -det
+        piv = int(col[k])
+        det = det * piv % p
+        row = m[k] % p
+        row[k] = 1
+        row = row * pow(piv, -1, p) % p
+        col[k] = 0
+        m[:, k] = 0
+        m -= col[:, None] * row
+        m[k] = row
+    return m % p, perm, det
+
+
+def _lift(a: np.ndarray, inv: np.ndarray, perm: np.ndarray, p: int,
+          bound: int) -> tuple[np.ndarray, int]:
+    """``(x, p^k)`` with ``x`` (Python ints) congruent to ``a^-1 b`` modulo
+    ``p^k``, the least power of ``p`` above ``bound``, for ``b = (1, ..., n)``:
+    each of the k Dixon steps takes one base-``p`` digit ``a^-1 r mod p`` of
+    the solution and leaves ``r = (r - a x) / p``, whose entries stay
+    within ``n max|a|``."""
+    r = np.arange(1, a.shape[0] + 1, dtype=np.int64)
+    digits = []
+    modulus = 1
+    while modulus <= bound:
+        x = inv @ (r[perm] % p) % p
+        r = (r - a @ x) // p
+        digits.append(x)
+        modulus *= p
+    x = np.zeros(a.shape[0], dtype=object)
+    for d in reversed(digits):
+        x = x * p + d.astype(object)
+    return x, modulus
+
+
+def _denominator(x: np.ndarray, modulus: int, num_bound: int, den_bound: int) -> int:
+    """The common denominator of the fractions, with numerators within
+    ``num_bound`` and denominators within ``den_bound``, whose residues
+    modulo ``modulus > 2 num_bound den_bound`` are ``x``.  Each residue is
+    scaled by the denominator found so far; one whose symmetric residue is
+    then within ``num_bound`` is that integer, and adds nothing."""
+    delta = 1
+    for v in x:
+        y = v * delta % modulus
+        if min(y, modulus - y) > num_bound:
+            delta *= _rational(y, modulus, num_bound, den_bound)[1]
+    return delta
+
+
+def _rational(y: int, modulus: int, num_bound: int, den_bound: int) -> tuple[int, int] | None:
+    """The fraction ``r / t`` with ``r = t y`` modulo ``modulus``,
+    ``|r| <= num_bound`` and ``0 < t <= den_bound``, in lowest terms, or
+    None when there is none.  It is unique when ``modulus`` exceeds
+    ``2 num_bound den_bound``, and the extended Euclidean algorithm on
+    ``(modulus, y)`` finds it at its first remainder within ``num_bound``
+    (von zur Gathen and Gerhard, Modern Computer Algebra, Theorem 5.26)."""
+    r0, r1 = modulus, y % modulus
+    t0, t1 = 0, 1
+    while r1 > num_bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > den_bound or math.gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _solve_mod(a: np.ndarray, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The residues of ``det a`` modulo each prime, for a square int64
+    ``a``, by Gaussian elimination of all primes at once, and a mask of the
+    primes modulo which ``a`` is invertible (other residues are 0)."""
+    n = a.shape[0]
     layers = len(primes)
     p = np.array(primes, dtype=np.int64)
     pc = p[:, None]
-    s = w[None, :, :] % p[:, None, None]
+    s = a[None, :, :] % p[:, None, None]
     det = np.ones(layers, dtype=np.int64)
-    inv = np.zeros((layers, n), dtype=np.int64)
     ok = np.ones(layers, dtype=bool)
     at = np.arange(layers)
     for j in range(n):
@@ -345,25 +486,21 @@ def _solve_mod(w: np.ndarray, primes: list[int]) -> tuple[np.ndarray, np.ndarray
             det[swap] = p[swap] - det[swap]
         piv = s[at, j, j]
         det = det * piv % p
-        inv[:, j] = [pow(int(v), -1, int(q)) if v else 0 for v, q in zip(piv, primes)]
-        f = s[:, j + 1 :, j] * inv[:, j, None] % pc
+        inv = np.array([pow(int(v), -1, int(q)) if v else 0 for v, q in zip(piv, primes)], dtype=np.int64)
+        f = s[:, j + 1 :, j] * inv[:, None] % pc
         rest = s[:, j + 1 :, j + 1 :]
         rest -= f[:, :, None] * s[:, j, None, j + 1 :]
         rest %= p[:, None, None]
-    x = np.zeros((layers, n), dtype=np.int64)
-    for j in range(n - 1, -1, -1):
-        t = (s[:, j, n] - (s[:, j, j + 1 : n] * x[:, j + 1 :] % pc).sum(axis=1)) % p
-        x[:, j] = t * inv[:, j] % p
-    return np.concatenate([det[:, None], x * det[:, None] % pc], axis=1), ok
+    return det, ok
 
 
-def _crt(residues: np.ndarray, primes: list[int]) -> list[int]:
-    """The integers in (-M/2, M/2], M the product of ``primes``, with the
-    given residues modulo each prime (one row per prime)."""
+def _crt(residues: list[int], primes: list[int]) -> int:
+    """The integer in (-M/2, M/2], M the product of ``primes``, with the
+    given residue modulo each prime."""
     big = math.prod(primes)
-    basis = np.empty(len(primes), dtype=object)
-    for t, p in enumerate(primes):
+    total = 0
+    for v, p in zip(residues, primes):
         e = big // p
-        basis[t] = e * pow(e % p, -1, p)
-    total = (residues.astype(object) * basis[:, None]).sum(axis=0)
-    return [v - big if v > big // 2 else v for v in (int(x) % big for x in total)]
+        total += v * e * pow(e % p, -1, p)
+    total %= big
+    return total - big if total > big // 2 else total

@@ -102,13 +102,10 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
     owner.append(np.repeat(n + np.arange(len(columns)), 3))
 
     owners = tuple(f"disc{i}" for i in range(1, n + 1)) + tuple(f"digon{j}" for j in columns.tolist())
-    return SimplicialComplex2(
-        _labels(n, keep_first_digon),
-        np.concatenate(triangles),
-        np.concatenate(claims),
-        np.concatenate(owner),
-        owners,
-    )
+    # the constructor's peak comes on top of whatever is still alive here
+    triangles, claims, owner = np.concatenate(triangles), np.concatenate(claims), np.concatenate(owner)
+    del ring, col, common, negative, first, centers, a1, a2, b1, b2
+    return SimplicialComplex2(_labels(n, keep_first_digon), triangles, claims, owner, owners)
 
 
 def hmt_certificate(n: int) -> dict:

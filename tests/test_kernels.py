@@ -176,34 +176,137 @@ def test_rank_deficient_input_falls_back_to_python_ints(handoffs):
     assert len(expected) == 4
 
 
-def test_prime_dividing_the_determinant_is_replaced(monkeypatch):
-    primes = _kernels._primes()
-    first = next(primes)
-    crt_first = next(primes)
-    rng = random.Random(14)
-    rows = near_bound_matrix(rng, rows=5)
-    # det = rows[0][0] * C00 + rest; pick rows[0][0] in [0, crt_first) so
-    # that crt_first divides det (C00 is the (0, 0) cofactor)
-    rows[0][0] = 0
+def plant_determinant_multiple(rows, p, at=(0, 0)):
+    # det is linear in one entry, det = x * C + R: the entry in [0, p) with
+    # x * C + R divisible by p, given that p does not divide C
+    i, j = at
+    rows[i][j] = 0
     rest = det_bareiss(int_matrix(rows))
-    c00 = det_bareiss(int_matrix([r[1:] for r in rows[1:]]))
-    rows[0][0] = -rest * pow(c00, -1, crt_first) % crt_first
-    det = det_bareiss(int_matrix(rows))
-    assert det % crt_first == 0 and det % first
+    rows[i][j] = 1
+    cofactor = det_bareiss(int_matrix(rows)) - rest
+    rows[i][j] = -rest * pow(cofactor, -1, p) % p
+    return det_bareiss(int_matrix(rows))
 
-    solved = []
+
+def hadamard_slack_matrix(rng, n=6):
+    # rows 1 and 3 differ from rows 0 and 2 by entries in [-3, 3], so |det|
+    # lies about 2^60 below the Hadamard bound of the near-2^30 columns
+    rows = near_bound_matrix(rng, rows=n)
+    for i in (1, 3):
+        rows[i] = [x + rng.randint(-3, 3) for x in rows[i - 1]]
+    return rows
+
+
+@pytest.fixture
+def cofactor_primes(monkeypatch):
+    """(prime, invertible) for every prime ``_kernels._solve_mod`` takes."""
+    seen = []
     solve_mod = _kernels._solve_mod
 
-    def spy(w, batch):
-        residues, ok = solve_mod(w, batch)
-        solved.extend(zip(batch, ok))
-        return residues, ok
+    def spy(a, batch):
+        dets, ok = solve_mod(a, batch)
+        seen.extend(zip(batch, ok.tolist()))
+        return dets, ok
 
     monkeypatch.setattr(_kernels, "_solve_mod", spy)
-    assert _kernels._modulus(np.array(rows, dtype=np.int64)) == (modulus_by_cramer(rows), det)
-    assert solved[0] == (crt_first, False)
-    assert all(ok for _, ok in solved[1:]) and len(solved) > 1
+    return seen
+
+
+def test_prime_dividing_the_determinant_is_replaced(monkeypatch, cofactor_primes):
+    # one determinant divisible by the lifting prime, one by the first
+    # cofactor prime: each prime is skipped and the next one taken
+    inverted = []
+    inverse_mod = _kernels._inverse_mod
+
+    def spy(a, p):
+        found = inverse_mod(a, p)
+        inverted.append((p, found is not None))
+        return found
+
+    monkeypatch.setattr(_kernels, "_inverse_mod", spy)
+
+    rows = near_bound_matrix(random.Random(14), rows=5)
+    lifting = _kernels._lifting_primes(np.array(rows, dtype=np.int64))
+    first, second = next(lifting), next(lifting)
+    det = plant_determinant_multiple(rows, first)
+    arr = np.array(rows, dtype=np.int64)
+    assert det % first == 0 and det % second
+    assert next(_kernels._lifting_primes(arr)) == first
+    assert _kernels._modulus(arr) == (modulus_by_cramer(rows), det)
+    assert inverted == [(first, False), (second, True)]
     sweep_agrees(rows)
+
+    primes = _kernels._primes()
+    next(primes)  # the rank check's prime
+    first = next(primes)
+    rows = hadamard_slack_matrix(random.Random(19))
+    det = plant_determinant_multiple(rows, first, at=(4, 0))
+    assert det % first == 0
+    inverted.clear()
+    cofactor_primes.clear()
+    assert _kernels._modulus(np.array(rows, dtype=np.int64)) == (modulus_by_cramer(rows), det)
+    assert len(inverted) == 1 and inverted[0][1]
+    assert cofactor_primes[0] == (first, False)
+    assert len(cofactor_primes) > 1 and all(ok for _, ok in cofactor_primes[1:])
+    sweep_agrees(rows)
+
+
+def test_hadamard_slack_takes_cofactor_primes_beyond_the_lifting_prime(cofactor_primes):
+    # c = det / delta is small, but only residues modulo a product above
+    # 2 D / delta, D the Hadamard bound, prove it: here 2^62 or more, past
+    # the lifting prime (below 2^26) times one ~31-bit prime
+    rng = random.Random(20)
+    for _ in range(5):
+        rows = hadamard_slack_matrix(rng)
+        cofactor_primes.clear()
+        mu, det = _kernels._modulus(np.array(rows, dtype=np.int64))
+        assert (mu, det) == (modulus_by_cramer(rows), det_bareiss(int_matrix(rows)))
+        assert len(cofactor_primes) >= 2 and all(ok for _, ok in cofactor_primes)
+
+
+def test_square_modulus_matches_cramer_and_bareiss():
+    # entries up to 2^31 - 1 (some rows scaled by a common factor, so mu
+    # grows and sometimes passes the bound); None exactly when mu does, or
+    # when the rank check's prime 2^31 - 1 divides the determinant
+    rng = random.Random(21)
+    beyond = 0
+    for _ in range(80):
+        n = rng.randint(1, 12)
+        bits = rng.choice((2, 10, 31))
+        rows = [[rng.randint(-(2**bits - 1), 2**bits - 1) for _ in range(n)] for _ in range(n)]
+        if rng.random() < 0.3:
+            f = rng.choice((2, 6, 1024))
+            rows = [[max(-_kernels.ENTRY_BOUND, min(_kernels.ENTRY_BOUND, f * x)) for x in r] for r in rows]
+        det = det_bareiss(int_matrix(rows))
+        if det == 0:
+            continue
+        mu = modulus_by_cramer(rows)
+        found = _kernels._modulus(np.array(rows, dtype=np.int64))
+        if mu > _kernels.ENTRY_BOUND or det % next(_kernels._primes()) == 0:
+            beyond += 1
+            assert found is None, rows
+        else:
+            assert found == (mu, det), rows
+    assert beyond >= 3
+
+
+@pytest.mark.parametrize("num_bound, den_bound, modulus", [(3, 40, 241), (6, 9, 109), (15, 7, 211)])
+def test_rational_reconstruction_finds_the_unique_fraction(num_bound, den_bound, modulus):
+    # a prime modulus just above 2 num_bound den_bound: every residue stands
+    # for at most one fraction within the bounds, found when it exists
+    for y in range(modulus):
+        fractions = [(r, t) for t in range(1, den_bound + 1) for r in range(-num_bound, num_bound + 1)
+                     if math.gcd(r, t) == 1 and (r - t * y) % modulus == 0]
+        assert len(fractions) <= 1
+        assert _kernels._rational(y, modulus, num_bound, den_bound) == (fractions[0] if fractions else None)
+
+
+def test_rational_reconstruction_at_its_bounds():
+    num_bound, den_bound = 3**25, 2**40
+    modulus = 2 * num_bound * den_bound + 1
+    for r, t in ((num_bound, den_bound), (-num_bound, den_bound), (num_bound, 1), (-1, den_bound), (0, 1)):
+        y = r * pow(t, -1, modulus) % modulus
+        assert _kernels._rational(y, modulus, num_bound, den_bound) == (r, t)
 
 
 def test_primes_taken_one_batch_at_a_time_give_the_same_modulus(monkeypatch):
@@ -214,9 +317,10 @@ def test_primes_taken_one_batch_at_a_time_give_the_same_modulus(monkeypatch):
     assert [_kernels._modulus(x) for x in cases] == expected
 
 
-def test_modulus_past_the_bound_falls_back_to_python_ints(handoffs):
+def test_modulus_past_the_bound_falls_back_to_python_ints(handoffs, cofactor_primes):
     # c * U with U unimodular has d_1 = ... = d_n = c, so mu >= c^(n-1),
-    # far above 2^31 - 1 for c near 2^16
+    # far above 2^31 - 1 for c near 2^16; the residue of mu modulo the
+    # lifting prime and one ~31-bit prime already shows it
     rng = random.Random(15)
     n, c = 5, 2**16 - 15
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -230,6 +334,8 @@ def test_modulus_past_the_bound_falls_back_to_python_ints(handoffs):
     assert max(abs(x) for r in rows for x in r) <= _kernels.ENTRY_BOUND
     assert sweep_agrees(rows) == [c] * n
     assert handoffs == [None]
+    assert 1 <= len(cofactor_primes) <= 2
+
 
 
 def test_late_overflow_takes_the_modulus_of_the_trailing_block(monkeypatch):
