@@ -325,8 +325,8 @@ def _det_and_denominator(a: np.ndarray, primes, cap: int | None = None) -> tuple
     n = a.shape[0]
     squares = _column_squares(a)
     hadamard = math.prod(squares)
-    d_bound = _ceil_sqrt(hadamard)
-    n_bound = _ceil_sqrt(hadamard // min(squares) * (n * (n + 1) * (2 * n + 1) // 6))
+    d_bound = math.isqrt(hadamard) + 1
+    n_bound = math.isqrt(hadamard // min(squares) * (n * (n + 1) * (2 * n + 1) // 6)) + 1
     for p in _lifting_primes(a):
         found = _inverse_mod(a, p)
         if found is not None:
@@ -356,11 +356,6 @@ def _column_squares(a: np.ndarray) -> list[int]:
     top = int(np.abs(a).max(initial=0))
     w = a if top * top * a.shape[0] < 2**63 else a.astype(object)
     return [int(v) for v in (w * w).sum(axis=0)]
-
-
-def _ceil_sqrt(x: int) -> int:
-    r = math.isqrt(x)
-    return r + (r * r < x)
 
 
 def _lifting_primes(a: np.ndarray):
@@ -429,11 +424,12 @@ def _lift(a: np.ndarray, inv: np.ndarray, perm: np.ndarray, p: int,
 
 
 def _denominator(x: np.ndarray, modulus: int, num_bound: int, den_bound: int) -> int:
-    """The common denominator of the fractions, with numerators within
-    ``num_bound`` and denominators within ``den_bound``, whose residues
-    modulo ``modulus > 2 num_bound den_bound`` are ``x``.  Each residue is
-    scaled by the denominator found so far; one whose symmetric residue is
-    then within ``num_bound`` is that integer, and adds nothing."""
+    """The least common denominator of the fractions ``v_i / det`` whose
+    residues modulo ``modulus > 2 num_bound den_bound`` are ``x``, given
+    ``|v_i| <= num_bound`` and ``0 < |det| <= den_bound``.  Each residue is
+    scaled by the denominator found so far, which divides ``det``, so the
+    scaled fraction still lies within both bounds: one whose symmetric
+    residue is within ``num_bound`` is that integer, and adds nothing."""
     delta = 1
     for v in x:
         y = v * delta % modulus
@@ -443,12 +439,13 @@ def _denominator(x: np.ndarray, modulus: int, num_bound: int, den_bound: int) ->
 
 
 def _rational(y: int, modulus: int, num_bound: int, den_bound: int) -> tuple[int, int] | None:
-    """The fraction ``r / t`` with ``r = t y`` modulo ``modulus``,
-    ``|r| <= num_bound`` and ``0 < t <= den_bound``, in lowest terms, or
-    None when there is none.  It is unique when ``modulus`` exceeds
-    ``2 num_bound den_bound``, and the extended Euclidean algorithm on
-    ``(modulus, y)`` finds it at its first remainder within ``num_bound``
-    (von zur Gathen and Gerhard, Modern Computer Algebra, Theorem 5.26)."""
+    """``(r, t)`` with ``r = t y`` modulo ``modulus``, ``|r| <= num_bound``
+    and ``0 < t <= den_bound``, from the extended Euclidean algorithm on
+    ``(modulus, y)`` at its first remainder within ``num_bound``, or None
+    when its ``t`` is too large.  When ``modulus`` exceeds
+    ``2 num_bound den_bound`` and ``y`` stands for a fraction within both
+    bounds, that fraction is unique and this is it, in lowest terms (von
+    zur Gathen and Gerhard, Modern Computer Algebra, Theorem 5.26)."""
     r0, r1 = modulus, y % modulus
     t0, t1 = 0, 1
     while r1 > num_bound:
@@ -457,9 +454,7 @@ def _rational(y: int, modulus: int, num_bound: int, den_bound: int) -> tuple[int
         t0, t1 = t1, t0 - q * t1
     if t1 < 0:
         r1, t1 = -r1, -t1
-    if t1 > den_bound or math.gcd(r1, t1) != 1:
-        return None
-    return r1, t1
+    return (r1, t1) if t1 <= den_bound else None
 
 
 def _solve_mod(a: np.ndarray, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -299,6 +300,35 @@ def test_rational_reconstruction_finds_the_unique_fraction(num_bound, den_bound,
                      if math.gcd(r, t) == 1 and (r - t * y) % modulus == 0]
         assert len(fractions) <= 1
         assert _kernels._rational(y, modulus, num_bound, den_bound) == (fractions[0] if fractions else None)
+
+
+def test_denominator_is_the_least_common_one():
+    # every pair of fractions v / det with |v| <= 15 and 0 < |det| <= 7,
+    # from their residues modulo the prime 211 > 2 * 15 * 7
+    modulus, num_bound, den_bound = 211, 15, 7
+    for det in [d for d in range(-den_bound, den_bound + 1) if d]:
+        inverse = pow(det, -1, modulus)
+        for v in itertools.product(range(-num_bound, num_bound + 1), repeat=2):
+            x = [u * inverse % modulus for u in v]
+            expected = abs(det) // math.gcd(det, *v)
+            assert _kernels._denominator(x, modulus, num_bound, den_bound) == expected, (v, det)
+
+
+def test_lifting_prime_keeps_int64_sums_exact():
+    # 200 positive entries near 2^31 in a row: a prime near 2^26 would let
+    # the product a x of a lifting step pass 2^63, so the lifting prime
+    # drops below it; the result agrees with independent residues
+    rng = np.random.default_rng(22)
+    n = 200
+    a = rng.integers(2**30, 2**31 - 1, size=(n, n), dtype=np.int64)
+    assert n * int(a.max()) * 2**26 > 2**63
+    primes = _kernels._primes()
+    next(primes)
+    det, delta = _kernels._det_and_denominator(a, primes)
+    check = list(itertools.islice(_kernels._primes(2**30), 3))
+    residues, ok = _kernels._solve_mod(a, check)
+    assert ok.all() and [det % q for q in check] == residues.tolist()
+    assert det % delta == 0
 
 
 def test_rational_reconstruction_at_its_bounds():
