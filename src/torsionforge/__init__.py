@@ -19,7 +19,6 @@ from .speyer import build_speyer_complex, speyer_matrix
 from .triangulation import (
     FaceVector,
     SimplicialComplex2,
-    ValidationReport,
     euler_characteristic,
     face_vector,
     triangulate_generic,
@@ -37,7 +36,6 @@ __all__ = [
     "SimplicialComplex2",
     "SnfResult",
     "ValidSequence",
-    "ValidationReport",
     "ValidityReport",
     "augment",
     "boundary_matrices",

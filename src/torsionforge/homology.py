@@ -3,10 +3,11 @@ boundary maps.
 
 The boundaries are assembled once as sparse rows: an edge is the pair of
 its endpoint indices, a triangle a ``{edge index: +-1}`` row.  A complex
-is valid by construction; both indices come from
+is checked once by its constructor and frozen; both indices come from
 :func:`torsionforge.triangulation.validate_complex`, which looks every
-triangle side up among the edges once, so this module never indexes a
-complex itself and only adds the signs; :func:`boundary_matrices` fills
+triangle side up among the edges once and raises on a claimed interior
+edge that is not an edge, so this module never indexes a complex itself
+and only adds the signs; :func:`boundary_matrices` fills
 dense int64 d1 and d2 straight from the same index arrays.  Following
 Dumas, Heckenbach, Saunders and Welker (2003), most of the work never
 reaches a dense Smith form:
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exactmat import AbelianGroup, free_group, group_from_factors, int_matrix, smith_normal_form
-from .triangulation import SimplicialComplex2, ValidationReport, validate_complex
+from .triangulation import SimplicialComplex2, validate_complex
 
 
 @dataclass(frozen=True)
@@ -49,16 +50,13 @@ class HomologyResult:
         return f"H0 = {self.h0}; H1 = {self.h1}; H2 = {self.h2}"
 
 
-def _validated(k: SimplicialComplex2) -> ValidationReport:
-    """The validation report of ``k``, whose index arrays give the
-    boundaries; ValueError if the report has problems or ``k`` has no
-    triangles."""
-    report = validate_complex(k)
-    if not report.ok:
-        raise ValueError("invalid complex: " + "; ".join(report.problems[:5]))
+def _validated(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary index of ``k`` (see
+    :func:`torsionforge.triangulation.validate_complex`); ValueError if
+    ``k`` has no triangles."""
     if not len(k.triangles):
         raise ValueError("complex has no triangles")
-    return report
+    return validate_complex(k)
 
 
 def _sparse_boundaries(k: SimplicialComplex2) -> tuple[int, list[tuple[int, int]], list[dict[int, int]]]:
@@ -68,9 +66,9 @@ def _sparse_boundaries(k: SimplicialComplex2) -> tuple[int, list[tuple[int, int]
     vertex indices, d2 each triangle as a ``{edge index: +-1}`` row.
     Simplex indices follow the sorted orders of the complex.
     """
-    report = _validated(k)
-    d2 = [{ab: 1, ac: -1, bc: 1} for ab, ac, bc in zip(*report.triangle_edges.T.tolist())]
-    return len(k.labels), list(zip(*report.edge_vertices.T.tolist())), d2
+    ev, te = _validated(k)
+    d2 = [{ab: 1, ac: -1, bc: 1} for ab, ac, bc in zip(*te.T.tolist())]
+    return len(k.labels), list(zip(*ev.T.tolist())), d2
 
 
 def _densify(rows: list[dict[int, int]], columns) -> np.ndarray:
@@ -92,10 +90,9 @@ def boundary_matrices(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
     Row (a, b) of the first has -1 at a and +1 at b; row (a, b, c) of the
     second has +1 at (a,b), -1 at (a,c), +1 at (b,c).  Their composition
     vanishes.  Simplex indices follow the sorted orders of the complex and
-    come from the index arrays of the validation report.
+    come from the boundary index of the complex.
     """
-    report = _validated(k)
-    ev, te = report.edge_vertices, report.triangle_edges
+    ev, te = _validated(k)
     d1 = np.zeros((len(ev), len(k.labels)), dtype=np.int64)
     d1[np.arange(len(ev))[:, None], ev] = (-1, 1)
     d2 = np.zeros((len(te), len(ev)), dtype=np.int64)

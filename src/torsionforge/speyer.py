@@ -24,8 +24,9 @@ def speyer_matrix(k: int) -> np.ndarray:
     with m = floor(log2 k).
 
     The first row alternates the signs of the binary digits of k (leading
-    digit first); each lower row carries a 1 on the diagonal and a 2 just
-    right of it.
+    digit first); each lower row carries a 2 on the diagonal and a 1 just
+    left of it, so ``speyer_matrix(11)`` is
+    ``[[1, 0, 1, -1], [1, 2, 0, 0], [0, 1, 2, 0], [0, 0, 1, 2]]``.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k}")

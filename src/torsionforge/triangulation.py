@@ -1,6 +1,7 @@
 """Pure 2-dimensional simplicial complexes held as integer arrays, checked
-once by their constructor, with edges derived from the triangles; the
-validator that turns a complex into its boundary index; and the generic
+once by their constructor and frozen, with edges derived from the
+triangles; their boundary index, which makes the one check construction
+leaves open, that every claimed interior edge is an edge; and the generic
 disc-complex triangulation: subdivide every cycle with two vertices, ring
 each disc with an inner polygon of ceil(3s/2) fresh vertices, cone the
 annulus, fan the inside.
@@ -90,10 +91,10 @@ def _lex_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, _run_starts(rows[order])
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SimplicialComplex2:
     """A pure 2-complex: vertex labels, triangles and the edges they span,
-    valid by construction.
+    valid for its lifetime.
 
     The constructor coerces ``triangles`` to an (f2, 3) int64 array, sorts
     every row ascending and the rows lexicographically, and raises
@@ -104,7 +105,9 @@ class SimplicialComplex2:
     different owners.  ``edges`` is not a parameter: it is derived as the
     distinct sides of the triangles, an (f1, 2) int64 array in the same
     canonical order, which the writers and the boundary assembly rely on.
-    The arrays it keeps are read-only.
+    The complex is frozen and the arrays it keeps are read-only, so no
+    field can be reassigned and no array written after these checks;
+    ``labels`` is kept as the dict given.
 
     ``claims`` lists the interior edges of the construction units
     (discs/digons) and ``claim_owner`` the index of each one's unit in
@@ -152,14 +155,15 @@ class SimplicialComplex2:
         if not covered.all():
             raise ValueError(f"vertex {int(vids[~covered][0])} lies in no triangle")
 
-        self.triangles = vids[np.stack((a, b, c), axis=1)]
+        triangles = vids[np.stack((a, b, c), axis=1)]
         ekeys = _sorted_unique(np.concatenate((a * nv + b, a * nv + c, b * nv + c)))
         del a, b, c
-        self.edges = vids[np.stack(np.divmod(ekeys, nv), axis=1)]
-        self.claims, self.claim_owner = _owned_claims(vids, self.claims, self.claim_owner, self.owners)
-        self.owners = tuple(self.owners)
-        for x in (self.triangles, self.edges, self.claims, self.claim_owner):
+        edges = vids[np.stack(np.divmod(ekeys, nv), axis=1)]
+        claims, claim_owner = _owned_claims(vids, self.claims, self.claim_owner, self.owners)
+        for name, x in (("triangles", triangles), ("edges", edges), ("claims", claims), ("claim_owner", claim_owner)):
             x.flags.writeable = False
+            object.__setattr__(self, name, x)
+        object.__setattr__(self, "owners", tuple(self.owners))
 
     def same_simplices(self, other: SimplicialComplex2) -> bool:
         """Same vertex ids and triangles, hence the same edges."""
@@ -174,27 +178,6 @@ class FaceVector:
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.f0, self.f1, self.f2)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """What :func:`validate_complex` found: whether the complex passed, the
-    problems if not (a triangle side missing from the edges, a claimed
-    interior edge that is no edge), and for a complex that passed its
-    boundary index: ``edge_vertices`` holds the (f1, 2) vertex indices of
-    the edges and ``triangle_edges`` the (f2, 3) edge indices of each
-    triangle's (a,b), (a,c), (b,c), with vertices indexed by ascending id
-    and edges and triangles in the complex's order.  Both are None when the
-    complex did not pass, and neither takes part in equality or
-    printing."""
-
-    ok: bool
-    problems: tuple[str, ...] = ()
-    edge_vertices: np.ndarray | None = field(default=None, compare=False, repr=False)
-    triangle_edges: np.ndarray | None = field(default=None, compare=False, repr=False)
-
-    def __bool__(self):
-        return self.ok
 
 
 def _owned_claims(vids: np.ndarray, claims, owner, owners) -> tuple[np.ndarray, np.ndarray]:
@@ -293,50 +276,32 @@ def vertex_count_formula(spec: DiscComplexSpec) -> int:
     return 1 + 2 * spec.n_cycles + sum((3 * len(w) + 1) // 2 for w in spec.discs)
 
 
-def validate_complex(k: SimplicialComplex2) -> ValidationReport:
-    """The boundary index of ``k``, and the checks its construction leaves
-    open.
+def validate_complex(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary index of ``k``: the (f1, 2) vertex indices of its edges
+    and the (f2, 3) edge indices of each triangle's sides (a,b), (a,c),
+    (b,c), with vertices indexed by ascending id and edges and triangles in
+    the complex's order.
 
     Construction already rejects every fault of the triangles and labels
-    and derives the edges from the triangles.  This looks every triangle
-    side up once among the edges, encoded as keys ``i * nv + j`` of vertex
-    indices, and keeps those lookups as the report's boundary index (see
-    :class:`ValidationReport`); a side it does not find is reported as a
-    problem, never indexed.  It also reports every claimed interior edge
-    that is not an edge of the complex, and, on arrays assigned after
-    construction, every row with a vertex that is not a label and edges
-    out of canonical order.
+    and derives the edges from the triangles, so every vertex and side is
+    found: this looks every triangle side up once among the edges, encoded
+    as keys ``i * nv + j`` of vertex indices.  The one check construction
+    leaves open is made here: ValueError if a claimed interior edge is not
+    an edge of the complex.
     """
     vids = np.array(sorted(k.labels), dtype=np.int64)
     nv = len(vids)
-    rows = {"edge": k.edges, "triangle": k.triangles, "claimed interior edge": k.claims}
-    lookups = {what: _index_in(vids, x) for what, x in rows.items()}
-    problems = [
-        f"{what} {_ints(rows[what][i])} uses an unknown vertex"
-        for what, (_, known) in lookups.items()
-        for i in _unknown_rows(known)
-    ]
-    if problems:
-        return ValidationReport(False, tuple(problems))
-    (eidx, _), (tidx, _), (cidx, _) = lookups.values()
-    a, b, c = tidx.T
+    (eidx, _), (tidx, _), (cidx, _) = (_index_in(vids, x) for x in (k.edges, k.triangles, k.claims))
     ekeys = eidx[:, 0] * nv + eidx[:, 1]
-    if not (ekeys[1:] > ekeys[:-1]).all():
-        return ValidationReport(False, ("edges are not distinct and in canonical order",))
+    _, is_edge = _index_in(ekeys, cidx[:, 0] * nv + cidx[:, 1])
+    if not is_edge.all():
+        edge = _ints(k.claims[np.argmin(is_edge)])
+        raise ValueError(f"invalid complex: claimed interior edge {edge} is not an edge of the complex")
     # one row per triangle side, so each row's keys come in near-ascending
     # runs, which binary search walks faster than interleaved sides
-    tedges, present = _index_in(ekeys, np.stack((a * nv + b, a * nv + c, b * nv + c)))
-    sides = ([0, 1], [0, 2], [1, 2])
-    problems = [
-        f"triangle {_ints(k.triangles[i])} misses edge {_ints(k.triangles[i, sides[j]])}"
-        for i, j in zip(*np.nonzero(~present.T))
-    ]
-    _, is_edge = _index_in(ekeys, cidx[:, 0] * nv + cidx[:, 1])
-    problems += [f"claimed interior edge {_ints(e)} is not an edge of the complex" for e in k.claims[~is_edge]]
-
-    if problems:
-        return ValidationReport(False, tuple(problems))
-    return ValidationReport(True, (), eidx, tedges.T)
+    a, b, c = tidx.T
+    tedges, _ = _index_in(ekeys, np.stack((a * nv + b, a * nv + c, b * nv + c)))
+    return eidx, tedges.T
 
 
 def face_vector(k: SimplicialComplex2) -> FaceVector:

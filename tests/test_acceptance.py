@@ -145,7 +145,7 @@ def test_criterion_8_structural_invariants():
 
     ok = True
     for k in complexes:
-        ok = ok and validate_complex(k).ok
+        validate_complex(k)  # raises on an invalid complex
         d1, d2 = boundary_matrices(k)
         composed = d2 @ d1
         ok = ok and not composed.any()

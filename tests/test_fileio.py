@@ -197,11 +197,6 @@ class TestFacetFormat:
         assert write_facets(k) == expected
         assert write_facets(SimplicialComplex2({}, [])) == ""
 
-    def test_triangles_assigned_off_the_labels_are_written_as_they_are(self):
-        k = build_hmt(2)
-        k.triangles = k.triangles * 3 - 100
-        assert write_facets(k) == ("%d %d %d\n" * len(k.triangles)) % tuple(k.triangles.ravel().tolist())
-
     def test_rejects_unsorted_vertices(self):
         with pytest.raises(FileFormatError, match="ascending"):
             read_facets("0 2 1\n")

@@ -58,8 +58,7 @@ class TestBoundaryMatrices:
             assert not prod.any()
 
     def test_invalid_complex_rejected(self):
-        k = tetrahedron()
-        k.edges = k.edges[1:]
+        k = SimplicialComplex2({v: str(v) for v in range(4)}, [(0, 1, 2), (1, 2, 3)], [(0, 3)], [0], ("disc1",))
         with pytest.raises(ValueError, match="invalid complex"):
             boundary_matrices(k)
 
