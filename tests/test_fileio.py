@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -196,6 +197,15 @@ class TestFacetFormat:
         expected = ("%d %d %d\n" * len(k.triangles)) % tuple(k.triangles.ravel().tolist())
         assert write_facets(k) == expected
         assert write_facets(SimplicialComplex2({}, [])) == ""
+
+    def test_triangles_assigned_off_the_labels_are_written_as_they_are(self):
+        # triangles off the labels cannot be assigned, so the rows written
+        # are those the constructor checked
+        k = build_hmt(2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k.triangles = k.triangles * 3 - 100
+        assert write_facets(k) == ("%d %d %d\n" * len(k.triangles)) % tuple(k.triangles.ravel().tolist())
+        assert set(k.triangles.ravel().tolist()) <= set(k.labels)
 
     def test_rejects_unsorted_vertices(self):
         with pytest.raises(FileFormatError, match="ascending"):

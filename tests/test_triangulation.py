@@ -166,6 +166,19 @@ class TestValidator:
         with pytest.raises(ValueError, match=r"^duplicate triangle \(0, 1, 2\)$"):
             SimplicialComplex2(k.labels, np.vstack([k.triangles, [(0, 1, 2)]]))
 
+    def test_missing_edge_detected(self):
+        # edges that disagree with the triangles, as a construction fault
+        # would leave, can no longer be assigned; the derived edges cover
+        # every triangle side
+        k = tetrahedron()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k.edges = k.edges[1:]
+        assert len(k.edges) == 6
+        edges = k.edges[validate_complex(k)[1]]
+        assert np.array_equal(edges[:, 0], k.triangles[:, [0, 1]])
+        assert np.array_equal(edges[:, 1], k.triangles[:, [0, 2]])
+        assert np.array_equal(edges[:, 2], k.triangles[:, [1, 2]])
+
     def test_loop_detected(self):
         k = tetrahedron()
         with pytest.raises(FileFormatError, match=r"^edge \(2, 2\) is not a side of any triangle$"):
@@ -488,6 +501,40 @@ class TestAfterConstruction:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(k, f.name, getattr(k, f.name))
         assert {f.name for f in dataclasses.fields(k)} == {"labels", "triangles", "claims", "claim_owner", "owners", "edges"}
+
+    def test_rewritten_row_with_unknown_vertex_is_reported(self):
+        k = complex_from_triangles([(0, 2, 4), (0, 2, 6), (0, 4, 6), (2, 4, 6)])
+        rows = k.triangles.copy()
+        rows[0] = (0, 1, 4)  # 1 is no label; binary search alone would take it for 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k.triangles = rows
+        with pytest.raises(ValueError, match=r"^triangle \(0, 1, 4\) uses an unknown vertex$"):
+            SimplicialComplex2(k.labels, rows)
+        assert k.triangles.tolist() == [[0, 2, 4], [0, 2, 6], [0, 4, 6], [2, 4, 6]]
+
+    def test_unknown_vertices_past_contiguous_labels_are_reported(self):
+        k = SimplicialComplex2({v: str(v) for v in range(4)}, tetrahedron().triangles, [(0, 1)], [0], ("disc1",))
+        faults = {
+            "triangles": np.vstack([k.triangles, [(-1, 0, 1)]]),
+            "claims": np.array([(2, 9), (0, 1)]),
+            "edges": np.vstack([k.edges, [(3, 4)]]),
+        }
+        for name, value in faults.items():
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(k, name, value)
+        with pytest.raises(ValueError, match=r"^triangle \(-1, 0, 1\) uses an unknown vertex$"):
+            SimplicialComplex2(k.labels, faults["triangles"])
+        with pytest.raises(ValueError, match=r"^interior edge \(2, 9\) uses an unknown vertex$"):
+            SimplicialComplex2(k.labels, k.triangles, faults["claims"], [0, 0], ("disc1",))
+        assert (len(k.triangles), len(k.claims), len(k.edges)) == (4, 1, 6)
+        validate_complex(k)  # raises on an invalid complex
+
+    def test_edges_out_of_order_are_reported(self):
+        k = tetrahedron()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k.edges = k.edges[::-1]
+        tuples = [tuple(e) for e in k.edges.tolist()]
+        assert tuples == sorted(set(tuples))
 
 
 class TestFaceVector:
