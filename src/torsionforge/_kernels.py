@@ -12,6 +12,16 @@ starts on int64 while every entry is within ``ENTRY_BOUND``: with
 |entries| <= 2^31 - 1 a single update ``x - q*y`` is bounded by
 2^62 + 2^31, so each int64 update is exact.
 
+The sweep skips work it has already done.  A pivot divides every entry of
+the block left when it is confirmed, and row and column operations keep
+that, as do residues modulo a multiple of it; so a pivot of the previous
+pivot's magnitude is taken without a divisibility check before the
+hand-off below, and after it when that magnitude divides ``mu``.  The row
+pass updates only the pivot row when the pivot's column is zero below it,
+which holds unless the pass's own column swap just moved a nonzero there.
+On int64 the smallest nonzero entry is found in one pass, as the first
+minimum of ``|x| - 1`` viewed as uint64.
+
 An update that would leave the bound hands the sweep to a modulus ``mu``
 that is a multiple of every invariant factor still to come (Hafner and
 McCurley, "Asymptotically fast triangularization of matrices over rings",
@@ -108,16 +118,13 @@ def smith_diagonal_int64(arr: np.ndarray, s: np.ndarray | None = None,
     mu, det = 0, None
     k = 0
     while k < mind:
-        sub = a[k:, k:]
-        mag = np.abs(sub)
-        top = mag.max()
-        if top == 0:
+        found = _smallest_nonzero(a[k:, k:])
+        if found is None:
             break
-        mag[sub == 0] = top + 1
-        i, j = divmod(int(mag.argmin()), n - k)
+        i, j = found
         _swap_rows(a, s, k, k + i)
         _swap_cols(a, t, k, k + j)
-        p = _clear_pivot(a, k, mu, s, t)
+        p = _clear_pivot(a, k, mu, s, t, diag[-1] if diag else 1)
         if p is None:
             # the input is equivalent to diag(diag) beside the block a[k:, k:];
             # take the modulus of whichever of the input and that block is cheaper
@@ -143,15 +150,42 @@ def smith_diagonal_int64(arr: np.ndarray, s: np.ndarray | None = None,
     return diag
 
 
+def _smallest_nonzero(sub: np.ndarray) -> tuple[int, int] | None:
+    """The position of the first entry of least nonzero magnitude in
+    ``sub``, in row-major order, or None when ``sub`` is all zero.  On int64
+    one pass takes the first minimum of ``|x| - 1`` viewed as uint64, where
+    0 wraps to the largest value."""
+    mag = np.abs(sub)
+    if mag.dtype == object:
+        top = mag.max()
+        if top == 0:
+            return None
+        mag[sub == 0] = top + 1
+        at = int(mag.argmin())
+    else:
+        mag -= 1
+        mag = mag.view(np.uint64)
+        at = int(mag.argmin())
+        if mag.flat[at] == np.iinfo(np.uint64).max:
+            return None
+    return divmod(at, sub.shape[1])
+
+
 def _clear_pivot(a: np.ndarray, k: int, mu: int, s: np.ndarray | None,
-                 t: np.ndarray | None) -> int | None:
+                 t: np.ndarray | None, last: int) -> int | None:
     """Clear row and column k of ``a`` in place until the pivot ``a[k, k]``
     divides the whole trailing block, and return the pivot.  Before each
     reduction of column (row) k, the smallest nonzero entry of that column
     (row) becomes the pivot if it is smaller than the pivot.  Returns None,
     with the block ``a[k:, k:]`` equivalent to what it was before the
     offending update, when an int64 update would leave ``ENTRY_BOUND``;
-    ``mu`` > 0 reduces every update instead."""
+    ``mu`` > 0 reduces every update instead.
+
+    ``last`` is the previous pivot's magnitude (1 for the first), which
+    divided every entry of the block when it was confirmed.  Row and column
+    operations keep that, and so do residues modulo a multiple of it, so a
+    pivot of that magnitude divides the block without a check when ``mu``
+    is 0 or a multiple of it."""
     rounds = 0
     while True:
         rounds += 1
@@ -181,10 +215,13 @@ def _clear_pivot(a: np.ndarray, k: int, mu: int, s: np.ndarray | None,
                 _swap_cols(a, t, k, k + 1 + j)
             cols = k + 1 + nz
             q = row[nz] // int(a[k, k])
-            block = _settle(a[k:, cols] - np.outer(a[k:, k], q), mu)
+            # while column k is zero below the pivot only row k changes; the
+            # swap above may have moved a nonzero there
+            end = None if np.any(a[k + 1 :, k]) else k + 1
+            block = _settle(a[k:end, cols] - np.outer(a[k:end, k], q), mu)
             if block is None:
                 return None
-            a[k:, cols] = block
+            a[k:end, cols] = block
             if t is not None:
                 t[k] += q @ t[cols]
             if np.any(a[k, cols]):
@@ -192,16 +229,24 @@ def _clear_pivot(a: np.ndarray, k: int, mu: int, s: np.ndarray | None,
         if np.any(a[k + 1 :, k]):
             continue
         p = int(a[k, k])
-        bad = np.nonzero((a[k + 1 :, k + 1 :] % p).any(axis=1))[0]
-        if bad.size == 0:
+        if abs(p) == last and (not mu or mu % p == 0):
             return p
-        i = k + 1 + int(bad[0])
+        i = _first_row_not_divisible(a, k, p)
+        if i is None:
+            return p
         block = _settle(a[k, k:] + a[i, k:], mu)
         if block is None:
             return None
         a[k, k:] = block
         if s is not None:
             s[:, i] -= s[:, k]
+
+
+def _first_row_not_divisible(a: np.ndarray, k: int, p: int) -> int | None:
+    """The first row below k of ``a`` whose trailing entries past column k
+    ``p`` does not divide, or None when it divides them all."""
+    bad = np.flatnonzero((a[k + 1 :, k + 1 :] % p).any(axis=1))
+    return k + 1 + int(bad[0]) if bad.size else None
 
 
 def _swap_rows(a: np.ndarray, s: np.ndarray | None, k: int, i: int):

@@ -55,12 +55,18 @@ def read_matrix(text: str) -> np.ndarray:
     makes it: int64 when every entry fits, otherwise Python ints."""
     if text.lstrip().startswith("{"):
         return _read_matrix_json(text)
+    tokens = text.split()
     try:
-        values = [int(tok) for tok in text.split()]
+        try:
+            values = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+        except OverflowError:
+            values = [int(tok) for tok in tokens]
     except ValueError:
         values = []
-    if len(values) >= 2 and min(values[:2]) >= 1 and len(values) == values[0] * values[1] + 2:
-        rows, cols = values[:2]
+    if len(values) >= 2 and min(values[:2]) >= 1 and len(values) == int(values[0]) * int(values[1]) + 2:
+        rows, cols = int(values[0]), int(values[1])
+        if isinstance(values, np.ndarray):
+            return values[2:].reshape(rows, cols)
         return int_matrix(values[2 + i * cols : 2 + (i + 1) * cols] for i in range(rows))
     return _read_matrix_with_positions(text)
 

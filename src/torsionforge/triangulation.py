@@ -13,7 +13,9 @@ output is therefore bit-exact across runs.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -107,7 +109,7 @@ class SimplicialComplex2:
     canonical order, which the writers and the boundary assembly rely on.
     The complex is frozen and the arrays it keeps are read-only, so no
     field can be reassigned and no array written after these checks;
-    ``labels`` is kept as the dict given.
+    ``labels`` is kept as a read-only mapping over a copy of the one given.
 
     ``claims`` lists the interior edges of the construction units
     (discs/digons) and ``claim_owner`` the index of each one's unit in
@@ -117,7 +119,7 @@ class SimplicialComplex2:
     carry no claims.
     """
 
-    labels: dict[int, str]
+    labels: Mapping[int, str]
     triangles: np.ndarray
     claims: np.ndarray = ()
     claim_owner: np.ndarray = ()
@@ -125,6 +127,7 @@ class SimplicialComplex2:
     edges: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
         if len(self.labels) > MAX_VERTICES:
             raise ValueError(f"{len(self.labels)} vertices, more than the {MAX_VERTICES} allowed")
         tri = _sorted_rows(_int_rows(self.triangles, 3))

@@ -113,6 +113,19 @@ class TestMatrixFormat:
         assert m.dtype == object and m.tolist() == rows
         assert all(type(x) is int for x in m.ravel())
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 2\n1 99999999999999999999\n3 4x\n", "line 3, col 3: expected an integer, got '4x'"),
+            ("99999999999999999999 1\n1\n", "line 2, col 1: expected 99999999999999999999 entries, file has 1"),
+            ("1 2\n1 99999999999999999999 3\n", "line 2, col 24: unexpected extra token"),
+        ],
+        ids=["bad-token-after-overflow", "header-past-int64", "extra-token-after-overflow"],
+    )
+    def test_entries_past_int64_keep_positioned_errors(self, text, message):
+        with pytest.raises(FileFormatError, match=f"^{message}"):
+            read_matrix(text)
+
     def test_int64_entries_stay_int64(self):
         text = "1 2\n-9223372036854775808 9223372036854775807\n"
         m = read_matrix(text)

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from torsionforge import _kernels
 from torsionforge.exactmat import det_bareiss, int_matrix, smith_normal_form
@@ -400,3 +402,78 @@ def test_inputs_that_stay_small_never_compute_a_modulus(monkeypatch):
     assert math.prod(smith_normal_form(walsh(64)).invariant_factors) == 64**32
     res = smith_normal_form(int_matrix([[2**40, 1], [3, 2**50]]))
     assert res.invariant_factors == (1, 2**90 - 3)
+
+
+def small_rows(max_dim=8):
+    return st.tuples(st.integers(1, max_dim), st.integers(1, max_dim)).flatmap(
+        lambda rc: st.lists(st.lists(st.integers(-9, 9), min_size=rc[1], max_size=rc[1]),
+                            min_size=rc[0], max_size=rc[0])
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from((2, 4, 6, 12)), small_rows())
+def test_content_scaled_matrices_agree_with_the_oracle(g, m):
+    # every invariant factor of g * M is a multiple of g, so pivots of one
+    # magnitude come back many times
+    rows = [[g * x for x in r] for r in m]
+    expected = snf_factors(rows)
+    assert _kernels.smith_diagonal_int64(np.array(rows, dtype=np.int64)) == expected
+    a = int_matrix(rows)
+    res = smith_normal_form(a, transforms=True)
+    assert list(res.invariant_factors) == expected
+    assert np.array_equal(res.s @ res.a @ res.t, a)
+
+
+def test_divisibility_check_after_the_hand_off(monkeypatch):
+    # with a small entry bound small matrices hand off; a pivot confirmed
+    # after the hand-off need not divide mu, and residues modulo mu keep no
+    # multiple of it, so a repeated pivot of its magnitude is still checked.
+    # Skipping checks leaves every pivot as it is when all are checked
+    clear = _kernels._clear_pivot
+    seen = []
+
+    def sweep(rows, check_all):
+        # the pivots of one sweep as (k, mu, p); seen keeps (k, mu, last, p)
+        def spy(a, k, mu, s, t, last):
+            p = clear(a, k, mu, s, t, 0 if check_all else last)
+            seen.append((k, mu, last, p))
+            return p
+
+        seen.clear()
+        monkeypatch.setattr(_kernels, "_clear_pivot", spy)
+        assert _kernels.smith_diagonal_int64(np.array(rows, dtype=np.int64)) == snf_factors(rows), rows
+        return [(k, mu, p) for k, mu, _, p in seen]
+
+    cases = [(63, [[-28, -4, -17, -17], [2, 30, 28, -11]]),
+             (31, [[-3, -3, -9, 6], [3, 3, 3, 15], [15, -15, 3, -15], [15, 6, 6, 15]]),
+             (31, [[9, 6, 3, -9], [-9, -9, -21, -24], [-12, -15, -3, -27], [-12, -27, 12, -9]])]
+    rng = random.Random(23)
+    for bound in (31, 63):
+        for _ in range(60):
+            r, c = rng.randint(3, 5), rng.randint(3, 5)
+            cases.append((bound, [[3 * rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]))
+    reached = 0
+    for bound, rows in cases:
+        monkeypatch.setattr(_kernels, "ENTRY_BOUND", bound)
+        checked = sweep(rows, check_all=True)
+        assert sweep(rows, check_all=False) == checked, rows
+        reached += any(mu and p is not None and abs(p) == last and mu % p for _, mu, last, p in seen)
+    assert reached >= 3
+
+
+def test_divisibility_checked_once_per_pivot_magnitude(monkeypatch):
+    # walsh(64) has 64 pivots of 7 magnitudes; the first pivot of each
+    # magnitude above 1 is checked, and every later one divides the block
+    checked = []
+    first_row_not_divisible = _kernels._first_row_not_divisible
+
+    def spy(a, k, p):
+        checked.append(abs(p))
+        return first_row_not_divisible(a, k, p)
+
+    monkeypatch.setattr(_kernels, "_first_row_not_divisible", spy)
+    diag = _kernels.smith_diagonal_int64(walsh(64))
+    assert diag == [2**j for j in range(7) for _ in range(math.comb(6, j))]
+    assert len(checked) == len(set(checked)) and set(checked) <= set(diag)
+    assert len(checked) == len(set(diag)) - 1

@@ -495,6 +495,19 @@ class TestAfterConstruction:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(k, name)[0] = 0
 
+    def test_labels_are_a_read_only_copy(self):
+        given = {v: str(v) for v in range(4)}
+        k = SimplicialComplex2(given, tetrahedron().triangles)
+        with pytest.raises(TypeError):
+            k.labels[9] = "stray"
+        given[9] = "stray"
+        assert dict(k.labels) == {v: str(v) for v in range(4)}
+        assert str(simplicial_homology(k).h0) == "Z"
+        back = complex_from_json(complex_to_json(k))
+        assert back.same_simplices(k) and dict(back.labels) == dict(k.labels)
+        assert write_facets(k) == "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
+        assert k == k and k != SimplicialComplex2(k.labels, k.triangles)
+
     def test_fields_cannot_be_reassigned(self):
         k = SimplicialComplex2({v: str(v) for v in range(4)}, tetrahedron().triangles, [(0, 1)], [0], ("disc1",))
         for f in dataclasses.fields(k):
