@@ -57,24 +57,18 @@ def read_matrix(text: str) -> np.ndarray:
         return _read_matrix_json(text)
     tokens = text.split()
     try:
-        try:
-            values = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
-        except OverflowError:
-            values = [int(tok) for tok in tokens]
-    except ValueError:
-        values = []
+        values = np.fromiter(map(int, tokens), dtype=np.int64, count=len(tokens))
+    except (ValueError, OverflowError):
+        return _read_matrix_with_positions(text)
     if len(values) >= 2 and min(values[:2]) >= 1 and len(values) == int(values[0]) * int(values[1]) + 2:
-        rows, cols = int(values[0]), int(values[1])
-        if isinstance(values, np.ndarray):
-            return values[2:].reshape(rows, cols)
-        return int_matrix(values[2 + i * cols : 2 + (i + 1) * cols] for i in range(rows))
+        return values[2:].reshape(int(values[0]), int(values[1]))
     return _read_matrix_with_positions(text)
 
 
 def _read_matrix_with_positions(text: str) -> np.ndarray:
     """The token-by-token parse that reports the line and column where a
-    matrix file is malformed; :func:`read_matrix` runs it only on text its
-    single pass rejects."""
+    matrix file is malformed; :func:`read_matrix` runs it on text its int64
+    pass rejects, so it also builds matrices with entries past int64."""
     toks = [tok for line in _token_lines(text).values() for tok in line]
     if len(toks) < 2:
         raise FileFormatError("matrix file needs a 'rows cols' header", 1, 1)

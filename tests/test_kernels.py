@@ -425,11 +425,30 @@ def test_content_scaled_matrices_agree_with_the_oracle(g, m):
     assert np.array_equal(res.s @ res.a @ res.t, a)
 
 
+def test_repeated_pivot_is_checked_unless_it_divides_mu(monkeypatch):
+    # residues modulo 7 of a multiple of the last pivot 2 need not be even;
+    # 2 does not divide 7, so the check runs, adds row 1 to row 0 and the
+    # pivot becomes gcd(2, 3) = 1
+    a = np.array([[2, 0], [0, 3]], dtype=np.int64)
+    assert _kernels._clear_pivot(a, 0, 7, None, None, 2) == 1
+    # residues modulo 8 of an even block stay even, so no check runs
+    checked = []
+    first_row_not_divisible = _kernels._first_row_not_divisible
+
+    def spy(a, k, p):
+        checked.append(p)
+        return first_row_not_divisible(a, k, p)
+
+    monkeypatch.setattr(_kernels, "_first_row_not_divisible", spy)
+    a = np.array([[2, 0], [0, 4]], dtype=np.int64)
+    assert _kernels._clear_pivot(a, 0, 8, None, None, 2) == 2
+    assert checked == []
+
+
 def test_divisibility_check_after_the_hand_off(monkeypatch):
-    # with a small entry bound small matrices hand off; a pivot confirmed
-    # after the hand-off need not divide mu, and residues modulo mu keep no
-    # multiple of it, so a repeated pivot of its magnitude is still checked.
-    # Skipping checks leaves every pivot as it is when all are checked
+    # with a small entry bound small matrices hand off, and each case below
+    # reaches a repeated pivot that does not divide mu; skipping checks
+    # leaves every pivot as it is when all are checked
     clear = _kernels._clear_pivot
     seen = []
 
@@ -448,18 +467,11 @@ def test_divisibility_check_after_the_hand_off(monkeypatch):
     cases = [(63, [[-28, -4, -17, -17], [2, 30, 28, -11]]),
              (31, [[-3, -3, -9, 6], [3, 3, 3, 15], [15, -15, 3, -15], [15, 6, 6, 15]]),
              (31, [[9, 6, 3, -9], [-9, -9, -21, -24], [-12, -15, -3, -27], [-12, -27, 12, -9]])]
-    rng = random.Random(23)
-    for bound in (31, 63):
-        for _ in range(60):
-            r, c = rng.randint(3, 5), rng.randint(3, 5)
-            cases.append((bound, [[3 * rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]))
-    reached = 0
     for bound, rows in cases:
         monkeypatch.setattr(_kernels, "ENTRY_BOUND", bound)
         checked = sweep(rows, check_all=True)
         assert sweep(rows, check_all=False) == checked, rows
-        reached += any(mu and p is not None and abs(p) == last and mu % p for _, mu, last, p in seen)
-    assert reached >= 3
+        assert any(mu and p is not None and abs(p) == last and mu % p for _, mu, last, p in seen), rows
 
 
 def test_divisibility_checked_once_per_pivot_magnitude(monkeypatch):
