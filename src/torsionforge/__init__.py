@@ -6,7 +6,6 @@ from .disc_complex import DiscComplexSpec, cellular_homology, from_matrix
 from .exactmat import (
     AbelianGroup,
     SnfResult,
-    det_bareiss,
     free_group,
     group_from_factors,
     int_matrix,
@@ -43,7 +42,6 @@ __all__ = [
     "build_speyer_complex",
     "cellular_homology",
     "check_valid",
-    "det_bareiss",
     "euler_characteristic",
     "extend_sequence",
     "face_vector",

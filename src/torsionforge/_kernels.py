@@ -28,19 +28,23 @@ McCurley, "Asymptotically fast triangularization of matrices over rings",
 SIAM J. Comput. 1991).  It is computed once, from a matrix ``B`` with the
 invariant factors ``d_1 | ... | d_m`` (``m <= n`` after transposing): the
 input, or the trailing block still to be reduced when the Hadamard bound
-of that block makes it the cheaper of the two.  Elimination modulo a
-~31-bit prime finds m columns of ``B`` that are independent modulo that
-prime.  For a square matrix ``A`` of such columns, Dixon's p-adic lifting
-("Exact solution of linear equations using p-adic expansions", Numer.
-Math. 1982) solves ``A x = b`` for a fixed vector ``b``: one inverse
-modulo a prime ``p`` below 2^26, one O(n^2) step per base-``p`` digit up to
-twice the product of the Hadamard bounds on ``|det A|`` and on the Cramer
-numerators, then rational reconstruction of ``x`` with one shared
-denominator ``delta``.  ``delta`` divides ``det A``, and the cofactor
-``c = det A / delta`` comes from its residues modulo ``p`` and a few more
-~31-bit primes, combined by the Chinese remainder theorem up to the
-Hadamard bound over ``delta``; a prime that divides ``det A`` is skipped
-and replaced.  This gives exact values:
+of that block makes it the cheaper of the two.  Every elimination runs
+modulo primes below 2^26 that keep its int64 sums exact.  A square ``B``
+is ``A`` itself; for a wide ``B``, row echelon forms modulo the first
+such prime ``p``, from the left and from the right, find two sets of m
+columns independent modulo ``p``, and ``A`` is each of those minors in
+turn.  One Gauss-Jordan elimination modulo ``p`` gives the inverse of
+``A`` and ``det A`` modulo ``p``.  With that inverse, Dixon's p-adic
+lifting ("Exact solution of linear equations using p-adic expansions",
+Numer. Math. 1982) solves ``A x = b`` for a fixed vector ``b``: one
+O(n^2) step per base-``p`` digit up to twice the product of the Hadamard
+bounds on ``|det A|`` and on the Cramer numerators, then rational
+reconstruction of ``x`` with one shared denominator ``delta``.  ``delta``
+divides ``det A``, and the cofactor ``c = det A / delta`` comes from its
+residues modulo ``p`` and modulo each next prime, where the same
+elimination gives ``det A``, combined by the Chinese remainder theorem up
+to the Hadamard bound over ``delta``; a prime that divides ``det A`` is
+skipped and replaced.  This gives exact values:
 
 - for a square ``B``, ``det B`` and ``mu = |det B| / delta = |c|``.
   ``delta`` divides ``d_m``, so ``d_1 ... d_(m-1)`` divides ``mu``;
@@ -63,17 +67,18 @@ gives ``mu`` for each remaining entry.  For a square input the last factor
 is ``|det| / (d_1 ... d_(m-1))``.
 
 Two cases keep the sweep exact on Python ints instead: no m columns are
-independent modulo the first prime (a rank-deficient input, say), or
-``mu`` exceeds ``ENTRY_BOUND``.  For a square ``B`` the latter shows as
-soon as ``c`` modulo a product of primes above ``2 ENTRY_BOUND`` does, so
-it costs the lifting and typically one more elimination.  Then the
-working array is promoted to ``dtype=object`` and the same sweep
-continues, so the result is always certified.
+independent modulo ``p`` (a rank-deficient input, say; for a square ``B``
+the first elimination shows it, before any bound is computed), or ``mu``
+exceeds ``ENTRY_BOUND``.  For a square ``B`` the latter shows as soon as
+``c`` modulo a product of primes above ``2 ENTRY_BOUND`` does: ``p`` and
+one more prime multiply past 2^32 (for n below 2^15), so it costs the
+lifting and one more elimination.  Then the working array is promoted to
+``dtype=object`` and the same sweep continues, so the result is always
+certified.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -81,10 +86,6 @@ import numpy as np
 # Largest magnitude an int64 working array may hold (2^31 - 1); beyond it
 # the sweep continues modulo a determinant multiple or on Python ints.
 ENTRY_BOUND = 2**31 - 1
-
-# Residues the stacked elimination modulo several primes holds at once
-# (32 MB of int64); a larger matrix takes its primes in several batches.
-_STACK_ENTRIES = 1 << 22
 
 # Dixon lifting works modulo one prime below this bound, so each step takes
 # one base-p digit of just under 26 bits.
@@ -287,7 +288,7 @@ def _residues(x: np.ndarray, mu: int) -> np.ndarray:
     return x
 
 
-def _primes(below: int = 2**31):
+def _primes(below: int):
     """Primes below ``below``, descending."""
     from .exactmat import _passes_miller_rabin  # exactmat imports this module
 
@@ -309,26 +310,27 @@ def _crt_work(x: np.ndarray) -> float:
 def _modulus(x: np.ndarray) -> tuple[int, int | None] | None:
     """``(mu, det)`` for the modulus hand-off of the int64 matrix ``x``:
     ``det`` is its exact determinant when it is square, else None.  Returns
-    None when no maximal minor is nonzero modulo the first prime or when
-    ``mu`` exceeds ``ENTRY_BOUND``."""
+    None when no maximal minor is nonzero modulo the first of
+    :func:`_lifting_primes` or when ``mu`` exceeds ``ENTRY_BOUND``."""
     a = x if x.shape[0] <= x.shape[1] else x.T
     m, n = a.shape
-    primes = _primes()
-    p0 = next(primes)
-    cols = _pivot_columns(a, p0)
-    if len(cols) < m:
-        return None
     if m == n:
-        found = _det_and_denominator(a, primes, ENTRY_BOUND)
+        found = _det_and_denominator(a, _lifting_primes(a), ENTRY_BOUND)
         if found is None:
             return None
         det, delta = found
         mu = abs(det) // delta
     else:
-        other = [n - 1 - j for j in _pivot_columns(a[:, ::-1], p0)]
+        # both minors are invertible modulo p, which is small enough to
+        # lift either of them
+        p = next(_lifting_primes(a))
+        cols = _pivot_columns(a, p)
+        if len(cols) < m:
+            return None
+        other = [n - 1 - j for j in _pivot_columns(a[:, ::-1], p)]
         det = None
-        mu = math.gcd(_det_and_denominator(a[:, cols], primes)[0],
-                      _det_and_denominator(a[:, other], primes)[0])
+        mu = math.gcd(_det_and_denominator(a[:, cols], _lifting_primes(a))[0],
+                      _det_and_denominator(a[:, other], _lifting_primes(a))[0])
     return (mu, det) if mu <= ENTRY_BOUND else None
 
 
@@ -355,42 +357,41 @@ def _pivot_columns(a: np.ndarray, p: int) -> list[int]:
 
 
 def _det_and_denominator(a: np.ndarray, primes, cap: int | None = None) -> tuple[int, int] | None:
-    """``(det a, delta)`` for a square int64 ``a`` that is invertible modulo
-    some prime, with ``delta`` the denominator of ``a^-1 b`` for the fixed
-    vector ``b = (1, 2, ..., n)``.  Dixon lifting modulo one prime ``p``
-    (the first of :func:`_lifting_primes` that does not divide ``det a``)
-    gives ``a^-1 b`` modulo a power of ``p`` above ``2 N D``, where ``D`` is
-    the Hadamard bound on ``|det a|`` and ``N`` that on every Cramer
-    numerator, and rational reconstruction gives ``delta``.  Then
-    ``det a = c delta`` with ``|c| <= D / delta``; ``c`` comes from its
-    residues modulo ``p`` and the primes drawn from ``primes`` modulo which
-    ``a`` is invertible (a prime dividing ``det a`` is skipped and
-    replaced), combined once their product exceeds ``2 D / delta``.
-    Returns None as soon as those residues show ``|c| > cap``."""
+    """``(det a, delta)`` for a square int64 ``a``, with ``delta`` the
+    denominator of ``a^-1 b`` for the fixed vector ``b = (1, 2, ..., n)``,
+    or None when the first prime ``p`` drawn from ``primes`` divides
+    ``det a``.  Dixon lifting modulo ``p`` gives ``a^-1 b`` modulo a power
+    of ``p`` above ``2 N D``, where ``D`` is the Hadamard bound on
+    ``|det a|`` and ``N`` that on every Cramer numerator, and rational
+    reconstruction gives ``delta``.  Then ``det a = c delta`` with
+    ``|c| <= D / delta``; ``c`` comes from its residues modulo ``p`` and
+    the further primes drawn from ``primes``, each from the determinant
+    that :func:`_inverse_mod` finds (a prime dividing ``det a`` is skipped
+    and replaced), combined once their product exceeds ``2 D / delta``.
+    ``primes`` must keep the int64 sums of :func:`_inverse_mod` exact, as
+    :func:`_lifting_primes` does.  Returns None as soon as those residues
+    show ``|c| > cap``."""
+    p = next(primes)
+    found = _inverse_mod(a, p)
+    if found is None:
+        return None
+    inv, perm, det_p = found
+    # a is invertible modulo p, so no column is zero and min(squares) > 0
     n = a.shape[0]
     squares = _column_squares(a)
     hadamard = math.prod(squares)
     d_bound = math.isqrt(hadamard) + 1
     n_bound = math.isqrt(hadamard // min(squares) * (n * (n + 1) * (2 * n + 1) // 6)) + 1
-    for p in _lifting_primes(a):
-        found = _inverse_mod(a, p)
-        if found is not None:
-            break
-    inv, perm, det_p = found
     x, modulus = _lift(a, inv, perm, p, 2 * n_bound * d_bound)
     delta = _denominator(x, modulus, n_bound, d_bound)
     residues, used = [det_p * pow(delta, -1, p) % p], [p]
-    while (m := math.prod(used)) * delta <= 2 * d_bound:
-        if cap is not None and m <= 2 * cap:
-            need = 1  # with p, one ~31-bit prime tells whether |c| > cap
-        else:
-            # each prime carries just under 31 bits
-            need = (2 * d_bound // (m * delta)).bit_length() // 30 + 1
-        batch = list(itertools.islice(primes, max(1, min(need, _STACK_ENTRIES // a.size))))
-        dets, ok = _solve_mod(a, batch)
-        for q, v in zip(itertools.compress(batch, ok), dets[ok].tolist()):
-            residues.append(v * pow(delta, -1, q) % q)
-            used.append(q)
+    while math.prod(used) * delta <= 2 * d_bound:
+        q = next(primes)
+        found = _inverse_mod(a, q)
+        if found is None:
+            continue
+        residues.append(found[2] * pow(delta, -1, q) % q)
+        used.append(q)
         if cap is not None and math.prod(used) > 2 * cap and abs(_crt(residues, used)) > cap:
             return None
     return _crt(residues, used) * delta, delta
@@ -404,10 +405,10 @@ def _column_squares(a: np.ndarray) -> list[int]:
 
 
 def _lifting_primes(a: np.ndarray):
-    """Primes for the Dixon lifting of the square int64 ``a``, descending:
-    below 2^26, and small enough that ``n max|a| p < 2^62`` and
-    ``n p^2 < 2^63``, so every int64 sum of n products in
-    :func:`_inverse_mod` and :func:`_lift` is exact."""
+    """Primes for the Dixon lifting of the int64 ``a`` with n rows, or of
+    any n x n minor of it, descending: below 2^26, and small enough that
+    ``n max|a| p < 2^62`` and ``n p^2 < 2^63``, so every int64 sum of n
+    products in :func:`_inverse_mod` and :func:`_lift` is exact."""
     n = a.shape[0]
     top = max(int(np.abs(a).max()), 1)
     return _primes(min(_LIFTING_PRIME_BOUND, 2**62 // (n * top), math.isqrt(2**63 // n)))
@@ -500,38 +501,6 @@ def _rational(y: int, modulus: int, num_bound: int, den_bound: int) -> tuple[int
     if t1 < 0:
         r1, t1 = -r1, -t1
     return (r1, t1) if t1 <= den_bound else None
-
-
-def _solve_mod(a: np.ndarray, primes: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The residues of ``det a`` modulo each prime, for a square int64
-    ``a``, by Gaussian elimination of all primes at once, and a mask of the
-    primes modulo which ``a`` is invertible (other residues are 0)."""
-    n = a.shape[0]
-    layers = len(primes)
-    p = np.array(primes, dtype=np.int64)
-    pc = p[:, None]
-    s = a[None, :, :] % p[:, None, None]
-    det = np.ones(layers, dtype=np.int64)
-    ok = np.ones(layers, dtype=bool)
-    at = np.arange(layers)
-    for j in range(n):
-        nz = s[:, j:, j] != 0
-        ok &= nz.any(axis=1)
-        i = j + nz.argmax(axis=1)
-        swap = np.nonzero(i != j)[0]
-        if swap.size:
-            top = s[swap, j].copy()
-            s[swap, j] = s[swap, i[swap]]
-            s[swap, i[swap]] = top
-            det[swap] = p[swap] - det[swap]
-        piv = s[at, j, j]
-        det = det * piv % p
-        inv = np.array([pow(int(v), -1, int(q)) if v else 0 for v, q in zip(piv, primes)], dtype=np.int64)
-        f = s[:, j + 1 :, j] * inv[:, None] % pc
-        rest = s[:, j + 1 :, j + 1 :]
-        rest -= f[:, :, None] * s[:, j, None, j + 1 :]
-        rest %= p[:, None, None]
-    return det, ok
 
 
 def _crt(residues: list[int], primes: list[int]) -> int:

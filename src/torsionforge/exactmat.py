@@ -1,5 +1,5 @@
-"""Exact integer matrix kernel: Bareiss determinant, Smith normal form,
-and canonical finitely generated abelian groups.
+"""Exact integer matrix kernel: Smith normal form and canonical finitely
+generated abelian groups.
 
 A matrix is a 2-D numpy array as :func:`int_matrix` makes it: int64 when
 every entry fits, otherwise ``dtype=object`` holding Python ints.
@@ -323,37 +323,6 @@ def group_from_factors(factors: Iterable[int], free_rank: int = 0) -> AbelianGro
 
 def free_group(rank: int) -> AbelianGroup:
     return AbelianGroup(rank, ())
-
-
-def det_bareiss(m: np.ndarray) -> int:
-    """Exact determinant by fraction-free elimination on Python ints."""
-    n, cols = m.shape
-    if n != cols:
-        raise ValueError(f"determinant needs a square matrix, got {n}x{cols}")
-    a = m.tolist()
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        piv = None
-        for i in range(t, n):
-            if a[i][t]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != t:
-            a[t], a[piv] = a[piv], a[t]
-            sign = -sign
-        att = a[t][t]
-        for i in range(t + 1, n):
-            ait = a[i][t]
-            arow = a[i]
-            trow = a[t]
-            for j in range(t + 1, n):
-                arow[j] = (arow[j] * att - ait * trow[j]) // prev
-            arow[t] = 0
-        prev = att
-    return sign * a[n - 1][n - 1]
 
 
 def smith_normal_form(m: np.ndarray, transforms: bool = False) -> SnfResult:

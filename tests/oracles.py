@@ -1,5 +1,7 @@
 """Independent brute-force oracles.  Nothing here shares code with the
-package: determinants come from cofactor expansion, invariant factors from
+package: determinants come from cofactor expansion or fraction-free
+Bareiss elimination, determinants modulo a prime from Gaussian elimination
+on Python ints, invariant factors from
 gcds of k x k minors or from a diagonal form by extended-gcd elimination,
 components from union-find, sequence validity from the direct quartic scan
 of the definition, and HMT(n) from a face-by-face plain-Python
@@ -10,6 +12,8 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
+
+import numpy as np
 
 
 def det_cofactor(rows) -> int:
@@ -23,6 +27,60 @@ def det_cofactor(rows) -> int:
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def det_bareiss(m: np.ndarray) -> int:
+    """Exact determinant by fraction-free elimination on Python ints."""
+    n, cols = m.shape
+    if n != cols:
+        raise ValueError(f"determinant needs a square matrix, got {n}x{cols}")
+    a = m.tolist()
+    sign = 1
+    prev = 1
+    for t in range(n - 1):
+        piv = None
+        for i in range(t, n):
+            if a[i][t]:
+                piv = i
+                break
+        if piv is None:
+            return 0
+        if piv != t:
+            a[t], a[piv] = a[piv], a[t]
+            sign = -sign
+        att = a[t][t]
+        for i in range(t + 1, n):
+            ait = a[i][t]
+            arow = a[i]
+            trow = a[t]
+            for j in range(t + 1, n):
+                arow[j] = (arow[j] * att - ait * trow[j]) // prev
+            arow[t] = 0
+        prev = att
+    return sign * a[n - 1][n - 1]
+
+
+def det_mod(rows, q: int) -> int:
+    """The determinant of the integer matrix ``rows`` modulo the prime
+    ``q``, in [0, q), by Gaussian elimination on Python ints."""
+    a = [[x % q for x in r] for r in rows]
+    n = len(a)
+    det = 1
+    for k in range(n):
+        i = next((i for i in range(k, n) if a[i][k]), None)
+        if i is None:
+            return 0
+        if i != k:
+            a[k], a[i] = a[i], a[k]
+            det = -det
+        piv = a[k]
+        det = det * piv[k] % q
+        inv = pow(piv[k], -1, q)
+        for r in a[k + 1 :]:
+            f = r[k] * inv % q
+            if f:
+                r[k:] = [(x - f * y) % q for x, y in zip(r[k:], piv[k:])]
+    return det
 
 
 def snf_factors_by_minor_gcds(rows) -> list[int]:

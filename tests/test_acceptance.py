@@ -10,7 +10,7 @@ import time
 import pytest
 
 from torsionforge.disc_complex import cellular_homology, from_matrix
-from torsionforge.exactmat import det_bareiss, group_from_factors, int_matrix, smith_normal_form
+from torsionforge.exactmat import group_from_factors, int_matrix, smith_normal_form
 from torsionforge.hadamard import hadamard_snf_closed_form, walsh
 from torsionforge.hmt_builder import build_hmt, hmt_face_vector, hmt_torsion_group
 from torsionforge.homology import boundary_matrices, simplicial_homology
@@ -18,6 +18,7 @@ from torsionforge.speyer import build_speyer_complex, speyer_matrix
 from torsionforge.triangulation import face_vector, triangulate_generic, validate_complex
 from torsionforge.valid_sequences import ValidSequence, check_valid, valid_sequence
 
+from .oracles import det_bareiss
 from .test_triangulation import claimed
 from .test_valid_sequences import H4_SEQUENCE, H8_SEQUENCE
 

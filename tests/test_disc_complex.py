@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from torsionforge.disc_complex import MAX_WORD_LETTERS, DiscComplexSpec, cellular_homology, from_matrix
-from torsionforge.exactmat import det_bareiss, free_group, group_from_factors, int_matrix
+from torsionforge.exactmat import free_group, group_from_factors, int_matrix
 from torsionforge.hadamard import walsh
 from torsionforge.speyer import speyer_matrix
+
+from .oracles import det_bareiss
 
 
 def random_matrix_no_zero_lines(rng, max_dim=4, lo=-3, hi=3):

@@ -11,7 +11,6 @@ from torsionforge.exactmat import (
     AbelianGroup,
     FactorizationBudgetError,
     _prime_factors,
-    det_bareiss,
     free_group,
     group_from_factors,
     int_matrix,
@@ -20,7 +19,7 @@ from torsionforge.exactmat import (
 from torsionforge.hadamard import walsh
 from torsionforge.speyer import speyer_matrix
 
-from .oracles import det_cofactor, snf_factors, snf_factors_by_minor_gcds
+from .oracles import det_bareiss, det_cofactor, snf_factors, snf_factors_by_minor_gcds
 
 
 def matrices(max_dim=6, lo=-5, hi=5):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from torsionforge.exactmat import det_bareiss, int_matrix, smith_normal_form
+from torsionforge.exactmat import int_matrix, smith_normal_form
 from torsionforge.hadamard import (
     augment,
     hadamard_snf_closed_form,
@@ -9,6 +9,8 @@ from torsionforge.hadamard import (
     sylvester_double,
     walsh,
 )
+
+from .oracles import det_bareiss
 
 
 class TestWalsh:

@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torsionforge import _kernels
-from torsionforge.exactmat import det_bareiss, int_matrix, smith_normal_form
+from torsionforge.exactmat import int_matrix, smith_normal_form
 from torsionforge.hadamard import walsh
 from torsionforge.hmt_builder import build_hmt
 from torsionforge.homology import simplicial_homology
 
-from .oracles import snf_factors
+from .oracles import det_bareiss, det_mod, snf_factors
 
 
 def random_matrix(rng, max_dim=8, lo=-9, hi=9):
@@ -201,76 +201,121 @@ def hadamard_slack_matrix(rng, n=6):
 
 
 @pytest.fixture
-def cofactor_primes(monkeypatch):
-    """(prime, invertible) for every prime ``_kernels._solve_mod`` takes."""
+def inversions(monkeypatch):
+    """(prime, invertible) for every call of ``_kernels._inverse_mod``.  In
+    a square hand-off the first call is the lifting prime's and every later
+    one a cofactor prime's."""
     seen = []
-    solve_mod = _kernels._solve_mod
-
-    def spy(a, batch):
-        dets, ok = solve_mod(a, batch)
-        seen.extend(zip(batch, ok.tolist()))
-        return dets, ok
-
-    monkeypatch.setattr(_kernels, "_solve_mod", spy)
-    return seen
-
-
-def test_prime_dividing_the_determinant_is_replaced(monkeypatch, cofactor_primes):
-    # one determinant divisible by the lifting prime, one by the first
-    # cofactor prime: each prime is skipped and the next one taken
-    inverted = []
     inverse_mod = _kernels._inverse_mod
 
     def spy(a, p):
         found = inverse_mod(a, p)
-        inverted.append((p, found is not None))
+        seen.append((p, found is not None))
         return found
 
     monkeypatch.setattr(_kernels, "_inverse_mod", spy)
+    return seen
 
+
+def test_lifting_prime_dividing_the_determinant_falls_back_after_one_elimination(inversions):
+    # the lifting prime's elimination is the rank check: a square block
+    # singular modulo it takes no other prime and stays on Python ints
     rows = near_bound_matrix(random.Random(14), rows=5)
-    lifting = _kernels._lifting_primes(np.array(rows, dtype=np.int64))
-    first, second = next(lifting), next(lifting)
+    first = next(_kernels._lifting_primes(np.array(rows, dtype=np.int64)))
     det = plant_determinant_multiple(rows, first)
     arr = np.array(rows, dtype=np.int64)
-    assert det % first == 0 and det % second
+    assert det and det % first == 0
     assert next(_kernels._lifting_primes(arr)) == first
-    assert _kernels._modulus(arr) == (modulus_by_cramer(rows), det)
-    assert inverted == [(first, False), (second, True)]
+    assert _kernels._modulus(arr) is None
+    assert inversions == [(first, False)]
     sweep_agrees(rows)
 
-    primes = _kernels._primes()
-    next(primes)  # the rank check's prime
-    first = next(primes)
+
+def test_prime_dividing_the_determinant_is_replaced(inversions):
+    # a determinant divisible by the first cofactor prime: that prime is
+    # skipped and the next one taken
     rows = hadamard_slack_matrix(random.Random(19))
+    lifting = _kernels._lifting_primes(np.array(rows, dtype=np.int64))
+    lifting_prime, first = next(lifting), next(lifting)
     det = plant_determinant_multiple(rows, first, at=(4, 0))
-    assert det % first == 0
-    inverted.clear()
-    cofactor_primes.clear()
-    assert _kernels._modulus(np.array(rows, dtype=np.int64)) == (modulus_by_cramer(rows), det)
-    assert len(inverted) == 1 and inverted[0][1]
+    arr = np.array(rows, dtype=np.int64)
+    assert det % first == 0 and det % lifting_prime
+    assert list(itertools.islice(_kernels._lifting_primes(arr), 2)) == [lifting_prime, first]
+    inversions.clear()
+    assert _kernels._modulus(arr) == (modulus_by_cramer(rows), det)
+    assert inversions[0] == (lifting_prime, True)
+    cofactor_primes = inversions[1:]
     assert cofactor_primes[0] == (first, False)
     assert len(cofactor_primes) > 1 and all(ok for _, ok in cofactor_primes[1:])
     sweep_agrees(rows)
 
 
-def test_hadamard_slack_takes_cofactor_primes_beyond_the_lifting_prime(cofactor_primes):
+def test_hadamard_slack_takes_cofactor_primes_beyond_the_lifting_prime(inversions):
     # c = det / delta is small, but only residues modulo a product above
     # 2 D / delta, D the Hadamard bound, prove it: here 2^62 or more, past
-    # the lifting prime (below 2^26) times one ~31-bit prime
+    # the product of two primes below 2^26
     rng = random.Random(20)
     for _ in range(5):
         rows = hadamard_slack_matrix(rng)
-        cofactor_primes.clear()
+        inversions.clear()
         mu, det = _kernels._modulus(np.array(rows, dtype=np.int64))
         assert (mu, det) == (modulus_by_cramer(rows), det_bareiss(int_matrix(rows)))
+        cofactor_primes = inversions[1:]
         assert len(cofactor_primes) >= 2 and all(ok for _, ok in cofactor_primes)
+
+
+def test_square_handoff_takes_one_elimination_per_prime(monkeypatch, inversions):
+    # a square block needs no row echelon form: the lifting prime's
+    # elimination is its rank check, and each further prime costs one
+    # elimination until the primes' product, times delta, passes twice the
+    # Hadamard bound D on |det|; a wide block finds its two minors modulo
+    # the lifting prime
+    echelons = []
+    pivot_columns = _kernels._pivot_columns
+
+    def spy(a, p):
+        echelons.append(p)
+        return pivot_columns(a, p)
+
+    monkeypatch.setattr(_kernels, "_pivot_columns", spy)
+    rng = random.Random(24)
+    cases = [hadamard_slack_matrix(rng) for _ in range(3)]
+    cases += [near_bound_matrix(rng, rows=n) for n in (2, 4, 6)]
+    for rows in cases:
+        arr = np.array(rows, dtype=np.int64)
+        inversions.clear()
+        mu, det = _kernels._modulus(arr)
+        assert (mu, det) == (modulus_by_cramer(rows), det_bareiss(int_matrix(rows)))
+        primes = [p for p, _ in inversions]
+        assert primes == list(itertools.islice(_kernels._lifting_primes(arr), len(primes)))
+        assert all(ok for _, ok in inversions)
+        delta = abs(det) // mu
+        d_bound = math.isqrt(math.prod(sum(x * x for x in col) for col in zip(*rows))) + 1
+        assert math.prod(primes[:-1]) * delta <= 2 * d_bound < math.prod(primes) * delta
+    assert echelons == []
+    arr = np.array(near_bound_matrix(rng, rows=4, cols=7), dtype=np.int64)
+    assert _kernels._modulus(arr) is not None
+    assert echelons == [next(_kernels._lifting_primes(arr))] * 2
+
+
+def test_rank_deficient_square_block_falls_back_before_any_bound(handoffs):
+    # a zero column makes every square hand-off block singular modulo every
+    # prime, and its zero column norm leaves no Hadamard bound on the Cramer
+    # numerators
+    rows = near_bound_matrix(random.Random(25), rows=6)
+    for r in rows:
+        r[2] = 0
+    assert _kernels._modulus(np.array(rows, dtype=np.int64)) is None
+    handoffs.clear()
+    assert list(smith_normal_form(int_matrix(rows)).invariant_factors) == snf_factors(rows)
+    assert handoffs == [None]
 
 
 def test_square_modulus_matches_cramer_and_bareiss():
     # entries up to 2^31 - 1 (some rows scaled by a common factor, so mu
     # grows and sometimes passes the bound); None exactly when mu does, or
-    # when the rank check's prime 2^31 - 1 divides the determinant
+    # when the first lifting prime, whose elimination is the rank check,
+    # divides the determinant
     rng = random.Random(21)
     beyond = 0
     for _ in range(80):
@@ -284,8 +329,9 @@ def test_square_modulus_matches_cramer_and_bareiss():
         if det == 0:
             continue
         mu = modulus_by_cramer(rows)
-        found = _kernels._modulus(np.array(rows, dtype=np.int64))
-        if mu > _kernels.ENTRY_BOUND or det % next(_kernels._primes()) == 0:
+        arr = np.array(rows, dtype=np.int64)
+        found = _kernels._modulus(arr)
+        if mu > _kernels.ENTRY_BOUND or det % next(_kernels._lifting_primes(arr)) == 0:
             beyond += 1
             assert found is None, rows
         else:
@@ -324,12 +370,10 @@ def test_lifting_prime_keeps_int64_sums_exact():
     n = 200
     a = rng.integers(2**30, 2**31 - 1, size=(n, n), dtype=np.int64)
     assert n * int(a.max()) * 2**26 > 2**63
-    primes = _kernels._primes()
-    next(primes)
-    det, delta = _kernels._det_and_denominator(a, primes)
-    check = list(itertools.islice(_kernels._primes(2**30), 3))
-    residues, ok = _kernels._solve_mod(a, check)
-    assert ok.all() and [det % q for q in check] == residues.tolist()
+    det, delta = _kernels._det_and_denominator(a, _kernels._lifting_primes(a))
+    rows = a.tolist()
+    for q in (2**31 - 1, 2**30 - 35, 2**29 - 3):
+        assert det % q == det_mod(rows, q)
     assert det % delta == 0
 
 
@@ -341,18 +385,10 @@ def test_rational_reconstruction_at_its_bounds():
         assert _kernels._rational(y, modulus, num_bound, den_bound) == (r, t)
 
 
-def test_primes_taken_one_batch_at_a_time_give_the_same_modulus(monkeypatch):
-    rng = random.Random(17)
-    cases = [np.array(near_bound_matrix(rng, rows=n, cols=c), dtype=np.int64) for n, c in ((6, 6), (4, 7))]
-    expected = [_kernels._modulus(x) for x in cases]
-    monkeypatch.setattr(_kernels, "_STACK_ENTRIES", 1)
-    assert [_kernels._modulus(x) for x in cases] == expected
-
-
-def test_modulus_past_the_bound_falls_back_to_python_ints(handoffs, cofactor_primes):
+def test_modulus_past_the_bound_falls_back_to_python_ints(handoffs, inversions):
     # c * U with U unimodular has d_1 = ... = d_n = c, so mu >= c^(n-1),
     # far above 2^31 - 1 for c near 2^16; the residue of mu modulo the
-    # lifting prime and one ~31-bit prime already shows it
+    # lifting prime and one more prime already shows it
     rng = random.Random(15)
     n, c = 5, 2**16 - 15
     u = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -366,7 +402,7 @@ def test_modulus_past_the_bound_falls_back_to_python_ints(handoffs, cofactor_pri
     assert max(abs(x) for r in rows for x in r) <= _kernels.ENTRY_BOUND
     assert sweep_agrees(rows) == [c] * n
     assert handoffs == [None]
-    assert 1 <= len(cofactor_primes) <= 2
+    assert 1 <= len(inversions[1:]) <= 2
 
 
 
