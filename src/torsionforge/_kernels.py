@@ -29,16 +29,16 @@ SIAM J. Comput. 1991).  It is computed once, from a matrix ``B`` with the
 invariant factors ``d_1 | ... | d_m`` (``m <= n`` after transposing): the
 input, or the trailing block still to be reduced when the Hadamard bound
 of that block makes it the cheaper of the two.  Every elimination runs
-modulo primes below 2^26 that keep its int64 sums exact.  A square ``B``
-is ``A`` itself; for a wide ``B``, row echelon forms modulo the first
-such prime ``p``, from the left and from the right, find two sets of m
-columns independent modulo ``p``, and ``A`` is each of those minors in
-turn.  One Gauss-Jordan elimination modulo ``p`` gives the inverse of
-``A`` and ``det A`` modulo ``p``.  With that inverse, Dixon's p-adic
-lifting ("Exact solution of linear equations using p-adic expansions",
-Numer. Math. 1982) solves ``A x = b`` for a fixed vector ``b``: one
-O(n^2) step per base-``p`` digit up to twice the product of the Hadamard
-bounds on ``|det A|`` and on the Cramer numerators, then rational
+modulo primes below 2^26 that keep its int64 sums exact.  ``A`` is ``B``
+itself when ``B`` is square; for a wide ``B``, row echelon forms modulo
+the first such prime ``p``, from the left and from the right, find two
+sets of m columns independent modulo ``p``, and ``A`` is each of those
+minors in turn.  One Gauss-Jordan elimination modulo ``p`` gives the
+inverse of ``A`` and ``det A`` modulo ``p``.  With that inverse, Dixon's
+p-adic lifting ("Exact solution of linear equations using p-adic
+expansions", Numer. Math. 1982) solves ``A x = b`` for a fixed vector
+``b``: one O(n^2) step per base-``p`` digit up to twice the product of the
+Hadamard bounds on ``|det A|`` and on the Cramer numerators, then rational
 reconstruction of ``x`` with one shared denominator ``delta``.  ``delta``
 divides ``det A``, and the cofactor ``c = det A / delta`` comes from its
 residues modulo ``p`` and modulo each next prime, where the same
