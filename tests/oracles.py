@@ -1,11 +1,10 @@
 """Independent brute-force oracles.  Nothing here shares code with the
 package: determinants come from cofactor expansion or fraction-free
 Bareiss elimination, determinants modulo a prime from Gaussian elimination
-on Python ints, invariant factors from
-gcds of k x k minors or from a diagonal form by extended-gcd elimination,
-components from union-find, sequence validity from the direct quartic scan
-of the definition, and HMT(n) from a face-by-face plain-Python
-construction.
+on Python ints, invariant factors from gcds of k x k minors or from a
+diagonal form by extended-gcd elimination, components from union-find,
+sequence validity from the direct quartic scan of the definition, and
+HMT(n) from a face-by-face plain-Python construction.
 """
 
 from __future__ import annotations
