@@ -29,12 +29,13 @@ SIAM J. Comput. 1991).  It is computed once, from a matrix ``B`` with the
 invariant factors ``d_1 | ... | d_m`` (``m <= n`` after transposing): the
 input, or the trailing block still to be reduced when the Hadamard bound
 of that block makes it the cheaper of the two.  Every elimination runs
-modulo primes below 2^26 that keep its int64 sums exact.  ``A`` is ``B``
-itself when ``B`` is square; for a wide ``B``, row echelon forms modulo
-the first such prime ``p``, from the left and from the right, find two
-sets of m columns independent modulo ``p``, and ``A`` is each of those
-minors in turn.  One Gauss-Jordan elimination modulo ``p`` gives the
-inverse of ``A`` and ``det A`` modulo ``p``.  With that inverse, Dixon's
+modulo primes below 2^26 that keep its int64 sums exact.  One
+Gauss-Jordan elimination of ``B`` modulo the first such prime ``p`` picks
+its own pivot columns: it visits the columns from the left and skips one
+without a pivot.  It gives the minor ``A`` on those m columns, the inverse
+of ``A`` and ``det A`` modulo ``p``.  ``A`` is ``B`` itself when ``B`` is
+square; for a wide ``B``, the same elimination of ``B`` with its columns
+reversed gives a second minor, from the right.  With that inverse, Dixon's
 p-adic lifting ("Exact solution of linear equations using p-adic
 expansions", Numer. Math. 1982) solves ``A x = b`` for a fixed vector
 ``b``: one O(n^2) step per base-``p`` digit up to twice the product of the
@@ -56,23 +57,23 @@ skipped and replaced.  This gives exact values:
 
 The pivots found before the hand-off divide every entry of the trailing
 block, which has at least two rows and two columns (a single row or column
-only ever shrinks), so they divide ``mu`` as well.  The working array is reduced to
-symmetric residues modulo ``mu`` and the current pivot is chosen again,
-since its entry may now be 0; the same sweep then continues on int64,
-reducing every update modulo ``mu``.  Over the principal ideal ring Z/mu
-the Smith form is unique up to associates and equals ``diag(gcd(d_i, mu))``,
-so each pivot ``s_i`` gives ``gcd(s_i, mu)``, which is ``d_i`` wherever
-``d_i`` divides ``mu``, and a trailing block that is all zero modulo ``mu``
-gives ``mu`` for each remaining entry.  For a square input the last factor
-is ``|det| / (d_1 ... d_(m-1))``.
+only ever shrinks), so they divide ``mu`` as well.  The working array is
+reduced to symmetric residues modulo ``mu`` and the current pivot is
+chosen again, since its entry may now be 0; the same sweep then continues
+on int64, reducing every update modulo ``mu``.  Over the principal ideal
+ring Z/mu the Smith form is unique up to associates and equals
+``diag(gcd(d_i, mu))``, so each pivot ``s_i`` gives ``gcd(s_i, mu)``,
+which is ``d_i`` wherever ``d_i`` divides ``mu``, and a trailing block
+that is all zero modulo ``mu`` gives ``mu`` for each remaining entry.  For
+a square input the last factor is ``|det| / (d_1 ... d_(m-1))``.
 
 Two cases keep the sweep exact on Python ints instead: no m columns are
-independent modulo ``p`` (a rank-deficient input, say; for a square ``B``
-the first elimination shows it, before any bound is computed), or ``mu``
-exceeds ``ENTRY_BOUND``.  For a square ``B`` the latter shows as soon as
-``c`` modulo a product of primes above ``2 ENTRY_BOUND`` does: ``p`` and
-one more prime multiply past 2^32 (for n below 2^15), so it costs the
-lifting and one more elimination.  Then the working array is promoted to
+independent modulo ``p`` (a rank-deficient input, say; the first
+elimination shows it, before any bound is computed), or ``mu`` exceeds
+``ENTRY_BOUND``.  For a square ``B`` the latter shows as soon as ``c``
+modulo a product of primes above ``2 ENTRY_BOUND`` does: ``p`` and one
+more prime multiply past 2^32 (for n below 2^15), so it costs the lifting
+and one more elimination.  Then the working array is promoted to
 ``dtype=object`` and the same sweep continues, so the result is always
 certified.
 """
@@ -311,72 +312,47 @@ def _modulus(x: np.ndarray) -> tuple[int, int | None] | None:
     """``(mu, det)`` for the modulus hand-off of the int64 matrix ``x``:
     ``det`` is its exact determinant when it is square, else None.  Returns
     None when no maximal minor is nonzero modulo the first of
-    :func:`_lifting_primes` or when ``mu`` exceeds ``ENTRY_BOUND``."""
+    :func:`_lifting_primes` or when ``mu`` exceeds ``ENTRY_BOUND``.  A wide
+    block's ``mu`` is the gcd of the determinants of its minors on the
+    greedy pivot columns from the left and from the right."""
     a = x if x.shape[0] <= x.shape[1] else x.T
-    m, n = a.shape
-    if m == n:
-        found = _det_and_denominator(a, _lifting_primes(a), ENTRY_BOUND)
-        if found is None:
-            return None
-        det, delta = found
+    square = a.shape[0] == a.shape[1]
+    # a wide block's minors may each pass the bound while their gcd does not
+    found = _det_and_denominator(a, ENTRY_BOUND if square else None)
+    if found is None:
+        return None
+    det, delta = found
+    if square:
         mu = abs(det) // delta
     else:
-        # both minors are invertible modulo p, which is small enough to
-        # lift either of them
-        p = next(_lifting_primes(a))
-        cols = _pivot_columns(a, p)
-        if len(cols) < m:
-            return None
-        other = [n - 1 - j for j in _pivot_columns(a[:, ::-1], p)]
-        det = None
-        mu = math.gcd(_det_and_denominator(a[:, cols], _lifting_primes(a))[0],
-                      _det_and_denominator(a[:, other], _lifting_primes(a))[0])
+        # the reversed block has the same rank modulo the lifting prime
+        det, mu = None, math.gcd(det, _det_and_denominator(a[:, ::-1])[0])
     return (mu, det) if mu <= ENTRY_BOUND else None
 
 
-def _pivot_columns(a: np.ndarray, p: int) -> list[int]:
-    """Pivot columns of the row echelon form of ``a`` modulo ``p``, taken
-    greedily from the left."""
-    s = a % p
-    m, n = s.shape
-    cols = []
-    for j in range(n):
-        r = len(cols)
-        if r == m:
-            break
-        nz = np.nonzero(s[r:, j])[0]
-        if not nz.size:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            s[[r, i]] = s[[i, r]]
-        f = s[r + 1 :, j] * pow(int(s[r, j]), -1, p) % p
-        s[r + 1 :, j:] = (s[r + 1 :, j:] - f[:, None] * s[r, j:]) % p
-        cols.append(j)
-    return cols
-
-
-def _det_and_denominator(a: np.ndarray, primes, cap: int | None = None) -> tuple[int, int] | None:
-    """``(det a, delta)`` for a square int64 ``a``, with ``delta`` the
-    denominator of ``a^-1 b`` for the fixed vector ``b = (1, 2, ..., n)``,
-    or None when the first prime ``p`` drawn from ``primes`` divides
-    ``det a``.  Dixon lifting modulo ``p`` gives ``a^-1 b`` modulo a power
-    of ``p`` above ``2 N D``, where ``D`` is the Hadamard bound on
-    ``|det a|`` and ``N`` that on every Cramer numerator, and rational
-    reconstruction gives ``delta``.  Then ``det a = c delta`` with
-    ``|c| <= D / delta``; ``c`` comes from its residues modulo ``p`` and
-    the further primes drawn from ``primes``, each from the determinant
-    that :func:`_inverse_mod` finds (a prime dividing ``det a`` is skipped
-    and replaced), combined once their product exceeds ``2 D / delta``.
-    ``primes`` must keep the int64 sums of :func:`_inverse_mod` exact, as
-    :func:`_lifting_primes` does.  Returns None as soon as those residues
-    show ``|c| > cap``."""
+def _det_and_denominator(a: np.ndarray, cap: int | None = None) -> tuple[int, int] | None:
+    """``(det A, delta)`` for the minor ``A = a[:, cols]`` of an int64
+    m x n ``a`` (m <= n) on the pivot columns that :func:`_inverse_mod`
+    picks modulo the first prime ``p`` of :func:`_lifting_primes`, with
+    ``delta`` the denominator of ``A^-1 b`` for the fixed vector
+    ``b = (1, 2, ..., m)``, or None when ``a`` has rank below m modulo
+    ``p``.  Dixon lifting modulo ``p`` gives ``A^-1 b`` modulo a power of
+    ``p`` above ``2 N D``, where ``D`` is the Hadamard bound on ``|det A|``
+    and ``N`` that on every Cramer numerator, and rational reconstruction
+    gives ``delta``.  Then ``det A = c delta`` with ``|c| <= D / delta``;
+    ``c`` comes from its residues modulo ``p`` and the further lifting
+    primes, each from the determinant that :func:`_inverse_mod` finds (a
+    prime dividing ``det A`` is skipped and replaced), combined once their
+    product exceeds ``2 D / delta``.  Returns None as soon as those
+    residues show ``|c| > cap``."""
+    primes = _lifting_primes(a)
     p = next(primes)
     found = _inverse_mod(a, p)
     if found is None:
         return None
-    inv, perm, det_p = found
-    # a is invertible modulo p, so no column is zero and min(squares) > 0
+    inv, perm, det_p, cols = found
+    a = a[:, cols]
+    # the minor is invertible modulo p, so no column is zero and min(squares) > 0
     n = a.shape[0]
     squares = _column_squares(a)
     hadamard = math.prod(squares)
@@ -414,38 +390,50 @@ def _lifting_primes(a: np.ndarray):
     return _primes(min(_LIFTING_PRIME_BOUND, 2**62 // (n * top), math.isqrt(2**63 // n)))
 
 
-def _inverse_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """``(inv, perm, det)``: the inverse modulo ``p`` of ``a`` with its rows
-    taken in the order ``perm``, so that ``a^-1 r = inv @ r[perm]``, and
-    ``det a`` modulo ``p``, by Gauss-Jordan elimination in place; None when
-    ``p`` divides ``det a``.  Each step reduces only the pivot row and
-    column: every other entry loses one product of two residues per step,
-    which ``n p^2 < 2^63`` keeps within int64 for all n steps."""
-    n = a.shape[0]
-    m = a % p
-    perm = np.arange(n)
+def _inverse_mod(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int, list[int]] | None:
+    """``(inv, perm, det, cols)`` for an m x n ``a`` (m <= n) by
+    Gauss-Jordan elimination modulo ``p``: ``cols`` are the pivot columns
+    taken greedily from the left, a column without a pivot skipped, and
+    ``inv`` is the inverse modulo ``p`` of the minor ``A = a[:, cols]``
+    with its rows taken in the order ``perm``, so that
+    ``A^-1 r = inv @ r[perm]``, and ``det`` is ``det A`` modulo ``p``.
+    None as soon as the columns left cannot supply the missing pivots; on
+    a square ``a``, when ``p`` divides ``det a``.  Each step reduces only
+    the pivot row and column: every other entry loses one product of two
+    residues per step, which ``m p^2 < 2^63`` keeps within int64 for all m
+    steps."""
+    m, n = a.shape
+    w = a % p
+    perm = np.arange(m)
+    cols = []
     det = 1
-    for k in range(n):
-        col = m[:, k] % p
+    for j in range(n):
+        k = len(cols)
+        if k == m:
+            break
+        col = w[:, j] % p
         nz = np.flatnonzero(col[k:])
         if not nz.size:
-            return None
+            if n - j <= m - k:
+                return None
+            continue
         i = k + int(nz[0])
         if i != k:
-            m[[k, i]] = m[[i, k]]
+            w[[k, i]] = w[[i, k]]
             col[[k, i]] = col[[i, k]]
             perm[[k, i]] = perm[[i, k]]
             det = -det
         piv = int(col[k])
         det = det * piv % p
-        row = m[k] % p
-        row[k] = 1
+        row = w[k] % p
+        row[j] = 1
         row = row * pow(piv, -1, p) % p
         col[k] = 0
-        m[:, k] = 0
-        m -= col[:, None] * row
-        m[k] = row
-    return m % p, perm, det
+        w[:, j] = 0
+        w -= col[:, None] * row
+        w[k] = row
+        cols.append(j)
+    return w[:, cols] % p, perm, det, cols
 
 
 def _lift(a: np.ndarray, inv: np.ndarray, perm: np.ndarray, p: int,

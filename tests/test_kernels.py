@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from torsionforge import _kernels
 from torsionforge.exactmat import int_matrix, smith_normal_form
@@ -203,8 +205,9 @@ def hadamard_slack_matrix(rng, n=6):
 @pytest.fixture
 def inversions(monkeypatch):
     """(prime, invertible) for every call of ``_kernels._inverse_mod``.  In
-    a square hand-off the first call is the lifting prime's and every later
-    one a cofactor prime's."""
+    a hand-off each maximal minor's first call eliminates the whole block
+    modulo the lifting prime, and every later one is a cofactor prime's on
+    that minor alone."""
     seen = []
     inverse_mod = _kernels._inverse_mod
 
@@ -265,25 +268,26 @@ def test_hadamard_slack_takes_cofactor_primes_beyond_the_lifting_prime(inversion
 
 
 def test_square_handoff_takes_one_elimination_per_prime(monkeypatch, inversions):
-    # a square block needs no row echelon form: the lifting prime's
-    # elimination is its rank check, and each further prime costs one
-    # elimination until the primes' product, times delta, passes twice the
-    # Hadamard bound D on |det|; a wide block finds its two minors modulo
-    # the lifting prime
-    echelons = []
-    pivot_columns = _kernels._pivot_columns
+    # the lifting prime's elimination is the rank check, and each further
+    # prime costs one elimination until the primes' product, times delta,
+    # passes twice the Hadamard bound D on |det|; a wide block's lifting
+    # elimination picks the pivot columns of each minor, and the cofactor
+    # primes eliminate only that minor
+    blocks = []
+    inverse_mod = _kernels._inverse_mod
 
     def spy(a, p):
-        echelons.append(p)
-        return pivot_columns(a, p)
+        blocks.append((p, a.copy()))
+        return inverse_mod(a, p)
 
-    monkeypatch.setattr(_kernels, "_pivot_columns", spy)
+    monkeypatch.setattr(_kernels, "_inverse_mod", spy)
     rng = random.Random(24)
     cases = [hadamard_slack_matrix(rng) for _ in range(3)]
     cases += [near_bound_matrix(rng, rows=n) for n in (2, 4, 6)]
     for rows in cases:
         arr = np.array(rows, dtype=np.int64)
         inversions.clear()
+        blocks.clear()
         mu, det = _kernels._modulus(arr)
         assert (mu, det) == (modulus_by_cramer(rows), det_bareiss(int_matrix(rows)))
         primes = [p for p, _ in inversions]
@@ -292,10 +296,90 @@ def test_square_handoff_takes_one_elimination_per_prime(monkeypatch, inversions)
         delta = abs(det) // mu
         d_bound = math.isqrt(math.prod(sum(x * x for x in col) for col in zip(*rows))) + 1
         assert math.prod(primes[:-1]) * delta <= 2 * d_bound < math.prod(primes) * delta
-    assert echelons == []
+        assert all(a.shape == arr.shape for _, a in blocks)
     arr = np.array(near_bound_matrix(rng, rows=4, cols=7), dtype=np.int64)
+    blocks.clear()
     assert _kernels._modulus(arr) is not None
-    assert echelons == [next(_kernels._lifting_primes(arr))] * 2
+    lifting_prime = next(_kernels._lifting_primes(arr))
+    whole = [(p, a) for p, a in blocks if a.shape == (4, 7)]
+    assert [p for p, _ in whole] == [lifting_prime] * 2
+    assert np.array_equal(whole[0][1], arr) and np.array_equal(whole[1][1], arr[:, ::-1])
+    assert np.array_equal(blocks[0][1], arr)
+    columns = {tuple(c) for c in arr.T}
+    minors = [a for _, a in blocks if a.shape != (4, 7)]
+    assert len(minors) == len(blocks) - 2
+    assert all(a.shape == (4, 4) and {tuple(c) for c in a.T} <= columns for a in minors)
+
+
+def rref_pivots(rows, p):
+    """The pivot columns of the reduced row echelon form of ``rows``
+    modulo the prime ``p``, from sympy."""
+    field = GF(p)
+    dm = DomainMatrix([[field(x) for x in r] for r in rows], (len(rows), len(rows[0])), field)
+    return list(dm.rref()[1])
+
+
+@st.composite
+def elimination_blocks(draw):
+    # m x n blocks (m <= n <= m + 6) modulo 5, 7 or 13, where columns
+    # without a pivot are common, some zero or repeating an earlier column;
+    # or entries near 2^31 modulo their first lifting prime
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(m, m + 6))
+    near = draw(st.booleans())
+    entries = st.integers(2**31 - 2**20, 2**31 - 1) if near else st.integers(-20, 20)
+    cols = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
+    for j in range(n):
+        op = draw(st.sampled_from(("keep", "keep", "zero", "repeat")))
+        if op == "zero":
+            cols[j] = [0] * m
+        elif op == "repeat" and j:
+            cols[j] = list(cols[draw(st.integers(0, j - 1))])
+    a = np.array(cols, dtype=np.int64).T.copy()
+    p = next(_kernels._lifting_primes(a)) if near else draw(st.sampled_from((5, 7, 13)))
+    return a, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(elimination_blocks())
+def test_inverse_mod_picks_the_greedy_pivot_columns(block):
+    a, p = block
+    m, n = a.shape
+    rows = a.tolist()
+    pivots = rref_pivots(rows, p)
+    found = _kernels._inverse_mod(a, p)
+    assert (found is None) == (len(pivots) < m)
+    if found is None:
+        return
+    inv, perm, det, cols = found
+    assert cols == pivots[:m]
+    minor = a[:, cols]
+    assert np.array_equal(inv @ minor[perm] % p, np.eye(m, dtype=np.int64))
+    assert det == det_mod(minor.tolist(), p)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (4, 7), (2, 6), (5, 8), (5, 3), (7, 4), (6, 2)])
+def test_wide_modulus_is_the_gcd_of_the_two_greedy_minors(shape):
+    # the pivot columns from the left and from the right modulo the first
+    # lifting prime, from sympy; a tall block is taken through its transpose
+    rng = random.Random(100 + sum(shape))
+    for _ in range(8):
+        rows = near_bound_matrix(rng, rows=shape[0], cols=shape[1])
+        if rng.random() < 0.5:
+            for r in rows:
+                r[0] = r[1]  # a repeated leading column
+        arr = np.array(rows, dtype=np.int64)
+        a = arr if shape[0] <= shape[1] else arr.T
+        m, n = a.shape
+        p = next(_kernels._lifting_primes(a))
+        left = rref_pivots(a.tolist(), p)
+        right = [n - 1 - j for j in rref_pivots(a[:, ::-1].tolist(), p)]
+        if len(left) < m:
+            assert _kernels._modulus(arr) is None
+            continue
+        mu = math.gcd(det_bareiss(int_matrix(a[:, left].tolist())),
+                      det_bareiss(int_matrix(a[:, right].tolist())))
+        assert _kernels._modulus(arr) == ((mu, None) if mu <= _kernels.ENTRY_BOUND else None)
 
 
 def test_rank_deficient_square_block_falls_back_before_any_bound(handoffs):
@@ -370,7 +454,7 @@ def test_lifting_prime_keeps_int64_sums_exact():
     n = 200
     a = rng.integers(2**30, 2**31 - 1, size=(n, n), dtype=np.int64)
     assert n * int(a.max()) * 2**26 > 2**63
-    det, delta = _kernels._det_and_denominator(a, _kernels._lifting_primes(a))
+    det, delta = _kernels._det_and_denominator(a)
     rows = a.tolist()
     for q in (2**31 - 1, 2**30 - 35, 2**29 - 3):
         assert det % q == det_mod(rows, q)
