@@ -351,7 +351,8 @@ def _det_and_denominator(a: np.ndarray, cap: int | None = None) -> tuple[int, in
     if found is None:
         return None
     inv, perm, det_p, cols = found
-    a = a[:, cols]
+    # take, unlike a[:, cols], keeps the rows contiguous for the row operations
+    a = a.take(cols, axis=1)
     # the minor is invertible modulo p, so no column is zero and min(squares) > 0
     n = a.shape[0]
     squares = _column_squares(a)
