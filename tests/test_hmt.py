@@ -135,7 +135,7 @@ class TestStructure:
 
 
 class TestHomology:
-    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128])
     def test_torsion_matches_closed_form(self, n):
         hom = simplicial_homology(build_hmt(n))
         assert str(hom.h0) == "Z"
@@ -148,7 +148,7 @@ class TestHomology:
         assert str(hmt_torsion_group(4)) == "Z_2 x Z_2 x Z_4"
         assert hmt_torsion_group(8).primary_decomposition == (2, 2, 2, 4, 4, 4, 8)
 
-    @pytest.mark.parametrize("n", [2, 4, 8])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
     def test_matches_cellular_homology_of_reduced_matrix(self, n):
         expected = cellular_homology(reduced_augmented_matrix(n))
         assert simplicial_homology(build_hmt(n)).as_tuple() == expected
