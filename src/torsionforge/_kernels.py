@@ -67,15 +67,22 @@ which is ``d_i`` wherever ``d_i`` divides ``mu``, and a trailing block
 that is all zero modulo ``mu`` gives ``mu`` for each remaining entry.  For
 a square input the last factor is ``|det| / (d_1 ... d_(m-1))``.
 
-Two cases keep the sweep exact on Python ints instead: no m columns are
-independent modulo ``p`` (a rank-deficient input, say; the first
-elimination shows it, before any bound is computed), or ``mu`` exceeds
-``ENTRY_BOUND``.  For a square ``B`` the latter shows as soon as ``c``
-modulo a product of primes above ``2 ENTRY_BOUND`` does: ``p`` and one
-more prime multiply past 2^32 (for n below 2^15), so it costs the lifting
-and one more elimination.  Then the working array is promoted to
-``dtype=object`` and the same sweep continues, so the result is always
-certified.
+Two cases give no modulus: no m columns are independent modulo ``p`` (a
+rank-deficient input, say; the first elimination shows it, before any
+bound is computed), or ``mu`` exceeds ``ENTRY_BOUND``.  For a square
+``B`` the latter shows as soon as ``c`` modulo a product of primes above
+``2 ENTRY_BOUND`` does: ``p`` and one more prime multiply past 2^32 (for
+n below 2^15), so it costs the lifting and one more elimination.  ``mu``
+is too large when many invariant factors are nontrivial, as in the
+Hadamard-type Smith cores of HMT(n), and there the smallest-first pivots
+themselves make the growth: each update can scale an entry by the ratio
+of its column's largest entry to the pivot.  So the sweep then starts
+over once from the input, breaking ties among the smallest entries
+toward the pivot whose row, then column, has the least largest entry;
+on the 1023 x 1023 core of HMT(1024) the first sweep passes 2^33, and
+the second stays below 2^13.  If the second sweep leaves the
+bound too, the working array is promoted to ``dtype=object`` and the same
+sweep continues, so the result is always certified.
 """
 
 from __future__ import annotations
@@ -119,8 +126,9 @@ def smith_diagonal_int64(arr: np.ndarray, s: np.ndarray | None = None,
     diag = []
     mu, det = 0, None
     k = 0
+    restarted = False
     while k < mind:
-        found = _smallest_nonzero(a[k:, k:])
+        found = _smallest_nonzero(a[k:, k:], restarted)
         if found is None:
             break
         i, j = found
@@ -128,13 +136,18 @@ def smith_diagonal_int64(arr: np.ndarray, s: np.ndarray | None = None,
         _swap_cols(a, t, k, k + j)
         p = _clear_pivot(a, k, mu, s, t, diag[-1] if diag else 1)
         if p is None:
+            if restarted:
+                a = a.astype(object)
+                continue
             # the input is equivalent to diag(diag) beside the block a[k:, k:];
             # take the modulus of whichever of the input and that block is cheaper
             block = a[k:, k:]
             source = arr if _crt_work(arr) <= _crt_work(block) else block
             handoff = _modulus(source)
             if handoff is None:
-                a = a.astype(object)
+                restarted = True
+                a = np.array(arr, order="C", copy=True)
+                diag, k = [], 0
             else:
                 mu, det = handoff
                 if det is not None and source is block:
@@ -152,11 +165,16 @@ def smith_diagonal_int64(arr: np.ndarray, s: np.ndarray | None = None,
     return diag
 
 
-def _smallest_nonzero(sub: np.ndarray) -> tuple[int, int] | None:
+def _smallest_nonzero(sub: np.ndarray, low_growth: bool = False) -> tuple[int, int] | None:
     """The position of the first entry of least nonzero magnitude in
     ``sub``, in row-major order, or None when ``sub`` is all zero.  On int64
     one pass takes the first minimum of ``|x| - 1`` viewed as uint64, where
-    0 wraps to the largest value."""
+    0 wraps to the largest value.
+
+    With ``low_growth`` (int64 only), ties go to the first row holding an
+    entry of least magnitude whose largest magnitude is least, and in it to
+    the first such entry whose column's largest magnitude is least: the
+    pivot's row and column then scale the block's update least."""
     mag = np.abs(sub)
     if mag.dtype == object:
         top = mag.max()
@@ -166,10 +184,16 @@ def _smallest_nonzero(sub: np.ndarray) -> tuple[int, int] | None:
         at = int(mag.argmin())
     else:
         mag -= 1
-        mag = mag.view(np.uint64)
-        at = int(mag.argmin())
-        if mag.flat[at] == np.iinfo(np.uint64).max:
+        at = int(mag.view(np.uint64).argmin())
+        if mag.flat[at] == -1:
             return None
+        if low_growth:
+            # mag holds |x| - 1, which orders the magnitudes alike
+            ties = mag == mag.flat[at]
+            rows = np.flatnonzero(ties.any(axis=1))
+            i = rows[mag[rows].max(axis=1).argmin()]
+            cols = np.flatnonzero(ties[i])
+            return int(i), int(cols[mag[:, cols].max(axis=0).argmin()])
     return divmod(at, sub.shape[1])
 
 

@@ -11,7 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 
 from torsionforge import _kernels
 from torsionforge.exactmat import int_matrix, smith_normal_form
-from torsionforge.hadamard import walsh
+from torsionforge.hadamard import hadamard_snf_closed_form, walsh
 from torsionforge.hmt_builder import build_hmt
 from torsionforge.homology import simplicial_homology
 
@@ -179,6 +179,33 @@ def test_rank_deficient_input_falls_back_to_python_ints(handoffs):
     expected = sweep_agrees(rows)
     assert handoffs == [None]
     assert len(expected) == 4
+
+
+def test_low_growth_pivot_breaks_ties_by_row_then_column_maxima():
+    sub = np.array([[2, 9, 0], [0, 2, 4], [2, 2, 0]], dtype=np.int64)
+    assert _kernels._smallest_nonzero(sub) == (0, 0)
+    # rows holding a 2 have largest entries 9, 4 and 2: row 2, whose 2s sit
+    # in columns with largest entries 2 and 9
+    assert _kernels._smallest_nonzero(sub, True) == (2, 0)
+    assert _kernels._smallest_nonzero(np.zeros((2, 3), dtype=np.int64), True) is None
+
+
+def test_failed_handoff_restarts_on_int64_with_low_growth_pivots(handoffs, monkeypatch):
+    # every invariant factor of 2^20 walsh(256) is a multiple of 2^20, so no
+    # modulus fits the bound; smallest-first pivots grow entries past 2^31,
+    # and the restarted sweep's pivots keep them below
+    searches = []
+    smallest_nonzero = _kernels._smallest_nonzero
+
+    def spy(sub, low_growth=False):
+        searches.append((sub.dtype.name, low_growth))
+        return smallest_nonzero(sub, low_growth)
+
+    monkeypatch.setattr(_kernels, "_smallest_nonzero", spy)
+    c = 2**20
+    assert _kernels.smith_diagonal_int64(c * walsh(256)) == [c * d for d in hadamard_snf_closed_form(256)]
+    assert handoffs == [None]
+    assert searches[-1] == ("int64", True) and {dtype for dtype, _ in searches} == {"int64"}
 
 
 def plant_determinant_multiple(rows, p, at=(0, 0)):
