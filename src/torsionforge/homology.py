@@ -1,30 +1,41 @@
 """Exact simplicial homology of pure 2-complexes from sparse integer
 boundary maps.
 
-The boundaries are assembled once as sparse rows: an edge is the pair of
-its endpoint indices, a triangle a ``{edge index: +-1}`` row.  A complex
-is checked once by its constructor and frozen; both indices come from
-:func:`torsionforge.triangulation.validate_complex`, which looks every
-triangle side up among the edges once and raises on a claimed interior
-edge that is not an edge, so this module never indexes a complex itself
-and only adds the signs; :func:`boundary_matrices` fills
-dense int64 d1 and d2 straight from the same index arrays.  Following
-Dumas, Heckenbach, Saunders and Welker (2003), most of the work never
-reaches a dense Smith form:
+A complex is checked once by its constructor and frozen; its boundary
+index comes from :func:`torsionforge.triangulation.validate_complex`,
+which looks every triangle side up among the edges once and raises on a
+claimed interior edge that is not an edge.  So this module never indexes
+a complex itself: an edge is the pair of its endpoint indices, and d2 is
+held as int64 coordinate arrays (triangle, edge, sign), the signs of a
+triangle's sides (a,b), (a,c), (b,c) being +1, -1, +1.
+:func:`boundary_matrices` fills dense int64 d1 and d2 from the same
+index.  Following Dumas, Heckenbach, Saunders and Welker (2003), most of
+the work never reaches a dense Smith form:
 
-- rank d1 and H0 come from union-find on the 1-skeleton;
-- every +-1 entry of d2 that survives is eliminated as a unit pivot,
-  sparsest column first, each adding 1 to rank d2 and a unit invariant
-  factor;
+- a spanning forest of the 1-skeleton, by min-root hooking and pointer
+  jumping, gives H0 and rank d1.  Its edges leave the columns of d2: a
+  vertex-edge coreduction after Mrozek and Batko ("Coreduction homology
+  algorithm", DCG 2009), which keeps H1 as the cokernel of d2 on the
+  other edges;
+- d2 is then reduced by unit pivots in vectorised rounds, each adding 1
+  to rank d2 and a unit invariant factor.  A round pivots every unit
+  alone in its column or alone in its row, which causes no fill, then
+  contracts the rows holding exactly two unit entries (x_a = +-x_b) with
+  the same forest helper, signed.  Rounds repeat until one makes no
+  pivot;
+- the rows left (the residue) become ``{edge index: entry}`` dicts in
+  Python ints, whose unit entries are eliminated one by one, sparsest
+  column first;
 - only the rows and columns still nonzero afterwards (the core) are
   densified into a numpy matrix, int64 unless an entry outgrows it, and
   passed to :func:`torsionforge.exactmat.smith_normal_form`, which
   supplies the remaining rank and every torsion coefficient.
 
-Unimodular row and column operations leave the invariant factors
-unchanged, so the result equals the Smith form of the full d2.  Simplices
-are oriented by ascending vertex id; homology is independent of that
-convention (and the test suite checks so by relabeling).
+Every step is a unimodular row or column operation, so the result equals
+the Smith form of the full d2.  A contraction that could sum entries past
+int64 is left to the Python-int elimination.  Simplices are oriented by
+ascending vertex id; homology is independent of that convention (and the
+test suite checks so by relabeling).
 """
 
 from __future__ import annotations
@@ -59,18 +70,6 @@ def _validated(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
     return validate_complex(k)
 
 
-def _sparse_boundaries(k: SimplicialComplex2) -> tuple[int, list[tuple[int, int]], list[dict[int, int]]]:
-    """Validate ``k`` and assemble its boundaries sparsely.
-
-    Returns (vertex count, d1, d2): d1 lists each edge as its (tail, head)
-    vertex indices, d2 each triangle as a ``{edge index: +-1}`` row.
-    Simplex indices follow the sorted orders of the complex.
-    """
-    ev, te = _validated(k)
-    d2 = [{ab: 1, ac: -1, bc: 1} for ab, ac, bc in zip(*te.T.tolist())]
-    return len(k.labels), list(zip(*ev.T.tolist())), d2
-
-
 def _densify(rows: list[dict[int, int]], columns) -> np.ndarray:
     """Dense matrix of sparse ``rows`` over the listed column ids, int64
     unless an entry outgrows it (a Speyer core holds k itself)."""
@@ -100,23 +99,119 @@ def boundary_matrices(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
     return d1, d2
 
 
-def _component_count(n0: int, edges: list[tuple[int, int]]) -> int:
-    """Connected components of the graph on range(n0), by union-find."""
-    parent = list(range(n0))
+_INT64_MAX = np.iinfo(np.int64).max
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    components = n0
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            components -= 1
-    return components
+def _forest(n: int, a: np.ndarray, b: np.ndarray, sign: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spanning forest of the graph on range(n) whose edge e joins a[e] and
+    b[e], by min-root hooking and pointer jumping on int arrays.
+
+    Each round, every root with an edge to another tree hooks onto the
+    least root it reaches, through the first such edge, and the trees are
+    then flattened.  A hook always points to a smaller root, so the
+    hooking edges form a forest.  Returns (root, rel, tree): root[v] is
+    the least vertex of v's component and tree marks the forest's edges.
+    With ``sign``, edge e states x[a[e]] = sign[e] * x[b[e]], and rel[v]
+    is the +-1 with x[v] = rel[v] * x[root[v]] along the forest (all 1
+    without ``sign``).
+    """
+    root = np.arange(n)
+    rel = np.ones(n, dtype=np.int64)
+    tree = np.zeros(len(a), dtype=bool)
+    edge = np.arange(len(a))
+    sign = np.ones(len(a), dtype=np.int64) if sign is None else sign
+    while True:
+        ra, rb = root[a], root[b]
+        live = ra != rb
+        if not live.any():
+            return root, rel, tree
+        a, b, sign, edge, ra, rb = (x[live] for x in (a, b, sign, edge, ra, rb))
+        m = len(a)
+        best = np.full(n, _INT64_MAX)
+        np.minimum.at(best, np.maximum(ra, rb), np.minimum(ra, rb) * m + np.arange(m))
+        hooked = np.flatnonzero(best != _INT64_MAX)
+        pick = best[hooked] % m
+        root[hooked] = best[hooked] // m
+        rel[hooked] = rel[a[pick]] * sign[pick] * rel[b[pick]]
+        tree[edge[pick]] = True
+        while True:
+            up = root[root]
+            if np.array_equal(up, root):
+                break
+            rel *= rel[root]
+            root = up
+
+
+def _peel(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
+    """One round of fill-free unit pivots on the matrix of the given shape
+    whose entries are v at (r, c), sorted by row.
+
+    A unit entry alone in its column is pivoted on (one per row), and so is
+    a unit entry alone in its row but not in its column (one per column).
+    The first kind deletes its row, the second its column; neither changes
+    any other entry.  Returns (pivots, r, c, v) of what is left.
+    """
+    rows = np.bincount(r, minlength=shape[0])
+    cols = np.bincount(c, minlength=shape[1])
+    unit = np.abs(v) == 1
+    in_col = unit & (cols[c] == 1)
+    in_row = unit & (rows[r] == 1) & ~in_col
+    dead_r = np.zeros(shape[0], dtype=bool)
+    dead_r[r[in_col]] = True
+    dead_c = np.zeros(shape[1], dtype=bool)
+    dead_c[c[in_row]] = True
+    keep = ~(dead_r[r] | dead_c[c])
+    return np.count_nonzero(dead_r) + np.count_nonzero(dead_c), r[keep], c[keep], v[keep]
+
+
+def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
+    """Pivot on the rows that hold exactly two unit entries, as in
+    :func:`_peel`.
+
+    Such a row s_a x_a + s_b x_b says x_a = -s_a s_b x_b in the cokernel.
+    Its pivot deletes the row and adds column a, times -s_a s_b, into
+    column b.  The rows of a spanning forest of these relations are
+    pivoted together: every column goes into its tree's root with the
+    sign :func:`_forest` gives, and the entries that meet in one row and
+    column are summed (a row that closes a cycle becomes one entry of 0
+    or +-2).  No pivot is made when a sum could pass int64.  Returns
+    (pivots, r, c, v) of what is left, sorted by row.
+    """
+    rows = np.bincount(r, minlength=shape[0])
+    units = np.bincount(r[np.abs(v) == 1], minlength=shape[0])
+    pair = np.flatnonzero(((rows == 2) & (units == 2))[r])
+    if not len(pair) or int(np.abs(v).max()) * int(rows.max()) > _INT64_MAX:
+        return 0, r, c, v
+    first, second = pair[0::2], pair[1::2]
+    root, rel, tree = _forest(shape[1], c[first], c[second], -v[first] * v[second])
+    dead = np.zeros(shape[0], dtype=bool)
+    dead[r[first[tree]]] = True
+    keep = ~dead[r]
+    r, c, v = r[keep], root[c[keep]], v[keep] * rel[c[keep]]
+    key = r * shape[1] + c
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    start = np.flatnonzero(np.diff(key, prepend=-1))
+    r, c, v = r[order[start]], c[order[start]], np.add.reduceat(v[order], start)
+    nonzero = v != 0
+    return np.count_nonzero(tree), r[nonzero], c[nonzero], v[nonzero]
+
+
+def _reduce(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]) -> tuple[int, list[dict[int, int]]]:
+    """Unit pivots of the int64 matrix with entries v at (r, c), sorted by
+    row: :func:`_peel` and :func:`_contract` rounds until a round makes no
+    pivot, then :func:`_eliminate_unit_pivots` on the rest in Python ints.
+    Returns the number of pivots and the core rows, which hold no unit."""
+    pivots, made = 0, True
+    while made:
+        peeled, r, c, v = _peel(r, c, v, shape)
+        contracted, r, c, v = _contract(r, c, v, shape)
+        made = peeled + contracted
+        pivots += made
+    bounds = np.flatnonzero(np.diff(r, prepend=-1)).tolist() + [len(r)]
+    cl, vl = c.tolist(), v.tolist()
+    more, core = _eliminate_unit_pivots([dict(zip(cl[s:e], vl[s:e])) for s, e in zip(bounds, bounds[1:])])
+    return pivots + more, core
 
 
 def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
@@ -177,14 +272,20 @@ def simplicial_homology(k: SimplicialComplex2) -> HomologyResult:
     """Integer homology: free ranks from the two boundary ranks, torsion
     from the invariant factors of the triangle boundary.
 
-    rank d1 is the vertex count minus the number of components; d2 is
-    reduced by sparse unit-pivot elimination, and only its remaining core
-    goes through a dense Smith form (none when the core is empty)."""
-    n0, d1, d2 = _sparse_boundaries(k)
-    n1, n2 = len(d1), len(d2)
-    components = _component_count(n0, d1)
+    A spanning forest of the 1-skeleton gives H0 and rank d1, and its edges
+    leave the columns of d2; unit pivots then reduce d2 (see
+    :func:`_reduce`), and only its remaining core goes through a dense
+    Smith form (none when the core is empty)."""
+    ev, te = _validated(k)
+    n0, n1, n2 = len(k.labels), len(ev), len(te)
+    root, _, tree = _forest(n0, ev[:, 0], ev[:, 1])
+    components = np.count_nonzero(root == np.arange(n0))
     r1 = n0 - components
-    r2, core = _eliminate_unit_pivots(d2)
+    r = np.repeat(np.arange(n2), 3)
+    c = te.ravel()
+    v = np.tile(np.array([1, -1, 1]), n2)
+    keep = ~tree[c]
+    r2, core = _reduce(r[keep], c[keep], v[keep], (n2, n1))
     torsion = ()
     if core:
         snf = smith_normal_form(_densify(core, sorted({c for row in core for c in row})))

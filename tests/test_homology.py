@@ -12,7 +12,7 @@ from torsionforge.homology import boundary_matrices, simplicial_homology
 from torsionforge.speyer import build_speyer_complex
 from torsionforge.triangulation import SimplicialComplex2, face_vector, triangulate_generic
 
-from .oracles import component_count
+from .oracles import component_count, snf_factors
 from .test_disc_complex import random_matrix_no_zero_lines
 from .test_triangulation import complex_from_triangles, tetrahedron
 
@@ -219,3 +219,128 @@ class TestSparseEngine:
     def test_empty_complex_rejected(self):
         with pytest.raises(ValueError, match="no triangles"):
             simplicial_homology(SimplicialComplex2({}, []))
+
+
+def coordinates(rows):
+    """(r, c, v) arrays of the sparse ``rows``, sorted by row and column."""
+    entries = [(i, j, x) for i, row in enumerate(rows) for j, x in sorted(row.items())]
+    r, c, v = zip(*entries) if entries else ((), (), ())
+    return np.array(r, dtype=np.int64), np.array(c, dtype=np.int64), np.array(v, dtype=np.int64)
+
+
+def factors(r, c, v, shape):
+    """Invariant factors of the matrix with entries v at (r, c), 1s included."""
+    dense = [[0] * shape[1] for _ in range(shape[0])]
+    for i, j, x in zip(r.tolist(), c.tolist(), v.tolist()):
+        dense[i][j] = x
+    return sorted(snf_factors(dense)) if shape[1] and any(map(any, dense)) else []
+
+
+def random_rows(rng, n_rows, n_cols):
+    """Sparse rows, most of them two unit entries of random signs, the rest
+    two to three entries in [-3, 3]."""
+    rows = []
+    for _ in range(n_rows):
+        if rng.random() < 0.7:
+            a, b = rng.sample(range(n_cols), 2)
+            rows.append({a: rng.choice((-1, 1)), b: rng.choice((-1, 1))})
+        else:
+            cols = rng.sample(range(n_cols), rng.randint(2, 3))
+            rows.append({j: rng.choice((-3, -2, -1, 1, 2, 3)) for j in cols})
+    return rows
+
+
+class TestArrayReduction:
+    def test_forest_of_a_disconnected_graph(self):
+        # components {0, 1, 2} (two parallel edges 0-2), {3, 4, 6} (the path
+        # 6-4-3) and the isolated vertex 5
+        a, b = np.array([1, 0, 2, 6, 4]), np.array([2, 2, 0, 4, 3])
+        root, rel, tree = homology._forest(7, a, b)
+        assert root.tolist() == [0, 0, 0, 3, 3, 5, 3]
+        assert rel.tolist() == [1] * 7
+        assert np.count_nonzero(tree) == 7 - 3
+        assert component_count(range(7), zip(a[tree].tolist(), b[tree].tolist())) == 3
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forest_signs_follow_a_consistent_assignment(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 80
+        x = rng.choice([-1, 1], n)
+        a, b = rng.integers(0, n, 70), rng.integers(0, n, 70)
+        root, rel, tree = homology._forest(n, a, b, x[a] * x[b])
+        edges = list(zip(a.tolist(), b.tolist()))
+        components = component_count(range(n), edges)
+        assert np.count_nonzero(root == np.arange(n)) == components
+        assert (root[a] == root[b]).all() and (root <= np.arange(n)).all()
+        assert np.count_nonzero(tree) == n - components
+        assert component_count(range(n), [e for e, t in zip(edges, tree) if t]) == components
+        assert (rel == x * x[root]).all()
+
+    def test_peel_pivots_both_kinds_in_one_round(self):
+        rows = [
+            {0: 1, 1: 2},  # the unit is alone in column 0
+            {2: -1},  # alone in row 1; column 2 also has row 2
+            {1: 2, 2: 3, 3: 2},
+            {1: 2, 3: 4},
+            {4: 1},  # alone in its row and in its column: one pivot
+        ]
+        shape = (5, 5)
+        pivots, r, c, v = homology._peel(*coordinates(rows), shape)
+        assert pivots == 3
+        assert (r.tolist(), c.tolist(), v.tolist()) == ([2, 2, 3, 3], [1, 3, 1, 3], [2, 2, 2, 4])
+        assert factors(*coordinates(rows), shape) == [1] * 3 + factors(r, c, v, shape)
+
+    @pytest.mark.parametrize("length", [3, 4, 5])
+    @pytest.mark.parametrize("consistent", [True, False], ids=["even", "odd"])
+    def test_signed_cycle_leaves_one_row_of_0_or_2(self, length, consistent):
+        # rows x_j -+ x_(j+1) around a cycle; the number of rows saying
+        # x_a = -x_b is even exactly when the cycle is consistent
+        signs = [1] * length
+        signs[-1] = 1 if consistent else -1
+        if length > 3:
+            signs[0] = signs[1] = -1
+        rows = [{j: 1, (j + 1) % length: -s} for j, s in enumerate(signs)]
+        shape = (length, length)
+        pivots, r, c, v = homology._contract(*coordinates(rows), shape)
+        assert pivots == length - 1
+        if consistent:
+            assert not len(v)
+        else:
+            assert c.tolist() == [0] and abs(v).tolist() == [2]
+        assert factors(*coordinates(rows), shape) == [1] * pivots + factors(r, c, v, shape)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_rounds_keep_the_invariant_factors(self, seed):
+        rng = random.Random(seed)
+        shape = (rng.randint(3, 8), rng.randint(3, 7))
+        rows = random_rows(rng, *shape)
+        original = factors(*coordinates(rows), shape)
+        for step in (homology._peel, homology._contract):
+            pivots, r, c, v = step(*coordinates(rows), shape)
+            assert original == [1] * pivots + factors(r, c, v, shape)
+        pivots, core = homology._reduce(*coordinates(rows), shape)
+        assert all(x not in (1, -1) for row in core for x in row.values())
+        assert original == [1] * pivots + factors(*coordinates(core), (len(core), shape[1]))
+
+    def test_contraction_past_int64_goes_on_in_python_ints(self):
+        big = 3 * 2**61  # an int64, but the sum of two is not
+        rows = [{0: big, 1: big}, {0: 1, 1: -1}]
+        assert homology._contract(*coordinates(rows), (2, 2))[0] == 0
+        pivots, core = homology._reduce(*coordinates(rows), (2, 2))
+        assert pivots == 1 and core == [{1: 2 * big}]
+
+    def test_forest_edges_leave_the_columns_of_d2(self, monkeypatch):
+        # d2 reaches the unit pivots without the spanning forest's
+        # f0 - components edges, and with every other edge
+        columns = []
+
+        def spy(r, c, v, shape):
+            columns.append(len(set(c.tolist())))
+            return reduce(r, c, v, shape)
+
+        reduce = homology._reduce
+        monkeypatch.setattr(homology, "_reduce", spy)
+        for k in corpus():
+            fv = face_vector(k)
+            hom = simplicial_homology(k)
+            assert columns.pop() == fv.f1 - fv.f0 + hom.h0.free_rank
