@@ -102,7 +102,8 @@ def boundary_matrices(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _forest(n: int, a: np.ndarray, b: np.ndarray, sign: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _forest(n: int, a: np.ndarray, b: np.ndarray,
+            sign: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spanning forest of the graph on range(n) whose edge e joins a[e] and
     b[e], by min-root hooking and pointer jumping on int arrays.
 
@@ -197,7 +198,8 @@ def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int
     return np.count_nonzero(tree), r[nonzero], c[nonzero], v[nonzero]
 
 
-def _reduce(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]) -> tuple[int, list[dict[int, int]]]:
+def _reduce(r: np.ndarray, c: np.ndarray, v: np.ndarray,
+            shape: tuple[int, int]) -> tuple[int, list[dict[int, int]]]:
     """Unit pivots of the int64 matrix with entries v at (r, c), sorted by
     row: :func:`_peel` and :func:`_contract` rounds until a round makes no
     pivot, then :func:`_eliminate_unit_pivots` on the rest in Python ints.

@@ -333,12 +333,12 @@ class TestArrayReduction:
         # d2 reaches the unit pivots without the spanning forest's
         # f0 - components edges, and with every other edge
         columns = []
+        reduce = homology._reduce
 
         def spy(r, c, v, shape):
             columns.append(len(set(c.tolist())))
             return reduce(r, c, v, shape)
 
-        reduce = homology._reduce
         monkeypatch.setattr(homology, "_reduce", spy)
         for k in corpus():
             fv = face_vector(k)
