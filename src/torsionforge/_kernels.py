@@ -75,12 +75,12 @@ bound is computed), or ``mu`` exceeds ``ENTRY_BOUND``.  For a square
 n below 2^15), so it costs the lifting and one more elimination.  ``mu``
 is too large when many invariant factors are nontrivial, as in the
 Hadamard-type Smith cores of HMT(n), and there the smallest-first pivots
-themselves make the growth: each update can scale an entry by the ratio
-of its column's largest entry to the pivot.  So the sweep then starts
-over once from the input, breaking ties among the smallest entries
-toward the pivot whose row, then column, has the least largest entry;
-on the 1023 x 1023 core of HMT(1024) the first sweep passes 2^33, and
-the second stays below 2^13.  If the second sweep leaves the
+themselves make the growth: each update adds to an entry a pivot-row
+entry times the ratio of a pivot-column entry to the pivot.  So the sweep
+then starts over once from the input, breaking ties among the smallest
+entries toward the pivot whose row, then column, has the least largest
+entry.  On the 1023 x 1023 core of HMT(1024) the first sweep passes
+2^33, and the second stays below 2^13.  If the second sweep leaves the
 bound too, the working array is promoted to ``dtype=object`` and the same
 sweep continues, so the result is always certified.
 """
