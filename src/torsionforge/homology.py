@@ -162,7 +162,7 @@ def _peel(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
     dead_c = np.zeros(shape[1], dtype=bool)
     dead_c[c[in_row]] = True
     keep = ~(dead_r[r] | dead_c[c])
-    return np.count_nonzero(dead_r) + np.count_nonzero(dead_c), r[keep], c[keep], v[keep]
+    return int(np.count_nonzero(dead_r) + np.count_nonzero(dead_c)), r[keep], c[keep], v[keep]
 
 
 def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
@@ -195,7 +195,7 @@ def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int
     start = np.flatnonzero(np.diff(key, prepend=-1))
     r, c, v = r[order[start]], c[order[start]], np.add.reduceat(v[order], start)
     nonzero = v != 0
-    return np.count_nonzero(tree), r[nonzero], c[nonzero], v[nonzero]
+    return int(np.count_nonzero(tree)), r[nonzero], c[nonzero], v[nonzero]
 
 
 def _reduce(r: np.ndarray, c: np.ndarray, v: np.ndarray,
@@ -281,7 +281,7 @@ def simplicial_homology(k: SimplicialComplex2) -> HomologyResult:
     ev, te = _validated(k)
     n0, n1, n2 = len(k.labels), len(ev), len(te)
     root, _, tree = _forest(n0, ev[:, 0], ev[:, 1])
-    components = np.count_nonzero(root == np.arange(n0))
+    components = int(np.count_nonzero(root == np.arange(n0)))
     r1 = n0 - components
     r = np.repeat(np.arange(n2), 3)
     c = te.ravel()

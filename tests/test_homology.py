@@ -101,6 +101,12 @@ class TestSimplicialHomology:
             assert hom.h0.free_rank == component_count(sorted(k.labels), k.edges.tolist())
             assert not hom.h0.invariant_factors
 
+    def test_ranks_and_factors_are_python_ints(self):
+        for k in corpus():
+            for group in simplicial_homology(k).as_tuple():
+                assert type(group.free_rank) is int
+                assert all(type(f) is int for f in group.invariant_factors)
+
     def test_euler_poincare(self):
         for k in corpus():
             fv = face_vector(k)
