@@ -290,7 +290,7 @@ def simplicial_homology(k: SimplicialComplex2) -> HomologyResult:
     r2, core = _reduce(r[keep], c[keep], v[keep], (n2, n1))
     torsion = ()
     if core:
-        snf = smith_normal_form(_densify(core, sorted({c for row in core for c in row})))
+        snf = smith_normal_form(_densify(core, sorted({j for row in core for j in row})))
         r2 += snf.rank
         torsion = snf.invariant_factors
     return HomologyResult(
