@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 
-from . import bench as bench_mod
 from . import fileio
 from .disc_complex import ORDERINGS, from_matrix
 from .exactmat import smith_normal_form
@@ -135,14 +134,6 @@ def _cmd_certify(args) -> int:
     return EXIT_OK if all(c["passed"] for c in certs) else EXIT_VERIFICATION
 
 
-def _cmd_bench(args) -> int:
-    if args.max_n < 2:
-        raise ValueError(f"--max-n must be at least 2, got {args.max_n}")
-    report = bench_mod.format_scaling_report(bench_mod.scaling_report(args.max_n))
-    _write_output(args.output, report + "\n")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="torsionforge",
@@ -204,11 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="order to certify; repeat for several")
     add_output(sp)
     sp.set_defaults(func=_cmd_certify)
-
-    sp = sub.add_parser("bench", help="construction-scaling benchmark")
-    sp.add_argument("--max-n", type=int, default=512)
-    add_output(sp)
-    sp.set_defaults(func=_cmd_bench)
 
     return p
 

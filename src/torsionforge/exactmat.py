@@ -6,17 +6,18 @@ every entry fits, otherwise ``dtype=object`` holding Python ints.
 Everything here is exact at any magnitude.  Smith reduction runs the
 vectorized sweep in :mod:`torsionforge._kernels`, which starts on int64
 and, once an entry would outgrow the int64-safe bound, continues on int64
-modulo a multiple of the determinant computed from the input (Hafner and
-McCurley 1991, with the largest invariant factor taken from a rational
-solve as in Saunders and Wan 2004), or on Python ints when no such modulus
-fits.  With transform matrices requested, the same sweep runs on Python
-ints throughout and records its operations in them.  Groups are put in
-invariant-factor form by gcd and lcm, with no factoring.  Only the
-prime-power view factors, and only the largest invariant factor, by trial
-division, Miller-Rabin and Pollard-Brent rho.  Rho has a fixed step
-budget, and a probable prime above the Miller-Rabin bound cannot be
-certified; either way :class:`FactorizationBudgetError` names the
-cofactor.
+modulo a multiple of the determinant of the input or of the block left,
+whichever is cheaper (Hafner and McCurley 1991, with the largest invariant
+factor from a rational solve as in Saunders and Wan 2004).  Without such a
+modulus it starts over once with low-growth pivots, and goes on in Python
+ints only if those outgrow the bound too.  With transform matrices
+requested, the same sweep runs on Python ints throughout and records its
+operations in them.  Groups are put in invariant-factor form by gcd and
+lcm, with no factoring.  Only the prime-power view factors, and only the
+largest invariant factor, by trial division, Miller-Rabin and
+Pollard-Brent rho.  Rho has a fixed step budget, and a probable prime
+above the Miller-Rabin bound cannot be certified; either way
+:class:`FactorizationBudgetError` names the cofactor.
 """
 
 from __future__ import annotations
@@ -330,10 +331,11 @@ def smith_normal_form(m: np.ndarray, transforms: bool = False) -> SnfResult:
 
     ``m`` is a matrix as :func:`int_matrix` makes it.  The vectorized sweep
     of :mod:`torsionforge._kernels` runs on int64 while entries stay small,
-    then modulo a determinant multiple or on Python ints.  With
-    ``transforms`` it runs on Python ints throughout and records its row and
-    column operations in ``s`` and ``t``, which start as identities; an
-    all-zero matrix keeps them so.
+    then modulo a determinant multiple.  When none fits, it starts over
+    once with low-growth pivots, and goes on in Python ints only if those
+    outgrow int64 too.  With ``transforms`` it runs on Python ints
+    throughout and records its row and column operations in ``s`` and
+    ``t``, which start as identities; an all-zero matrix keeps them so.
     """
     if m.ndim != 2 or m.dtype not in (np.int64, object):
         raise ValueError(f"expected a 2-D int64 or object matrix, got {m.ndim}-D {m.dtype}")

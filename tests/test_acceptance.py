@@ -1,7 +1,6 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL
 line (run with ``pytest -s`` to see them).  Values are asserted exactly;
-stated runtimes are expectations and are printed, not asserted.  The
-scaling criterion is a non-gating report by design.
+stated runtimes are expectations and are printed, not asserted.
 """
 
 import random
@@ -159,16 +158,3 @@ def test_criterion_8_structural_invariants():
             ok = ok and owners.setdefault(e, owner) == owner
     elapsed = time.perf_counter() - t0
     assert report(8, "d°d=0, euler-poincare, validator, shields", ok, f"{elapsed:.2f}s")
-
-
-def test_criterion_9_scaling_report():
-    from torsionforge.bench import format_scaling_report, scaling_report
-
-    rep = scaling_report(512, repeats=2)
-    print()
-    print(format_scaling_report(rep))
-    in_band = rep["in_band"]
-    report(9, "construction scaling ratio (non-gating)", in_band,
-           f"avg {rep['average_ratio']:.2f}, band [3, 5.5]")
-    # report-only by design: the timings must exist, the band is advisory
-    assert rep["timings"] and rep["average_ratio"] > 0

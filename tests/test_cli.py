@@ -487,29 +487,11 @@ class TestCertify:
 
 
 class TestBench:
-    def test_scaling_smoke(self, capsys):
-        code, out, _ = run(capsys, "bench", "--max-n", "8")
-        assert code == 0
-        assert "construction scaling" in out
-
-    @pytest.mark.parametrize("max_n", ["4", "2"])
-    def test_no_ratio_at_64_prints_no_nan(self, max_n, capsys):
-        code, out, _ = run(capsys, "bench", "--max-n", max_n)
-        assert code == 0
-        assert "nan" not in out
-        assert out.endswith("average ratio (n >= 64): none measured, as the largest n is below 64\n")
-
-    @pytest.mark.parametrize("max_n", ["1", "0", "-8"])
-    def test_max_n_below_2_rejected(self, max_n, capsys):
-        code, out, err = run(capsys, "bench", "--max-n", max_n)
-        assert code == 2 and out == ""
-        assert f"error: --max-n must be at least 2, got {max_n}" in err
-
-    def test_kernels_option_rejected(self, capsys):
+    def test_bench_is_not_a_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["bench", "--kernels"])
+            main(["bench"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --kernels" in capsys.readouterr().err
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestRoundTrip:
