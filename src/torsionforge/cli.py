@@ -3,11 +3,13 @@
 Exit codes: 0 success/pass, 1 verification failure, 2 input error.
 Readers default to stdin, writers to stdout, so stages pipe together:
 ``torsionforge build-speyer --k 11 | torsionforge homology``.
+``main`` may be called repeatedly in one process and builds its parser once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -199,9 +201,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Apart from the fresh parsers build_parser() hands out, so changing one
+    # of those cannot change how main parses.  Reuse is safe because a parse
+    # leaves no state on the parser: argparse looks up sys.stdout and
+    # sys.stderr when it prints, and --n's append action copies its default.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (fileio.FileFormatError, ValueError, OSError) as e:

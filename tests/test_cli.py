@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -6,7 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from torsionforge.cli import main
+from torsionforge import cli
+from torsionforge.cli import build_parser, main
 from torsionforge.exactmat import int_matrix
 from torsionforge.fileio import read_matrix, write_matrix
 from torsionforge.hadamard import walsh
@@ -492,6 +494,70 @@ class TestBench:
             main(["bench"])
         assert exc.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """main builds its parser once per process; every call parses afresh."""
+
+    @staticmethod
+    def warm_up():
+        # Makes sure the parser exists, built while stdout and stderr were
+        # other streams than the ones the test then captures.
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(["walsh", "--n", "2"]) == 0
+
+    def test_parser_is_built_at_most_once(self, capsys, monkeypatch):
+        built = []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        for argv in (["walsh", "--n", "2"], ["certify", "--n", "2"], ["valid-seq", "--n", "4"]) * 2:
+            assert main(argv) == 0
+        capsys.readouterr()
+        assert len(built) <= 1
+
+    def test_build_parser_returns_a_fresh_parser(self, capsys):
+        self.warm_up()
+        changed = build_parser()
+        assert changed is not build_parser()
+        changed.prog = "changed"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: torsionforge ")
+
+    def test_repeated_option_does_not_carry_over(self, capsys):
+        assert run(capsys, "certify", "--n", "4")[0] == 0
+        code, out, _ = run(capsys, "certify", "--n", "8")
+        assert code == 0
+        cert = json.loads(out)
+        assert isinstance(cert, dict) and cert["n"] == 8
+
+    def test_usage_error_then_valid_call(self, capsys):
+        self.warm_up()
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        code, out, err = run(capsys, "walsh", "--n", "2")
+        assert code == 0
+        assert out == write_matrix(walsh(2)) and err == ""
+
+    def test_help_twice(self, capsys):
+        self.warm_up()
+        texts = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            texts.append(captured.out)
+        assert texts[0].startswith("usage: torsionforge ")
+        assert texts[0] == texts[1]
 
 
 class TestRoundTrip:
