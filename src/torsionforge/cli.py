@@ -203,10 +203,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    # Apart from the fresh parsers build_parser() hands out, so changing one
-    # of those cannot change how main parses.  Reuse is safe because a parse
-    # leaves no state on the parser: argparse looks up sys.stdout and
-    # sys.stderr when it prints, and --n's append action copies its default.
+    # main's own parser, not one that build_parser() handed to a caller, so
+    # changing such a parser cannot change how main parses.  Reuse is safe
+    # because a parse leaves no state on the parser: argparse looks up
+    # sys.stdout and sys.stderr when it prints, and --n's append action
+    # copies its default.
     return build_parser()
 
 
