@@ -21,11 +21,14 @@ the work never reaches a dense Smith form:
   to rank d2 and a unit invariant factor.  A round pivots every unit
   alone in its column or alone in its row, which causes no fill, then
   contracts the rows holding exactly two unit entries (x_a = +-x_b) with
-  the same forest helper, signed.  Rounds repeat until one makes no
-  pivot;
+  the same forest helper, signed, and last the columns holding exactly
+  two unit entries, by the same contraction on the transpose, which
+  merges their two rows (a pair reduction after Kaczynski, Mrozek and
+  Slusarek, 1998).  Rounds repeat until one makes no pivot;
 - the rows left (the residue) become ``{edge index: entry}`` dicts in
   Python ints, whose unit entries are eliminated one by one, sparsest
-  column first;
+  column first.  For HMT(n), n >= 4, the residue is n x n, every entry
+  +-1, and one pivot leaves an (n-1) x (n-1) core of +-2 entries;
 - only the rows and columns still nonzero afterwards (the core) are
   densified into a numpy matrix, int64 unless an entry outgrows it, and
   passed to :func:`torsionforge.exactmat.smith_normal_form`, which
@@ -145,7 +148,7 @@ def _forest(n: int, a: np.ndarray, b: np.ndarray,
 
 def _peel(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
     """One round of fill-free unit pivots on the matrix of the given shape
-    whose entries are v at (r, c), sorted by row.
+    whose entries are v at (r, c), in any order.
 
     A unit entry alone in its column is pivoted on (one per row), and so is
     a unit entry alone in its row but not in its column (one per column).
@@ -175,14 +178,17 @@ def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int
     pivoted together: every column goes into its tree's root with the
     sign :func:`_forest` gives, and the entries that meet in one row and
     column are summed (a row that closes a cycle becomes one entry of 0
-    or +-2).  No pivot is made when a sum could pass int64.  Returns
-    (pivots, r, c, v) of what is left, sorted by row.
+    or +-2).  No pivot is made when a sum could pass int64.  The entries
+    may come in any order.  Returns (pivots, r, c, v) of what is left.
+    Called on (c, r, v) and the reversed shape, it contracts the columns
+    that hold exactly two unit entries instead, merging their two rows.
     """
     rows = np.bincount(r, minlength=shape[0])
     units = np.bincount(r[np.abs(v) == 1], minlength=shape[0])
     pair = np.flatnonzero(((rows == 2) & (units == 2))[r])
     if not len(pair) or int(np.abs(v).max()) * int(rows.max()) > _INT64_MAX:
         return 0, r, c, v
+    pair = pair[np.argsort(r[pair], kind="stable")]
     first, second = pair[0::2], pair[1::2]
     root, rel, tree = _forest(shape[1], c[first], c[second], -v[first] * v[second])
     dead = np.zeros(shape[0], dtype=bool)
@@ -200,16 +206,21 @@ def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int
 
 def _reduce(r: np.ndarray, c: np.ndarray, v: np.ndarray,
             shape: tuple[int, int]) -> tuple[int, list[dict[int, int]]]:
-    """Unit pivots of the int64 matrix with entries v at (r, c), sorted by
-    row: :func:`_peel` and :func:`_contract` rounds until a round makes no
-    pivot, then :func:`_eliminate_unit_pivots` on the rest in Python ints.
-    Returns the number of pivots and the core rows, which hold no unit."""
+    """Unit pivots of the int64 matrix with entries v at (r, c): rounds of
+    :func:`_peel`, :func:`_contract` on the rows and :func:`_contract` on
+    the columns until a round makes no pivot, then
+    :func:`_eliminate_unit_pivots` on the rest, sorted by row, in Python
+    ints.  Returns the number of pivots and the core rows, which hold no
+    unit."""
     pivots, made = 0, True
     while made:
         peeled, r, c, v = _peel(r, c, v, shape)
         contracted, r, c, v = _contract(r, c, v, shape)
-        made = peeled + contracted
+        merged, c, r, v = _contract(c, r, v, shape[::-1])
+        made = peeled + contracted + merged
         pivots += made
+    order = np.argsort(r, kind="stable")
+    r, c, v = r[order], c[order], v[order]
     bounds = np.flatnonzero(np.diff(r, prepend=-1)).tolist() + [len(r)]
     cl, vl = c.tolist(), v.tolist()
     more, core = _eliminate_unit_pivots([dict(zip(cl[s:e], vl[s:e])) for s, e in zip(bounds, bounds[1:])])

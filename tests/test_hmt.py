@@ -135,7 +135,7 @@ class TestStructure:
 
 
 class TestHomology:
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256, 512])
     def test_torsion_matches_closed_form(self, n):
         hom = simplicial_homology(build_hmt(n))
         assert str(hom.h0) == "Z"

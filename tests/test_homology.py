@@ -173,21 +173,36 @@ class TestSparseEngine:
 
     @pytest.mark.parametrize(
         "n, keep_first_digon",
-        [(n, d) for d in (False, True) for n in (4, 8, 16, 32)],
-        ids=[f"{n}-digon" if d else str(n) for d in (False, True) for n in (4, 8, 16, 32)],
+        [(n, d) for d in (False, True) for n in (2, 4, 8, 16, 32, 64)],
+        ids=[f"{n}-digon" if d else str(n) for d in (False, True) for n in (2, 4, 8, 16, 32, 64)],
     )
     def test_hmt_core_is_small(self, n, keep_first_digon, monkeypatch):
-        shapes = []
+        # the array rounds leave an n x n residue of +-1 entries; one unit
+        # pivot then leaves an (n-1) x (n-1) core of +-2 entries.  HMT(2)
+        # leaves [[+-2]] for both.
+        residues, cores = [], []
+        eliminate = homology._eliminate_unit_pivots
 
-        def spy(m, *args, **kwargs):
-            shapes.append(m.shape)
+        def spy_residue(rows):
+            values = [abs(x) for row in rows for x in row.values()]
+            residues.append((len(rows), len({j for row in rows for j in row}), len(values), set(values)))
+            pivots, core = eliminate(rows)
+            residues.append(pivots)
+            return pivots, core
+
+        def spy_core(m, *args, **kwargs):
+            cores.append((m.shape, set(np.abs(m[m != 0]).tolist())))
             return smith_normal_form(m, *args, **kwargs)
 
-        monkeypatch.setattr(homology, "smith_normal_form", spy)
+        monkeypatch.setattr(homology, "_eliminate_unit_pivots", spy_residue)
+        monkeypatch.setattr(homology, "smith_normal_form", spy_core)
         simplicial_homology(build_hmt(n, keep_first_digon=keep_first_digon))
-        assert len(shapes) == 1
-        rows, cols = shapes[0]
-        assert rows <= n - 1 and cols <= 3 * (n - 1)
+        if n == 2:
+            assert residues == [(1, 1, 1, {2}), 0]
+            assert cores == [((1, 1), {2})]
+        else:
+            assert residues == [(n, n, n * n, {1}), 1]
+            assert cores == [((n - 1, n - 1), {2})]
 
     def test_unit_made_after_its_column_was_visited(self):
         # Column 0 holds no unit, so the first pass skips it.  Pivoting
@@ -315,6 +330,29 @@ class TestArrayReduction:
             assert c.tolist() == [0] and abs(v).tolist() == [2]
         assert factors(*coordinates(rows), shape) == [1] * pivots + factors(r, c, v, shape)
 
+    @pytest.mark.parametrize("length", [3, 4, 5])
+    @pytest.mark.parametrize("consistent", [True, False], ids=["even", "odd"])
+    def test_signed_cycle_leaves_one_column_of_0_or_2(self, length, consistent):
+        # the transpose: columns x_j -+ x_(j+1) around a cycle, contracted
+        # by merging rows, from entries sorted by row rather than column
+        signs = [1] * length
+        signs[-1] = 1 if consistent else -1
+        if length > 3:
+            signs[0] = signs[1] = -1
+        rows = [{} for _ in range(length)]
+        for j, s in enumerate(signs):
+            rows[j][j] = 1
+            rows[(j + 1) % length][j] = -s
+        shape = (length, length)
+        r, c, v = coordinates(rows)
+        pivots, c, r, v = homology._contract(c, r, v, shape[::-1])
+        assert pivots == length - 1
+        if consistent:
+            assert not len(v)
+        else:
+            assert r.tolist() == [0] and abs(v).tolist() == [2]
+        assert factors(*coordinates(rows), shape) == [1] * pivots + factors(r, c, v, shape)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_random_rounds_keep_the_invariant_factors(self, seed):
         rng = random.Random(seed)
@@ -324,6 +362,9 @@ class TestArrayReduction:
         for step in (homology._peel, homology._contract):
             pivots, r, c, v = step(*coordinates(rows), shape)
             assert original == [1] * pivots + factors(r, c, v, shape)
+        r, c, v = coordinates(rows)
+        pivots, c, r, v = homology._contract(c, r, v, shape[::-1])
+        assert original == [1] * pivots + factors(r, c, v, shape)
         pivots, core = homology._reduce(*coordinates(rows), shape)
         assert all(x not in (1, -1) for row in core for x in row.values())
         assert original == [1] * pivots + factors(*coordinates(core), (len(core), shape[1]))
@@ -334,6 +375,26 @@ class TestArrayReduction:
         assert homology._contract(*coordinates(rows), (2, 2))[0] == 0
         pivots, core = homology._reduce(*coordinates(rows), (2, 2))
         assert pivots == 1 and core == [{1: 2 * big}]
+
+    def test_column_contraction_past_int64_goes_on_in_python_ints(self):
+        big = 3 * 2**61
+        rows = [{0: big, 1: 1}, {0: big, 1: -1}]
+        r, c, v = coordinates(rows)
+        assert homology._contract(c, r, v, (2, 2))[0] == 0
+        pivots, core = homology._reduce(r, c, v, (2, 2))
+        assert pivots == 1 and core == [{0: 2 * big}]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_contract_takes_entries_in_any_order(self, seed):
+        rng = random.Random(seed)
+        shape = (rng.randint(3, 8), rng.randint(3, 7))
+        rows = random_rows(rng, *shape)
+        r, c, v = coordinates(rows)
+        order = np.random.default_rng(seed).permutation(len(r))
+        shuffled = homology._contract(r[order], c[order], v[order], shape)
+        assert [x.tolist() for x in shuffled[1:]] == [x.tolist() for x in homology._contract(r, c, v, shape)[1:]]
+        assert shuffled[0] == homology._contract(r, c, v, shape)[0]
+        assert factors(r, c, v, shape) == [1] * shuffled[0] + factors(*shuffled[1:], shape)
 
     def test_forest_edges_leave_the_columns_of_d2(self, monkeypatch):
         # d2 reaches the unit pivots without the spanning forest's
