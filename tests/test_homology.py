@@ -185,9 +185,9 @@ class TestSparseEngine:
 
         def spy_residue(rows):
             values = [abs(x) for row in rows for x in row.values()]
-            residues.append((len(rows), len({j for row in rows for j in row}), len(values), set(values)))
+            shape = (len(rows), len({j for row in rows for j in row}), len(values), set(values))
             pivots, core = eliminate(rows)
-            residues.append(pivots)
+            residues.append((*shape, pivots))
             return pivots, core
 
         def spy_core(m, *args, **kwargs):
@@ -198,10 +198,10 @@ class TestSparseEngine:
         monkeypatch.setattr(homology, "smith_normal_form", spy_core)
         simplicial_homology(build_hmt(n, keep_first_digon=keep_first_digon))
         if n == 2:
-            assert residues == [(1, 1, 1, {2}), 0]
+            assert residues == [(1, 1, 1, {2}, 0)]
             assert cores == [((1, 1), {2})]
         else:
-            assert residues == [(n, n, n * n, {1}), 1]
+            assert residues == [(n, n, n * n, {1}, 1)]
             assert cores == [((n - 1, n - 1), {2})]
 
     def test_unit_made_after_its_column_was_visited(self):
@@ -391,10 +391,10 @@ class TestArrayReduction:
         rows = random_rows(rng, *shape)
         r, c, v = coordinates(rows)
         order = np.random.default_rng(seed).permutation(len(r))
-        shuffled = homology._contract(r[order], c[order], v[order], shape)
-        assert [x.tolist() for x in shuffled[1:]] == [x.tolist() for x in homology._contract(r, c, v, shape)[1:]]
-        assert shuffled[0] == homology._contract(r, c, v, shape)[0]
-        assert factors(r, c, v, shape) == [1] * shuffled[0] + factors(*shuffled[1:], shape)
+        pivots, *left = homology._contract(r[order], c[order], v[order], shape)
+        expected, *kept = homology._contract(r, c, v, shape)
+        assert pivots == expected and [x.tolist() for x in left] == [x.tolist() for x in kept]
+        assert factors(r, c, v, shape) == [1] * pivots + factors(*left, shape)
 
     def test_forest_edges_leave_the_columns_of_d2(self, monkeypatch):
         # d2 reaches the unit pivots without the spanning forest's
