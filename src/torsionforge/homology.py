@@ -18,13 +18,14 @@ the work never reaches a dense Smith form:
   algorithm", DCG 2009), which keeps H1 as the cokernel of d2 on the
   other edges;
 - d2 is then reduced by unit pivots in vectorised rounds, each adding 1
-  to rank d2 and a unit invariant factor.  A round pivots every unit
-  alone in its column or alone in its row, which causes no fill, then
-  contracts the rows holding exactly two unit entries (x_a = +-x_b) with
-  the same forest helper, signed, and last the columns holding exactly
-  two unit entries, by the same contraction on the transpose, which
-  merges their two rows (a pair reduction after Kaczynski, Mrozek and
-  Slusarek, 1998).  Rounds repeat until one makes no pivot;
+  to rank d2 and a unit invariant factor.  A round runs one fill-free
+  step on the rows and then on the transpose.  The step deletes the
+  column of every unit alone in its row, then contracts the rows holding
+  exactly two unit entries (x_a = +-x_b) with the same forest helper,
+  signed.  On the transpose it deletes the row of every unit alone in its
+  column and merges the two rows of every column holding exactly two
+  unit entries (a pair reduction after Kaczynski, Mrozek and Slusarek,
+  1998).  Rounds repeat until one makes no pivot;
 - the rows left (the residue) become ``{edge index: entry}`` dicts in
   Python ints, whose unit entries are eliminated one by one, sparsest
   column first.  For HMT(n), n >= 4, the residue is n x n, every entry
@@ -146,48 +147,36 @@ def _forest(n: int, a: np.ndarray, b: np.ndarray,
             root = up
 
 
-def _peel(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
-    """One round of fill-free unit pivots on the matrix of the given shape
+def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
+    """Fill-free unit pivots on the rows of the matrix of the given shape
     whose entries are v at (r, c), in any order.
 
-    A unit entry alone in its column is pivoted on (one per row), and so is
-    a unit entry alone in its row but not in its column (one per column).
-    The first kind deletes its row, the second its column; neither changes
-    any other entry.  Returns (pivots, r, c, v) of what is left.
+    A row whose one entry is a unit s says s x_a = 0: its pivot deletes
+    column a with all of its entries, and a second such row on column a
+    becomes a zero row.  Then, on the entries left, a row holding exactly
+    two unit entries s_a x_a + s_b x_b says x_a = -s_a s_b x_b in the
+    cokernel.  Its pivot deletes the row and adds column a, times
+    -s_a s_b, into column b.  The rows of a spanning forest of these
+    relations are pivoted together: every column goes into its tree's
+    root with the sign :func:`_forest` gives, and the entries that meet
+    in one row and column are summed (a row that closes a cycle becomes
+    one entry of 0 or +-2).  No contraction is made when a sum could
+    pass int64.  Returns (pivots, r, c, v) of what is left.  Called on
+    (c, r, v) and the reversed shape, the same step works on the columns:
+    a unit alone in its column deletes its row, and a column holding
+    exactly two unit entries merges its two rows.
     """
-    rows = np.bincount(r, minlength=shape[0])
-    cols = np.bincount(c, minlength=shape[1])
     unit = np.abs(v) == 1
-    in_col = unit & (cols[c] == 1)
-    in_row = unit & (rows[r] == 1) & ~in_col
-    dead_r = np.zeros(shape[0], dtype=bool)
-    dead_r[r[in_col]] = True
-    dead_c = np.zeros(shape[1], dtype=bool)
-    dead_c[c[in_row]] = True
-    keep = ~(dead_r[r] | dead_c[c])
-    return int(np.count_nonzero(dead_r) + np.count_nonzero(dead_c)), r[keep], c[keep], v[keep]
-
-
-def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
-    """Pivot on the rows that hold exactly two unit entries, as in
-    :func:`_peel`.
-
-    Such a row s_a x_a + s_b x_b says x_a = -s_a s_b x_b in the cokernel.
-    Its pivot deletes the row and adds column a, times -s_a s_b, into
-    column b.  The rows of a spanning forest of these relations are
-    pivoted together: every column goes into its tree's root with the
-    sign :func:`_forest` gives, and the entries that meet in one row and
-    column are summed (a row that closes a cycle becomes one entry of 0
-    or +-2).  No pivot is made when a sum could pass int64.  The entries
-    may come in any order.  Returns (pivots, r, c, v) of what is left.
-    Called on (c, r, v) and the reversed shape, it contracts the columns
-    that hold exactly two unit entries instead, merging their two rows.
-    """
+    dead = np.zeros(shape[1], dtype=bool)
+    dead[c[unit & (np.bincount(r, minlength=shape[0])[r] == 1)]] = True
+    keep = ~dead[c]
+    r, c, v, unit = r[keep], c[keep], v[keep], unit[keep]
+    dropped = int(np.count_nonzero(dead))
     rows = np.bincount(r, minlength=shape[0])
-    units = np.bincount(r[np.abs(v) == 1], minlength=shape[0])
+    units = np.bincount(r[unit], minlength=shape[0])
     pair = np.flatnonzero(((rows == 2) & (units == 2))[r])
     if not len(pair) or int(np.abs(v).max()) * int(rows.max()) > _INT64_MAX:
-        return 0, r, c, v
+        return dropped, r, c, v
     pair = pair[np.argsort(r[pair], kind="stable")]
     first, second = pair[0::2], pair[1::2]
     root, rel, tree = _forest(shape[1], c[first], c[second], -v[first] * v[second])
@@ -201,23 +190,21 @@ def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int
     start = np.flatnonzero(np.diff(key, prepend=-1))
     r, c, v = r[order[start]], c[order[start]], np.add.reduceat(v[order], start)
     nonzero = v != 0
-    return int(np.count_nonzero(tree)), r[nonzero], c[nonzero], v[nonzero]
+    return dropped + int(np.count_nonzero(tree)), r[nonzero], c[nonzero], v[nonzero]
 
 
 def _reduce(r: np.ndarray, c: np.ndarray, v: np.ndarray,
             shape: tuple[int, int]) -> tuple[int, list[dict[int, int]]]:
     """Unit pivots of the int64 matrix with entries v at (r, c): rounds of
-    :func:`_peel`, :func:`_contract` on the rows and :func:`_contract` on
-    the columns until a round makes no pivot, then
-    :func:`_eliminate_unit_pivots` on the rest, sorted by row, in Python
-    ints.  Returns the number of pivots and the core rows, which hold no
-    unit."""
+    :func:`_contract` on the rows and on the columns until a round makes
+    no pivot, then :func:`_eliminate_unit_pivots` on the rest, sorted by
+    row, in Python ints.  Returns the number of pivots and the core rows,
+    which hold no unit."""
     pivots, made = 0, True
     while made:
-        peeled, r, c, v = _peel(r, c, v, shape)
         contracted, r, c, v = _contract(r, c, v, shape)
         merged, c, r, v = _contract(c, r, v, shape[::-1])
-        made = peeled + contracted + merged
+        made = contracted + merged
         pivots += made
     order = np.argsort(r, kind="stable")
     r, c, v = r[order], c[order], v[order]

@@ -204,6 +204,23 @@ class TestSparseEngine:
             assert residues == [(n, n, n * n, {1}, 1)]
             assert cores == [((n - 1, n - 1), {2})]
 
+    @pytest.mark.parametrize("k", [181, 2**31 + 12345, 2**61 - 1])
+    def test_speyer_residue_is_one_row_and_column_short(self, k, monkeypatch):
+        # the rounds leave a (bits-1) x (bits-1) residue; its unit pivots
+        # leave a 1 x 1 core holding k
+        bits, residues = k.bit_length(), []
+        eliminate = homology._eliminate_unit_pivots
+
+        def spy(rows):
+            shape = (len(rows), len({j for row in rows for j in row}))
+            pivots, core = eliminate(rows)
+            residues.append((shape, pivots, [list(row.values()) for row in core]))
+            return pivots, core
+
+        monkeypatch.setattr(homology, "_eliminate_unit_pivots", spy)
+        simplicial_homology(build_speyer_complex(k))
+        assert residues == [((bits - 1, bits - 1), bits - 2, [[k]])]
+
     def test_unit_made_after_its_column_was_visited(self):
         # Column 0 holds no unit, so the first pass skips it.  Pivoting
         # column 1 on row 0 then turns row 1 into {0: 1}, which only a
@@ -306,10 +323,44 @@ class TestArrayReduction:
             {4: 1},  # alone in its row and in its column: one pivot
         ]
         shape = (5, 5)
-        pivots, r, c, v = homology._peel(*coordinates(rows), shape)
-        assert pivots == 3
+        dropped, r, c, v = homology._contract(*coordinates(rows), shape)
+        assert dropped == 2 and 2 not in c.tolist() and 4 not in c.tolist()
+        deleted, c, r, v = homology._contract(c, r, v, shape[::-1])
+        assert dropped + deleted == 3
         assert (r.tolist(), c.tolist(), v.tolist()) == ([2, 2, 3, 3], [1, 3, 1, 3], [2, 2, 2, 4])
         assert factors(*coordinates(rows), shape) == [1] * 3 + factors(r, c, v, shape)
+
+    @pytest.mark.parametrize(
+        "rows, left",
+        [
+            # the second single-unit row on column 0 becomes a zero row
+            ([{0: 1}, {0: -1}, {0: 2, 1: 3}], ([2], [1], [3])),
+            # the 2 in row 1 goes with column 0, not only the unit of row 0
+            ([{0: 1}, {0: 2, 1: 3}], ([1], [1], [3])),
+        ],
+        ids=["two-rows-on-one-column", "entry-beside-the-unit"],
+    )
+    def test_single_unit_row_drops_its_whole_column(self, rows, left):
+        shape = (len(rows), 2)
+        pivots, r, c, v = homology._contract(*coordinates(rows), shape)
+        assert pivots == 1
+        assert (r.tolist(), c.tolist(), v.tolist()) == left
+        assert factors(*coordinates(rows), shape) == [1] + factors(r, c, v, shape)
+
+    def test_pairs_are_counted_after_the_drop(self):
+        # row 1 holds two units before column 0 is dropped and one after,
+        # so only row 2 is a pair
+        rows = [{0: 1}, {0: 1, 1: 1}, {1: 1, 2: -1}, {2: 2, 3: 2}, {3: 3, 1: 1}]
+        shape = (5, 4)
+        original = factors(*coordinates(rows), shape)
+        pivots, r, c, v = homology._contract(*coordinates(rows), shape)
+        assert pivots == 2
+        assert original == [1] * pivots + factors(r, c, v, shape)
+        r, c, v = coordinates(rows)
+        pivots, c, r, v = homology._contract(c, r, v, shape[::-1])
+        assert original == [1] * pivots + factors(r, c, v, shape)
+        pivots, core = homology._reduce(*coordinates(rows), shape)
+        assert original == [1] * pivots + factors(*coordinates(core), (len(core), shape[1]))
 
     @pytest.mark.parametrize("length", [3, 4, 5])
     @pytest.mark.parametrize("consistent", [True, False], ids=["even", "odd"])
@@ -359,9 +410,8 @@ class TestArrayReduction:
         shape = (rng.randint(3, 8), rng.randint(3, 7))
         rows = random_rows(rng, *shape)
         original = factors(*coordinates(rows), shape)
-        for step in (homology._peel, homology._contract):
-            pivots, r, c, v = step(*coordinates(rows), shape)
-            assert original == [1] * pivots + factors(r, c, v, shape)
+        pivots, r, c, v = homology._contract(*coordinates(rows), shape)
+        assert original == [1] * pivots + factors(r, c, v, shape)
         r, c, v = coordinates(rows)
         pivots, c, r, v = homology._contract(c, r, v, shape[::-1])
         assert original == [1] * pivots + factors(r, c, v, shape)
