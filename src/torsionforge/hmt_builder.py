@@ -112,9 +112,8 @@ def hmt_certificate(n: int) -> dict:
     """Build HMT(n), compute homology, and compare everything against the
     closed forms.  Returns a JSON-ready report; 'passed' is True only if
     every check holds.  The complex is checked once, by its constructor;
-    :func:`torsionforge.homology.simplicial_homology` then calls
-    :func:`torsionforge.triangulation.validate_complex` once for its
-    boundary index."""
+    the face vector derives its edges, and homology its boundary index by
+    one call of :func:`torsionforge.triangulation.validate_complex`."""
     t0 = time.perf_counter()
     complex_ = build_hmt(n)
     discrepancies: list[str] = []

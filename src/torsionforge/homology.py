@@ -3,11 +3,12 @@ boundary maps.
 
 A complex is checked once by its constructor and frozen; its boundary
 index comes from :func:`torsionforge.triangulation.validate_complex`,
-which looks every triangle side up among the edges once and raises on a
-claimed interior edge that is not an edge.  So this module never indexes
-a complex itself: an edge is the pair of its endpoint indices, and d2 is
-held as int64 coordinate arrays (triangle, edge, sign), the signs of a
-triangle's sides (a,b), (a,c), (b,c) being +1, -1, +1.
+which sorts the triangle sides once per call and raises on a complex with
+no triangles or a claimed interior edge that is not an edge.  So this
+module never indexes a complex itself: an edge is the pair of its
+endpoint indices, and d2 is held as int64 coordinate arrays (triangle,
+edge, sign), the signs of a triangle's sides (a,b), (a,c), (b,c) being
++1, -1, +1; the full index is dropped before the reduction rounds.
 :func:`boundary_matrices` fills dense int64 d1 and d2 from the same
 index.  Following Dumas, Heckenbach, Saunders and Welker (2003), most of
 the work never reaches a dense Smith form:
@@ -65,15 +66,6 @@ class HomologyResult:
         return f"H0 = {self.h0}; H1 = {self.h1}; H2 = {self.h2}"
 
 
-def _validated(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
-    """The boundary index of ``k`` (see
-    :func:`torsionforge.triangulation.validate_complex`); ValueError if
-    ``k`` has no triangles."""
-    if not len(k.triangles):
-        raise ValueError("complex has no triangles")
-    return validate_complex(k)
-
-
 def _densify(rows: list[dict[int, int]], columns) -> np.ndarray:
     """Dense matrix of sparse ``rows`` over the listed column ids, int64
     unless an entry outgrows it (a Speyer core holds k itself)."""
@@ -95,7 +87,7 @@ def boundary_matrices(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
     vanishes.  Simplex indices follow the sorted orders of the complex and
     come from the boundary index of the complex.
     """
-    ev, te = _validated(k)
+    ev, te = validate_complex(k)
     d1 = np.zeros((len(ev), len(k.labels)), dtype=np.int64)
     d1[np.arange(len(ev))[:, None], ev] = (-1, 1)
     d2 = np.zeros((len(te), len(ev)), dtype=np.int64)
@@ -276,16 +268,17 @@ def simplicial_homology(k: SimplicialComplex2) -> HomologyResult:
     leave the columns of d2; unit pivots then reduce d2 (see
     :func:`_reduce`), and only its remaining core goes through a dense
     Smith form (none when the core is empty)."""
-    ev, te = _validated(k)
+    ev, te = validate_complex(k)
     n0, n1, n2 = len(k.labels), len(ev), len(te)
     root, _, tree = _forest(n0, ev[:, 0], ev[:, 1])
     components = int(np.count_nonzero(root == np.arange(n0)))
     r1 = n0 - components
-    r = np.repeat(np.arange(n2), 3)
-    c = te.ravel()
-    v = np.tile(np.array([1, -1, 1]), n2)
-    keep = ~tree[c]
-    r2, core = _reduce(r[keep], c[keep], v[keep], (n2, n1))
+    # d2 off the forest's columns; the full index is freed before the rounds
+    keep = ~tree[te]
+    r, side = np.nonzero(keep)
+    c, v = te[keep], np.array([1, -1, 1])[side]
+    del ev, te, root, tree, keep, side
+    r2, core = _reduce(r, c, v, (n2, n1))
     torsion = ()
     if core:
         snf = smith_normal_form(_densify(core, sorted({j for row in core for j in row})))

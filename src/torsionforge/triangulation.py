@@ -1,7 +1,7 @@
 """Pure 2-dimensional simplicial complexes held as integer arrays, checked
-once by their constructor and frozen, with edges derived from the
-triangles; their boundary index, which makes the one check construction
-leaves open, that every claimed interior edge is an edge; and the generic
+once by their constructor and frozen, with edges derived on first read;
+their boundary index, from one sort of the triangle sides per call, which
+checks that every claimed interior edge is an edge; and the generic
 disc-complex triangulation: subdivide every cycle with two vertices, ring
 each disc with an inner polygon of ceil(3s/2) fresh vertices, cone the
 annulus, fan the inside.
@@ -14,7 +14,8 @@ output is therefore bit-exact across runs.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -86,13 +87,6 @@ def _unknown_rows(known: np.ndarray) -> np.ndarray:
     return np.flatnonzero(~known.all(axis=1))
 
 
-def _lex_order(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The stable order that sorts the rows lexicographically, and the mask
-    of the sorted rows that differ from the one before."""
-    order = np.lexsort(rows.T[::-1])
-    return order, _run_starts(rows[order])
-
-
 @dataclass(frozen=True, eq=False)
 class SimplicialComplex2:
     """A pure 2-complex: vertex labels, triangles and the edges they span,
@@ -104,11 +98,11 @@ class SimplicialComplex2:
     triangle, a triangle or claim with a vertex outside ``labels``, a
     duplicate triangle, a label that lies in no triangle, a claim owner
     index outside range(len(owners)), and an interior edge claimed by two
-    different owners.  ``edges`` is not a parameter: it is derived as the
+    different owners.  ``edges`` is neither a parameter nor a field: the
     distinct sides of the triangles, an (f1, 2) int64 array in the same
-    canonical order, which the writers and the boundary assembly rely on.
-    The complex is frozen and the arrays it keeps are read-only, so no
-    field can be reassigned and no array written after these checks;
+    canonical order, are derived on its first read and kept.  The complex
+    is frozen and the arrays it keeps are read-only, so no field, nor
+    ``edges``, can be reassigned and no array written after these checks;
     ``labels`` is kept as a read-only mapping over a copy of the one given.
 
     ``claims`` lists the interior edges of the construction units
@@ -124,7 +118,6 @@ class SimplicialComplex2:
     claims: np.ndarray = ()
     claim_owner: np.ndarray = ()
     owners: tuple[str, ...] = ()
-    edges: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", MappingProxyType(dict(self.labels)))
@@ -145,8 +138,8 @@ class SimplicialComplex2:
         # sorted values are the triangles in lexicographic order
         keys = np.sort((idx[:, 0] * nv + idx[:, 1]) * nv + idx[:, 2])
         if (keys[1:] == keys[:-1]).any():
-            order, starts = _lex_order(tri)
-            raise ValueError(f"duplicate triangle {_ints(tri[order[~starts].min()])}")
+            order = np.lexsort(tri.T[::-1])
+            raise ValueError(f"duplicate triangle {_ints(tri[order[~_run_starts(tri[order])].min()])}")
         # every array is dropped once it is decoded, which keeps the peak
         # memory of a build down
         del tri, idx, known
@@ -159,14 +152,20 @@ class SimplicialComplex2:
             raise ValueError(f"vertex {int(vids[~covered][0])} lies in no triangle")
 
         triangles = vids[np.stack((a, b, c), axis=1)]
-        ekeys = _sorted_unique(np.concatenate((a * nv + b, a * nv + c, b * nv + c)))
         del a, b, c
-        edges = vids[np.stack(np.divmod(ekeys, nv), axis=1)]
         claims, claim_owner = _owned_claims(vids, self.claims, self.claim_owner, self.owners)
-        for name, x in (("triangles", triangles), ("edges", edges), ("claims", claims), ("claim_owner", claim_owner)):
+        for name, x in (("triangles", triangles), ("claims", claims), ("claim_owner", claim_owner)):
             x.flags.writeable = False
             object.__setattr__(self, name, x)
         object.__setattr__(self, "owners", tuple(self.owners))
+
+    @cached_property
+    def edges(self) -> np.ndarray:
+        """The distinct sides of the triangles, read-only (see above)."""
+        vids, keys = _side_keys(self)
+        edges = vids[np.stack(np.divmod(_sorted_unique(keys), len(vids)), axis=1)]
+        edges.flags.writeable = False
+        return edges
 
     def same_simplices(self, other: SimplicialComplex2) -> bool:
         """Same vertex ids and triangles, hence the same edges."""
@@ -279,32 +278,41 @@ def vertex_count_formula(spec: DiscComplexSpec) -> int:
     return 1 + 2 * spec.n_cycles + sum((3 * len(w) + 1) // 2 for w in spec.discs)
 
 
+def _side_keys(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending vertex ids, and the keys i * nv + j of all sides (a,b), then (a,c), then (b,c)."""
+    vids = np.array(sorted(k.labels), dtype=np.int64)
+    nv = len(vids)
+    a, b, c = _index_in(vids, k.triangles)[0].T
+    return vids, np.concatenate((a * nv + b, a * nv + c, b * nv + c))
+
+
 def validate_complex(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
     """The boundary index of ``k``: the (f1, 2) vertex indices of its edges
     and the (f2, 3) edge indices of each triangle's sides (a,b), (a,c),
     (b,c), with vertices indexed by ascending id and edges and triangles in
     the complex's order.
 
-    Construction already rejects every fault of the triangles and labels
-    and derives the edges from the triangles, so every vertex and side is
-    found: this looks every triangle side up once among the edges, encoded
-    as keys ``i * nv + j`` of vertex indices.  The one check construction
-    leaves open is made here: ValueError if a claimed interior edge is not
-    an edge of the complex.
+    Both come from one stable argsort of the side keys ``i * nv + j``, whose
+    near-ascending runs it merges fast, made on each call and kept by
+    nobody: the distinct sorted keys are the edges, and a side's edge
+    index is the count of distinct keys up to its own.  ValueError if ``k``
+    has no triangles or a claimed interior edge is not an edge.
     """
-    vids = np.array(sorted(k.labels), dtype=np.int64)
+    if not len(k.triangles):
+        raise ValueError("complex has no triangles")
+    vids, keys = _side_keys(k)
     nv = len(vids)
-    (eidx, _), (tidx, _), (cidx, _) = (_index_in(vids, x) for x in (k.edges, k.triangles, k.claims))
-    ekeys = eidx[:, 0] * nv + eidx[:, 1]
-    _, is_edge = _index_in(ekeys, cidx[:, 0] * nv + cidx[:, 1])
+    order = np.argsort(keys, kind="stable")
+    starts = _run_starts(keys[order])
+    keys = keys[order[starts]]
+    sides = np.empty_like(order)
+    sides[order] = np.cumsum(starts) - 1
+    cidx, _ = _index_in(vids, k.claims)
+    _, is_edge = _index_in(keys, cidx[:, 0] * nv + cidx[:, 1])
     if not is_edge.all():
         edge = _ints(k.claims[np.argmin(is_edge)])
         raise ValueError(f"invalid complex: claimed interior edge {edge} is not an edge of the complex")
-    # one row per triangle side, so each row's keys come in near-ascending
-    # runs, which binary search walks faster than interleaved sides
-    a, b, c = tidx.T
-    tedges, _ = _index_in(ekeys, np.stack((a * nv + b, a * nv + c, b * nv + c)))
-    return eidx, tedges.T
+    return np.stack(np.divmod(keys, nv), axis=1), sides.reshape(3, -1).T
 
 
 def face_vector(k: SimplicialComplex2) -> FaceVector:

@@ -284,6 +284,10 @@ class TestBoundaryIndex:
         assert np.array_equal(edges[:, 1], tri[:, [0, 2]])
         assert np.array_equal(edges[:, 2], tri[:, [1, 2]])
 
+    def test_empty_complex_has_no_index(self):
+        with pytest.raises(ValueError, match=r"^complex has no triangles$"):
+            validate_complex(SimplicialComplex2({}, []))
+
     def test_invalid_complex_has_no_index(self):
         k = SimplicialComplex2({v: str(v) for v in range(4)}, [(0, 1, 2), (1, 2, 3)], [(1, 2), (3, 0)], [0, 0], ("d",))
         with pytest.raises(ValueError, match=r"^invalid complex: claimed interior edge \(0, 3\) is not an edge"):
@@ -510,10 +514,19 @@ class TestAfterConstruction:
 
     def test_fields_cannot_be_reassigned(self):
         k = SimplicialComplex2({v: str(v) for v in range(4)}, tetrahedron().triangles, [(0, 1)], [0], ("disc1",))
-        for f in dataclasses.fields(k):
+        names = [f.name for f in dataclasses.fields(k)]
+        assert set(names) == {"labels", "triangles", "claims", "claim_owner", "owners"}
+        # edges is derived on first use, not a field, and just as fixed:
+        # neither before nor after it is derived can it be set or deleted
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            k.edges = np.zeros((0, 2), dtype=np.int64)
+        for name in names + ["edges"]:
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(k, f.name, getattr(k, f.name))
-        assert {f.name for f in dataclasses.fields(k)} == {"labels", "triangles", "claims", "claim_owner", "owners", "edges"}
+                setattr(k, name, getattr(k, name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(k, name)
+        assert k.edges is k.edges
+        assert k.edges.tolist() == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
 
     def test_rewritten_row_with_unknown_vertex_is_reported(self):
         k = complex_from_triangles([(0, 2, 4), (0, 2, 6), (0, 4, 6), (2, 4, 6)])
