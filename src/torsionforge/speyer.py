@@ -13,9 +13,10 @@ from .triangulation import SimplicialComplex2, triangulate_generic
 
 # Largest bit length of k that :func:`speyer_matrix` accepts.  The matrix
 # is dense, so its triangulation costs time and memory quadratic in the
-# bit length: `torsionforge build-speyer` took 1.7 s and 94 MB peak RSS at
-# 2048 bits and 6.0 s and 286 MB at 4096 bits on a 2-vCPU Xeon, and
-# `build-speyer --k 2^2047 | homology` finished in 2.0 s.
+# bit length: `torsionforge build-speyer` took 0.35 s and 94 MB peak RSS at
+# 2048 bits and 1.1 s and 287 MB at 4096 bits (bound lifted) in a fresh
+# process on a 2-vCPU Xeon, and `build-speyer --k 2^2047 | homology`
+# finished in 0.5 s.
 MAX_SPEYER_BITS = 2048
 
 

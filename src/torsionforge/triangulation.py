@@ -4,7 +4,8 @@ their boundary index, from one sort of the triangle sides per call, which
 checks that every claimed interior edge is an edge; and the generic
 disc-complex triangulation: subdivide every cycle with two vertices, ring
 each disc with an inner polygon of ceil(3s/2) fresh vertices, cone the
-annulus, fan the inside.
+annulus, fan the inside, and claim every side that ends at an inner
+vertex.
 
 Vertex ids are deterministic: 0, then the cycle subdivision vertices by
 (cycle, copy), then disc-interior vertices by (disc, position).  Facet
@@ -21,8 +22,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .disc_complex import DiscComplexSpec
-
-Triangle = tuple[int, int, int]
 
 # Vertices a complex may have: a triangle's key (a * nv + b) * nv + c of
 # its vertex indices must fit in an int64.
@@ -225,52 +224,42 @@ def triangulate_generic(spec: DiscComplexSpec) -> SimplicialComplex2:
     """Triangulation of a disc-complex blueprint.
 
     Cycle j becomes the path 0 - v(j,1) - v(j,2) - 0.  A disc with word
-    length s has boundary walk length 3s and gets an inner polygon of
-    p = ceil(3s/2) vertices: vertex t of the polygon cones over walk
-    positions 2t..2t+2 (the last one over just two when 3s is odd), a rung
-    triangle joins consecutive polygon vertices, and the polygon interior is
-    fanned from its first vertex.
+    length s has the closed boundary walk w of length 3s (w[3s] = w[0] = 0)
+    and gets a closed inner polygon c of p = ceil(3s/2) vertices
+    (c[p] = c[0]).  It emits three kinds of triangle: the cones
+    (c[q//2], w[q], w[q+1]) for q < 3s, so the last polygon vertex cones
+    over one walk step when 3s is odd; the rungs (c[t], c[t+1],
+    w[min(2t+2, 3s)]) for t < p; and the fan (c[0], c[t], c[t+1]) of the
+    polygon interior for 0 < t < p-1.  The disc claims the sides of its
+    triangles that end at an inner vertex, that is above 2n.
     """
     n = spec.n_cycles
     labels = {0: "0"}
     for j in range(1, n + 1):
-        labels[2 * (j - 1) + 1] = f"v{j}.1"
-        labels[2 * (j - 1) + 2] = f"v{j}.2"
+        labels[2 * j - 1] = f"v{j}.1"
+        labels[2 * j] = f"v{j}.2"
     nxt = 2 * n + 1
 
-    triangles: list[Triangle] = []
-    claims: list[tuple[int, int, int]] = []  # (u, v, owner index)
+    triangles: list[tuple[int, int, int]] = []
+    owner: list[int] = []
     for i, word in enumerate(spec.discs):
-        walk: list[int] = []
-        for letter in word:
-            j = abs(letter)
-            v1, v2 = 2 * (j - 1) + 1, 2 * (j - 1) + 2
-            walk.extend((0, v1, v2) if letter > 0 else (0, v2, v1))
-        size = len(walk)  # 3s
-        p = (size + 1) // 2  # ceil(3s/2)
-        inner = list(range(nxt, nxt + p))
-        for t in range(p):
-            labels[nxt + t] = f"c{i + 1}.{t + 1}"
+        w = [v for x in word for v in ((0, 2 * x - 1, 2 * x) if x > 0 else (0, -2 * x, -2 * x - 1))] + [0]
+        size = len(w) - 1  # 3s
+        p = (size + 1) // 2
+        c = [*range(nxt, nxt + p), nxt]
+        labels.update((nxt + t, f"c{i + 1}.{t + 1}") for t in range(p))
         nxt += p
+        tris = [(c[q // 2], w[q], w[q + 1]) for q in range(size)]
+        tris += [(c[t], c[t + 1], w[min(2 * t + 2, size)]) for t in range(p)]
+        tris += [(c[0], c[t], c[t + 1]) for t in range(1, p - 1)]
+        triangles += tris
+        owner += [i] * len(tris)
 
-        for t in range(p):
-            start = 2 * t
-            steps = 1 if (size % 2 == 1 and t == p - 1) else 2
-            for s_ in range(steps):
-                u = walk[(start + s_) % size]
-                w = walk[(start + s_ + 1) % size]
-                triangles.append((inner[t], u, w))
-                claims += ((inner[t], u, i), (inner[t], w, i))
-            rung_v = walk[(start + steps) % size]
-            triangles.append((inner[t], inner[(t + 1) % p], rung_v))
-            claims += ((inner[t], inner[(t + 1) % p], i), (inner[(t + 1) % p], rung_v, i))
-        for t in range(1, p - 1):
-            triangles.append((inner[0], inner[t], inner[t + 1]))
-            claims += ((inner[0], inner[t], i), (inner[0], inner[t + 1], i), (inner[t], inner[t + 1], i))
-
-    claims_arr = _int_rows(claims, 3)
+    tri = _int_rows(triangles, 3)
+    sides = tri[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
+    inner = sides.max(axis=1) > 2 * n
     owners = tuple(f"disc{i}" for i in range(1, len(spec.discs) + 1))
-    return SimplicialComplex2(labels, triangles, claims_arr[:, :2], claims_arr[:, 2], owners)
+    return SimplicialComplex2(labels, tri, sides[inner], np.repeat(owner, 3)[inner], owners)
 
 
 def vertex_count_formula(spec: DiscComplexSpec) -> int:

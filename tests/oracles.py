@@ -4,7 +4,8 @@ Bareiss elimination, determinants modulo a prime from Gaussian elimination
 on Python ints, invariant factors from gcds of k x k minors or from a
 diagonal form by extended-gcd elimination, components from union-find,
 sequence validity from the direct quartic scan of the definition, and
-HMT(n) from a face-by-face plain-Python construction.
+HMT(n) and the generic disc-complex triangulation from face-by-face
+plain-Python constructions, the latter's words by dealing out letters.
 """
 
 from __future__ import annotations
@@ -259,3 +260,76 @@ def hmt_facets(n: int, keep_first_digon: bool = False) -> list[tuple[int, int, i
         a1, a2, b1, b2 = v1[j], v2[j], w1[j], w2[j]
         faces += [(0, a1, b2), (a1, a2, b2), (a2, b1, b2), (0, a2, b1)]
     return sorted(tuple(sorted(f)) for f in faces)
+
+
+def disc_words(rows, ordering: str) -> list[tuple[int, ...]]:
+    """Boundary words of a matrix's rows, one letter at a time: "grouped"
+    emits all copies of column 1, then column 2, ...; "interleaved" deals
+    one copy of each remaining column per round."""
+    words = []
+    for row in rows:
+        if ordering == "grouped":
+            word = []
+            for j, x in enumerate(row, start=1):
+                word.extend([j if x > 0 else -j] * abs(x))
+        else:
+            remaining = [abs(x) for x in row]
+            word = []
+            while any(remaining):
+                for j, x in enumerate(row, start=1):
+                    if remaining[j - 1]:
+                        word.append(j if x > 0 else -j)
+                        remaining[j - 1] -= 1
+        words.append(tuple(word))
+    return words
+
+
+def generic_disc_faces(n_cycles: int, discs) -> tuple[dict, list, list]:
+    """Labels, triangles and (u, v, disc index) interior-edge claims of the
+    generic triangulation of a disc-complex blueprint, one letter, cone,
+    rung and fan at a time, each claim listed beside its triangle.
+
+    Cycle j becomes the path 0 - v(j,1) - v(j,2) - 0.  A disc with word
+    length s has boundary walk length 3s and gets an inner polygon of
+    p = ceil(3s/2) vertices: vertex t of the polygon cones over walk
+    positions 2t..2t+2 (the last one over just two when 3s is odd), a rung
+    triangle joins consecutive polygon vertices, and the polygon interior is
+    fanned from its first vertex.
+    """
+    n = n_cycles
+    labels = {0: "0"}
+    for j in range(1, n + 1):
+        labels[2 * (j - 1) + 1] = f"v{j}.1"
+        labels[2 * (j - 1) + 2] = f"v{j}.2"
+    nxt = 2 * n + 1
+
+    triangles = []
+    claims = []  # (u, v, owner index)
+    for i, word in enumerate(discs):
+        walk = []
+        for letter in word:
+            j = abs(letter)
+            v1, v2 = 2 * (j - 1) + 1, 2 * (j - 1) + 2
+            walk.extend((0, v1, v2) if letter > 0 else (0, v2, v1))
+        size = len(walk)  # 3s
+        p = (size + 1) // 2  # ceil(3s/2)
+        inner = list(range(nxt, nxt + p))
+        for t in range(p):
+            labels[nxt + t] = f"c{i + 1}.{t + 1}"
+        nxt += p
+
+        for t in range(p):
+            start = 2 * t
+            steps = 1 if (size % 2 == 1 and t == p - 1) else 2
+            for s_ in range(steps):
+                u = walk[(start + s_) % size]
+                w = walk[(start + s_ + 1) % size]
+                triangles.append((inner[t], u, w))
+                claims += ((inner[t], u, i), (inner[t], w, i))
+            rung_v = walk[(start + steps) % size]
+            triangles.append((inner[t], inner[(t + 1) % p], rung_v))
+            claims += ((inner[t], inner[(t + 1) % p], i), (inner[(t + 1) % p], rung_v, i))
+        for t in range(1, p - 1):
+            triangles.append((inner[0], inner[t], inner[t + 1]))
+            claims += ((inner[0], inner[t], i), (inner[0], inner[t + 1], i), (inner[t], inner[t + 1], i))
+    return labels, triangles, claims

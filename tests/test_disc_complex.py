@@ -24,10 +24,15 @@ class TestFromMatrix:
     def test_grouped_word(self):
         spec = from_matrix(int_matrix([[2, 2]]), "grouped")
         assert spec.discs == ((1, 1, 2, 2),)
+        # the second row keeps column 2 from being zero
+        spec = from_matrix(int_matrix([[2, 0, -3, 1], [0, -1, 0, 0]]), "grouped")
+        assert spec.discs == ((1, 1, -3, -3, -3, 4), (-2,))
 
     def test_interleaved_word(self):
         spec = from_matrix(int_matrix([[2, 2]]), "interleaved")
         assert spec.discs == ((1, 2, 1, 2),)
+        spec = from_matrix(int_matrix([[2, 0, -3, 1], [0, -1, 0, 0]]), "interleaved")
+        assert spec.discs == ((1, -3, 4, 1, -3, -3), (-2,))
 
     def test_negative_entries_reverse_orientation(self):
         spec = from_matrix(walsh(2), "grouped")
@@ -84,6 +89,23 @@ class TestSpecValidation:
     def test_zero_letter_rejected(self):
         with pytest.raises(ValueError):
             DiscComplexSpec(1, ((0,),))
+
+    def test_bool_letter_rejected(self):
+        for word in ((True, True), (1, True), (False,)):
+            with pytest.raises(ValueError, match="is not a signed cycle index"):
+                DiscComplexSpec(1, (word,))
+
+    def test_non_int_cycle_count_rejected(self):
+        for n in (1.5, "2", True, None):
+            with pytest.raises(ValueError, match="n_cycles must be an int"):
+                DiscComplexSpec(n, ((1,),))
+
+    def test_discs_kept_as_tuples(self):
+        discs = [[1, -2], [2]]
+        spec = DiscComplexSpec(2, discs)
+        discs[0].append(-2)
+        assert spec.discs == ((1, -2), (2,))
+        assert type(spec.discs) is tuple and all(type(word) is tuple for word in spec.discs)
 
 
 class TestCellularHomology:

@@ -28,6 +28,7 @@ from torsionforge.triangulation import (
     vertex_count_formula,
 )
 
+from .oracles import disc_words, generic_disc_faces
 from .test_disc_complex import random_matrix_no_zero_lines
 
 H2_FACETS = """0 1 5
@@ -128,6 +129,38 @@ class TestGenericTriangulation:
                     incidence[e] = incidence.get(e, 0) + 1
             for e, _owner in claimed(k):
                 assert incidence[e] == 2, (m, e)
+
+    @staticmethod
+    def assert_matches_face_by_face(k, n_cycles, words):
+        labels, triangles, claims = generic_disc_faces(n_cycles, words)
+        assert list(k.labels.items()) == list(labels.items())
+        assert k.triangles.tolist() == sorted(sorted(t) for t in triangles)
+        assert k.owners == tuple(f"disc{i}" for i in range(1, len(words) + 1))
+        assert claimed(k) == sorted({(tuple(sorted((u, v))), f"disc{i + 1}") for u, v, i in claims})
+
+    def test_random_words_match_face_by_face_construction(self):
+        # word lengths 1 to 6: odd and even boundary walks, and p = 2
+        rng = random.Random(2718)
+        lengths = set()
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            signs = [rng.choice((1, -1)) for _ in range(n)]
+            words = [[rng.randint(1, n) for _ in range(rng.randint(1, 6))] for _ in range(rng.randint(1, 3))]
+            words.append(list(range(1, n + 1)))  # every cycle used
+            words = [tuple(signs[j - 1] * j for j in word) for word in words]
+            lengths.update(map(len, words))
+            k = triangulate_generic(DiscComplexSpec(n, tuple(words)))
+            self.assert_matches_face_by_face(k, n, words)
+        assert lengths >= set(range(1, 7))
+
+    def test_matrices_match_face_by_face_construction(self):
+        rng = random.Random(1618)
+        matrices = [random_matrix_no_zero_lines(rng) for _ in range(30)]
+        matrices += [int_matrix([[2, 0, -3, 1], [1, 1, 0, -2]]), speyer_matrix(11), speyer_matrix(2**61 - 1)]
+        for m in matrices:
+            for ordering in ("grouped", "interleaved"):
+                k = triangulate_generic(from_matrix(m, ordering))
+                self.assert_matches_face_by_face(k, m.shape[1], disc_words(m.tolist(), ordering))
 
     def test_cone_walk_end_has_two_or_three_boundary_spokes(self):
         # odd boundary walk: the last inner vertex reaches only 2 boundary
