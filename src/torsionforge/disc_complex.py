@@ -82,7 +82,7 @@ def _reject_zero_lines(m: np.ndarray) -> None:
 
 # Largest total word length sum |a_ij| that :func:`from_matrix` accepts.
 # Each letter becomes a few triangles: `torsionforge triangulate` on the
-# 1x1 matrix (262144) took 1.6 s and 789 MB peak RSS in a fresh process on
+# 1x1 matrix (262144) took 1.5 s and 585 MB peak RSS in a fresh process on
 # a 2-vCPU Xeon, and time and memory grow linearly in the word length.
 MAX_WORD_LETTERS = 1 << 18
 

@@ -18,7 +18,7 @@ def is_power_of_two(n: int) -> bool:
 
 
 def _require_power_of_two(n: int) -> int:
-    if not isinstance(n, int) or not is_power_of_two(n):
+    if not isinstance(n, int) or isinstance(n, bool) or not is_power_of_two(n):
         raise ValueError(f"order must be a power of two, got {n}")
     return n.bit_length() - 1
 

@@ -258,8 +258,13 @@ def triangulate_generic(spec: DiscComplexSpec) -> SimplicialComplex2:
     tri = _int_rows(triangles, 3)
     sides = tri[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
     inner = sides.max(axis=1) > 2 * n
+    claims, claim_owner = sides[inner], np.repeat(owner, 3)[inner]
+    # the triangle tuples (in `triangles`, and the last disc's in `tris`),
+    # sides and owner list are dropped before the constructor, which keeps
+    # the peak memory of a build down
+    del triangles, tris, sides, inner, owner
     owners = tuple(f"disc{i}" for i in range(1, len(spec.discs) + 1))
-    return SimplicialComplex2(labels, tri, sides[inner], np.repeat(owner, 3)[inner], owners)
+    return SimplicialComplex2(labels, tri, claims, claim_owner, owners)
 
 
 def vertex_count_formula(spec: DiscComplexSpec) -> int:

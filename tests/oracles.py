@@ -5,7 +5,8 @@ on Python ints, invariant factors from gcds of k x k minors or from a
 diagonal form by extended-gcd elimination, components from union-find,
 sequence validity from the direct quartic scan of the definition, and
 HMT(n) and the generic disc-complex triangulation from face-by-face
-plain-Python constructions, the latter's words by dealing out letters.
+plain-Python constructions, the latter's words by dealing out letters,
+and Speyer's matrix M(k) as a dense matrix of identity diagonals.
 """
 
 from __future__ import annotations
@@ -260,6 +261,18 @@ def hmt_facets(n: int, keep_first_digon: bool = False) -> list[tuple[int, int, i
         a1, a2, b1, b2 = v1[j], v2[j], w1[j], w2[j]
         faces += [(0, a1, b2), (a1, a2, b2), (a2, b1, b2), (0, a2, b1)]
     return sorted(tuple(sorted(f)) for f in faces)
+
+
+def speyer_matrix_dense(k: int) -> np.ndarray:
+    """M(k) built densely: a 2 on the diagonal and a 1 just left of it in
+    every row, then the first row overwritten with the binary digits of k
+    (leading digit first) in alternating signs.  No bound on k."""
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"k must be an integer >= 2, got {k}")
+    digits = [int(c) for c in bin(k)[2:]]
+    out = np.eye(len(digits), k=-1, dtype=np.int64) + 2 * np.eye(len(digits), dtype=np.int64)
+    out[0] = [(-1) ** i * d for i, d in enumerate(digits)]
+    return out
 
 
 def disc_words(rows, ordering: str) -> list[tuple[int, ...]]:

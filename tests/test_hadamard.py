@@ -34,6 +34,10 @@ class TestWalsh:
         with pytest.raises(ValueError):
             walsh(bad)
 
+    def test_rejects_bool(self):
+        with pytest.raises(ValueError, match="order must be a power of two"):
+            walsh(True)
+
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 128, 256])
     def test_rows_orthogonal(self, n):
         assert is_hadamard(walsh(n))
@@ -92,6 +96,10 @@ class TestClosedForm:
     def test_rejects_non_powers(self):
         with pytest.raises(ValueError):
             hadamard_snf_closed_form(12)
+
+    def test_rejects_bool(self):
+        with pytest.raises(ValueError, match="order must be a power of two"):
+            hadamard_snf_closed_form(True)
 
 
 class TestDeterminantBound:

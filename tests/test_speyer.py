@@ -1,13 +1,23 @@
+import random
+
 import numpy as np
 import pytest
 
 from torsionforge.disc_complex import from_matrix
 from torsionforge.exactmat import group_from_factors
 from torsionforge.homology import simplicial_homology
-from torsionforge.speyer import build_speyer_complex, speyer_matrix
-from torsionforge.triangulation import face_vector, validate_complex, vertex_count_formula
+from torsionforge.speyer import _speyer_spec, build_speyer_complex, speyer_matrix
+from torsionforge.triangulation import face_vector, triangulate_generic, validate_complex, vertex_count_formula
 
-from .oracles import det_bareiss
+from .oracles import det_bareiss, speyer_matrix_dense
+
+
+def random_ks(count: int, seed: int) -> list[int]:
+    """``count`` seeded k whose bit lengths spread from 2 to 2048, with
+    the two ends of that range."""
+    rng = random.Random(seed)
+    bits = [2, 2048] + [rng.randint(2, 2048) for _ in range(count - 2)]
+    return [rng.getrandbits(b) | 1 << (b - 1) for b in bits]
 
 
 class TestSpeyerMatrix:
@@ -36,6 +46,30 @@ class TestSpeyerMatrix:
             speyer_matrix(bad)
 
 
+class TestAgainstDenseMatrix:
+    """The words are the one definition of the family; the dense matrix
+    they replaced is the oracle for both the matrix and the complex."""
+
+    def test_matrix_matches(self):
+        for k in [*range(2, 4097), *random_ks(24, 2047)]:
+            m = speyer_matrix(k)
+            assert m.dtype == np.int64
+            assert np.array_equal(m, speyer_matrix_dense(k)), k
+
+    def test_words_are_the_grouped_words_of_the_matrix(self):
+        for k in [*range(2, 4097), *random_ks(6, 127), 2**61 - 1, 2**2048 - 1]:
+            spec, dense = _speyer_spec(k), from_matrix(speyer_matrix_dense(k), "grouped")
+            assert spec.n_cycles == dense.n_cycles and spec.discs == dense.discs, k
+
+    def test_complex_is_the_triangulation_of_the_matrix(self):
+        for k in [*range(2, 70), 1000, 4096, 2**61 - 1, 2**64 - 59, *random_ks(4, 61)]:
+            built = build_speyer_complex(k)
+            dense = triangulate_generic(from_matrix(speyer_matrix_dense(k), "grouped"))
+            assert list(built.labels.items()) == list(dense.labels.items()), k
+            assert np.array_equal(built.triangles, dense.triangles), k
+            assert np.array_equal(built.claims, dense.claims) and np.array_equal(built.claim_owner, dense.claim_owner), k
+
+
 class TestSpeyerComplex:
     def test_eleven_reproduction(self):
         k = build_speyer_complex(11)
@@ -59,8 +93,7 @@ class TestSpeyerComplex:
     def test_vertex_bound(self):
         for k in range(2, 513):
             m = k.bit_length() - 1
-            spec = from_matrix(speyer_matrix(k), "grouped")
-            assert vertex_count_formula(spec) <= 9 * m + 6
+            assert vertex_count_formula(_speyer_spec(k)) <= 9 * m + 6
 
     def test_power_of_two_torsion(self):
         k = build_speyer_complex(2**10)

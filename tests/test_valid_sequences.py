@@ -49,6 +49,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             valid_sequence(6)
 
+    def test_rejects_bool(self):
+        with pytest.raises(ValueError, match="order must be a power of two"):
+            valid_sequence(True)
+
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
     def test_canonical_sequence_is_valid(self, n):
         assert check_valid(valid_sequence(n), walsh(n)).ok
