@@ -8,6 +8,7 @@ directly from the Smith normal form without building geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -62,13 +63,11 @@ class DiscComplexSpec:
 
     def induced_matrix(self) -> np.ndarray:
         """The int64 matrix whose rows the boundary words realize."""
-        rows = []
-        for word in self.discs:
-            row = [0] * self.n_cycles
-            for letter in word:
-                row[abs(letter) - 1] += 1 if letter > 0 else -1
-            rows.append(row)
-        return np.array(rows, dtype=np.int64)
+        lengths = [len(word) for word in self.discs]
+        letters = np.fromiter(chain.from_iterable(self.discs), dtype=np.int64, count=sum(lengths))
+        m = np.zeros((len(self.discs), self.n_cycles), dtype=np.int64)
+        np.add.at(m, (np.repeat(np.arange(len(lengths)), lengths), np.abs(letters) - 1), np.sign(letters))
+        return m
 
 
 def _reject_zero_lines(m: np.ndarray) -> None:

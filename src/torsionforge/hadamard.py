@@ -18,17 +18,22 @@ def is_power_of_two(n: int) -> bool:
 
 
 def _require_power_of_two(n: int) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or not is_power_of_two(n):
+    """log2(n); a non-int is named by its type, as numpy 1.x prints np.int64(4) as 4."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"order must be a power of two of type int, got {n!r} of type {type(n).__name__}")
+    if not is_power_of_two(n):
         raise ValueError(f"order must be a power of two, got {n}")
     return n.bit_length() - 1
 
 
 def walsh(n: int) -> np.ndarray:
-    """The order-n Walsh matrix, built by repeated Sylvester doubling from (1)."""
-    _require_power_of_two(n)
-    h = np.ones((1, 1), dtype=np.int64)
-    while len(h) < n:
-        h = np.block([[h, h], [h, -h]])
+    """The order-n Walsh matrix by Sylvester doubling from (1), in place: the
+    leading block H(m) is copied right and down and negated diagonally."""
+    k = _require_power_of_two(n)
+    h = np.ones((n, n), dtype=np.int64)
+    for m in (2**i for i in range(k)):
+        h[:m, m : 2 * m] = h[m : 2 * m, :m] = h[:m, :m]
+        h[m : 2 * m, m : 2 * m] = -h[:m, :m]
     return h
 
 

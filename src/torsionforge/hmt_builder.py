@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .exactmat import group_from_factors
-from .hadamard import hadamard_snf_closed_form
+from .hadamard import _require_power_of_two, hadamard_snf_closed_form, walsh
 from .homology import simplicial_homology
 from .triangulation import SimplicialComplex2, euler_characteristic, face_vector
 from .valid_sequences import valid_sequence
@@ -35,21 +35,6 @@ def hmt_torsion_group(n: int):
     return group_from_factors(hadamard_snf_closed_form(n), 0)
 
 
-def _labels(n: int, keep_first_digon: bool) -> dict[int, str]:
-    """Deterministic id map: 0, cycle copies by (column, v1, v2, w1, w2),
-    centers last; the w slots of column 1 are compacted away by default."""
-    shift = 0 if keep_first_digon else 2
-    labels = {0: "0", 1: "v1.1", 2: "v1.2"}
-    if keep_first_digon:
-        labels.update({3: "w1.1", 4: "w1.2"})
-    for j in range(2, n + 1):
-        base = 4 * (j - 1) - shift
-        labels.update({base + 1: f"v{j}.1", base + 2: f"v{j}.2", base + 3: f"w{j}.1", base + 4: f"w{j}.2"})
-    c0 = 4 * n - shift
-    labels.update({c0 + i: f"c{i}" for i in range(1, n + 1)})
-    return labels
-
-
 def _rows(*columns) -> np.ndarray:
     """One row per position of the broadcast columns, in row-major order."""
     return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns))
@@ -61,51 +46,58 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
     n = 1 is rejected: with a single all-positive disc the complex
     degenerates to a triangle and needs none of this machinery.
 
+    Vertex ids: 0, then column by column v_j.1, v_j.2, w_j.1, w_j.2 (the
+    w pair only in columns with a digon), then c_1..c_n.  So one table of
+    v_j.1 per column fixes every id: v_j.2 is 1 more, w_j.1 and w_j.2 are
+    2 and 3 more, and the centers follow the last column's four ids.
+
     Every index array is computed at once.  Disc i walks the ring of its
-    ordering: column j contributes its v pair, or its w pair where the Walsh
-    entry (-1)^popcount((i-1) & (j-1)) is negative.  Each base-vertex visit
-    gets a shield triangle (0, ring[2p+1], ring[2p+2]), whose far edge is
-    the diagonal that the valid sequence keeps unique; the center c_i fans
-    over the ring; and each digon column j contributes four triangles.
+    ordering: column j contributes its v pair, or its w pair where
+    walsh(n)[i-1, j-1] is negative.  Each base-vertex visit gets a shield
+    triangle (0, ring[2p+1], ring[2p+2]), whose far edge is the diagonal
+    that the valid sequence keeps unique; the center c_i fans over the
+    ring; and each digon column j contributes four triangles.
     """
-    if n == 1:
+    if _require_power_of_two(n) == 0:
         raise ValueError(
             "n=1 is excluded: its single all-positive disc triangulates as one "
             "triangle with a subdivided boundary; this family needs a power of two >= 2"
         )
-    col = valid_sequence(n).perms - 1  # 0-based column of each ring step; rejects other orders
-    shift = 0 if keep_first_digon else 2
-    disc = np.arange(n)[:, None]
-    # parity of the k = log2(n) bits of (i-1) & (j-1)
-    common = disc & col
-    negative = np.zeros_like(common)
-    for bit in range(n.bit_length() - 1):
-        negative ^= (common >> bit) & 1
-    # column j's pair starts at 4(j-1)+1, less the compaction shift past column 1
-    first = 4 * col + 1 + 2 * negative - shift * (col > 0)
+    col = valid_sequence(n).perms - 1  # 0-based column of each ring step
+    negative = np.take_along_axis(walsh(n) < 0, col, axis=1)
+    columns = np.arange(1 if keep_first_digon else 2, n + 1)  # 1-based columns with a digon
+    v = 4 * np.arange(n, dtype=np.int64) + 1  # id of v_j.1
+    v[1:] -= 2 * (columns[0] - 1)  # less column 1's w pair when it is dropped
+    first = v[col] + 2 * negative
     ring = np.empty((n, 2 * n + 1), dtype=np.int64)
     ring[:, 0:-1:2] = first
     ring[:, 1:-1:2] = first + 1
     ring[:, -1] = ring[:, 0]
-    centers = 4 * n - shift + 1 + disc
+    disc = np.arange(n)[:, None]
+    centers = v[-1] + 4 + disc
 
     discs = disc.ravel()
     triangles = [_rows(0, ring[:, 1:-1:2], ring[:, 2::2]), _rows(centers, ring[:, :-1], ring[:, 1:])]
     claims = [_rows(ring[:, 1:-1:2], ring[:, 2::2]), _rows(centers, ring[:, :-1])]
     owner = [np.repeat(discs, n), np.repeat(discs, 2 * n)]
 
-    columns = np.arange(1 if keep_first_digon else 2, n + 1)
-    a1 = 4 * (columns - 1) + 1 - shift
+    a1 = v[columns - 1]
     a2, b1, b2 = a1 + 1, a1 + 2, a1 + 3
     triangles.append(_rows(0, a1, b2, a1, a2, b2, a2, b1, b2, 0, a2, b1).reshape(-1, 3))
     claims.append(_rows(a1, b2, a2, b2, a2, b1).reshape(-1, 2))
     owner.append(np.repeat(n + np.arange(len(columns)), 3))
 
     owners = tuple(f"disc{i}" for i in range(1, n + 1)) + tuple(f"digon{j}" for j in columns.tolist())
+    labels = {0: "0"}
+    for j, a in enumerate(v.tolist(), start=1):
+        labels.update({a: f"v{j}.1", a + 1: f"v{j}.2"})
+    for j, b in zip(columns.tolist(), b1.tolist()):
+        labels.update({b: f"w{j}.1", b + 1: f"w{j}.2"})
+    labels.update({c: f"c{i}" for i, c in enumerate(centers.ravel().tolist(), start=1)})
     # the constructor's peak comes on top of whatever is still alive here
     triangles, claims, owner = np.concatenate(triangles), np.concatenate(claims), np.concatenate(owner)
-    del ring, col, common, negative, first, centers, a1, a2, b1, b2
-    return SimplicialComplex2(_labels(n, keep_first_digon), triangles, claims, owner, owners)
+    del ring, col, negative, first, centers, a1, a2, b1, b2
+    return SimplicialComplex2(labels, triangles, claims, owner, owners)
 
 
 def hmt_certificate(n: int) -> dict:

@@ -23,7 +23,9 @@ def _speyer_spec(k: int) -> DiscComplexSpec:
     """The grouped boundary words of M(k), for 2 <= k < 2^MAX_SPEYER_BITS:
     +j or -j in the first word for each one digit of k in column j (1-based
     from the leading digit), + for odd j, and (i-1, i, i) for disc i > 1."""
-    if not isinstance(k, int) or k < 2:
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValueError(f"k must be of type int, got {k!r} of type {type(k).__name__}")
+    if k < 2:
         raise ValueError(f"k must be an integer >= 2, got {k}")
     if k.bit_length() > MAX_SPEYER_BITS:
         raise ValueError(f"k has {k.bit_length()} bits, more than the {MAX_SPEYER_BITS} allowed")

@@ -7,6 +7,11 @@ sequence validity from the direct quartic scan of the definition, and
 HMT(n) and the generic disc-complex triangulation from face-by-face
 plain-Python constructions, the latter's words by dealing out letters,
 and Speyer's matrix M(k) as a dense matrix of identity diagonals.
+
+One exception shares the package's valid sequence and constructor:
+:func:`hmt_reference`, the array builder of HMT(n) as it was before its
+signs came from ``walsh(n)``, with popcount parity signs and separate id
+formulas for rings, centers, digons and labels.
 """
 
 from __future__ import annotations
@@ -15,6 +20,9 @@ from itertools import combinations
 from math import gcd
 
 import numpy as np
+
+from torsionforge.triangulation import SimplicialComplex2
+from torsionforge.valid_sequences import valid_sequence
 
 
 def det_cofactor(rows) -> int:
@@ -346,3 +354,77 @@ def generic_disc_faces(n_cycles: int, discs) -> tuple[dict, list, list]:
             triangles.append((inner[0], inner[t], inner[t + 1]))
             claims += ((inner[0], inner[t], i), (inner[0], inner[t + 1], i), (inner[t], inner[t + 1], i))
     return labels, triangles, claims
+
+
+def _reference_labels(n: int, keep_first_digon: bool) -> dict[int, str]:
+    """Deterministic id map: 0, cycle copies by (column, v1, v2, w1, w2),
+    centers last; the w slots of column 1 are compacted away by default."""
+    shift = 0 if keep_first_digon else 2
+    labels = {0: "0", 1: "v1.1", 2: "v1.2"}
+    if keep_first_digon:
+        labels.update({3: "w1.1", 4: "w1.2"})
+    for j in range(2, n + 1):
+        base = 4 * (j - 1) - shift
+        labels.update({base + 1: f"v{j}.1", base + 2: f"v{j}.2", base + 3: f"w{j}.1", base + 4: f"w{j}.2"})
+    c0 = 4 * n - shift
+    labels.update({c0 + i: f"c{i}" for i in range(1, n + 1)})
+    return labels
+
+
+def _rows(*columns) -> np.ndarray:
+    """One row per position of the broadcast columns, in row-major order."""
+    return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns))
+
+
+def hmt_reference(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
+    """HMT(n) as the array builder made it with popcount signs and its own
+    id formulas, kept to pin labels, claims and owners.  Built for n = 2^k, k >= 1.
+
+    n = 1 is rejected: with a single all-positive disc the complex
+    degenerates to a triangle and needs none of this machinery.
+
+    Every index array is computed at once.  Disc i walks the ring of its
+    ordering: column j contributes its v pair, or its w pair where the Walsh
+    entry (-1)^popcount((i-1) & (j-1)) is negative.  Each base-vertex visit
+    gets a shield triangle (0, ring[2p+1], ring[2p+2]), whose far edge is
+    the diagonal that the valid sequence keeps unique; the center c_i fans
+    over the ring; and each digon column j contributes four triangles.
+    """
+    if n == 1:
+        raise ValueError(
+            "n=1 is excluded: its single all-positive disc triangulates as one "
+            "triangle with a subdivided boundary; this family needs a power of two >= 2"
+        )
+    col = valid_sequence(n).perms - 1  # 0-based column of each ring step; rejects other orders
+    shift = 0 if keep_first_digon else 2
+    disc = np.arange(n)[:, None]
+    # parity of the k = log2(n) bits of (i-1) & (j-1)
+    common = disc & col
+    negative = np.zeros_like(common)
+    for bit in range(n.bit_length() - 1):
+        negative ^= (common >> bit) & 1
+    # column j's pair starts at 4(j-1)+1, less the compaction shift past column 1
+    first = 4 * col + 1 + 2 * negative - shift * (col > 0)
+    ring = np.empty((n, 2 * n + 1), dtype=np.int64)
+    ring[:, 0:-1:2] = first
+    ring[:, 1:-1:2] = first + 1
+    ring[:, -1] = ring[:, 0]
+    centers = 4 * n - shift + 1 + disc
+
+    discs = disc.ravel()
+    triangles = [_rows(0, ring[:, 1:-1:2], ring[:, 2::2]), _rows(centers, ring[:, :-1], ring[:, 1:])]
+    claims = [_rows(ring[:, 1:-1:2], ring[:, 2::2]), _rows(centers, ring[:, :-1])]
+    owner = [np.repeat(discs, n), np.repeat(discs, 2 * n)]
+
+    columns = np.arange(1 if keep_first_digon else 2, n + 1)
+    a1 = 4 * (columns - 1) + 1 - shift
+    a2, b1, b2 = a1 + 1, a1 + 2, a1 + 3
+    triangles.append(_rows(0, a1, b2, a1, a2, b2, a2, b1, b2, 0, a2, b1).reshape(-1, 3))
+    claims.append(_rows(a1, b2, a2, b2, a2, b1).reshape(-1, 2))
+    owner.append(np.repeat(n + np.arange(len(columns)), 3))
+
+    owners = tuple(f"disc{i}" for i in range(1, n + 1)) + tuple(f"digon{j}" for j in columns.tolist())
+    # the constructor's peak comes on top of whatever is still alive here
+    triangles, claims, owner = np.concatenate(triangles), np.concatenate(claims), np.concatenate(owner)
+    del ring, col, common, negative, first, centers, a1, a2, b1, b2
+    return SimplicialComplex2(_reference_labels(n, keep_first_digon), triangles, claims, owner, owners)

@@ -453,11 +453,16 @@ class TestGoldenOutput:
     @pytest.mark.parametrize(
         "argv, digest",
         [
+            ("build-hmt --n 2", "e763114a2d5730f8b576a4c3c5256695857db13528d7e3d6f54cf068a8f0fe12"),
+            ("build-hmt --n 4", "a844cdc9c5777effe2c8d1b52a045306b73421a2d53c82270f0a35306a2c4f95"),
             ("build-hmt --n 64", "1a929b7f70dbe3e9f7d8ea7326bf068d0d25b1477237dec280aa8141d254b80b"),
             ("build-hmt --n 128", "80ea09f9fa58944463c0850c4e8f1f328d14dfc8b8a6f2bbc792fd1051b4f018"),
             ("build-hmt --n 256", "edde9b4e880937a4bd01ac71231098e1ee3d17fd9e2ddc15d92c5de27c88ad94"),
+            ("build-hmt --n 512", "dd3b3087fd865b1ceae22383f591b570ffe7835d2a6cd94d99a2db9627344029"),
+            ("build-hmt --n 512 --keep-first-digon", "4859f16d8f45b317aa5fd860f6897fc392130d9e3bd9bdf8c8d987705aa2eefe"),
             ("build-hmt --n 64 --keep-first-digon", "5c798052c80c64aed4d341ba917efd127d3dc954ad1cf9c1a18ebc0fd63148bc"),
             ("build-hmt --n 16 --format json", "2fd9efc14d902041a75a287be46a8745f272c5973bfc52d5901821ae0b9a988a"),
+            ("build-hmt --n 64 --format json", "57ca4b812ae799fdde7a9f26ff6c93915d72fd585cefcf36d79dd68809b2092e"),
             ("build-speyer --k 2305843009213693951", "99480e2cd5575f495ea4da6064b05901d977fb6a21ed7c445b15f26b3442b792"),
             ("valid-seq --n 1024", "f8e469b3a331e289d559966c500a62cd03ecf92a0e43b1231b0f204b847939bb"),
         ],

@@ -68,6 +68,11 @@ class TestFromMatrix:
             for ordering in ("grouped", "interleaved"):
                 assert np.array_equal(from_matrix(m, ordering).induced_matrix(), m)
 
+    def test_induced_matrix_sums_repeated_letters(self):
+        m = DiscComplexSpec(3, ((1, -3, 1, -3, 1), (2,), (-2, 3, -2))).induced_matrix()
+        assert m.dtype == np.int64
+        assert m.tolist() == [[3, 0, -2], [0, 1, 0], [0, -2, 1]]
+
 
 class TestSpecValidation:
     def test_word_with_both_orientations_rejected(self):

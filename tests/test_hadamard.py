@@ -38,6 +38,10 @@ class TestWalsh:
         with pytest.raises(ValueError, match="order must be a power of two"):
             walsh(True)
 
+    def test_numpy_int_is_named_by_type(self):
+        with pytest.raises(ValueError, match="order must be a power of two of type int, got .* of type int64$"):
+            walsh(np.int64(4))
+
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 128, 256])
     def test_rows_orthogonal(self, n):
         assert is_hadamard(walsh(n))
@@ -100,6 +104,10 @@ class TestClosedForm:
     def test_rejects_bool(self):
         with pytest.raises(ValueError, match="order must be a power of two"):
             hadamard_snf_closed_form(True)
+
+    def test_numpy_int_is_named_by_type(self):
+        with pytest.raises(ValueError, match="order must be a power of two of type int, got .* of type int64$"):
+            hadamard_snf_closed_form(np.int64(4))
 
 
 class TestDeterminantBound:

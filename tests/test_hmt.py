@@ -16,7 +16,7 @@ from torsionforge.hmt_builder import (
 from torsionforge.homology import simplicial_homology
 from torsionforge.triangulation import euler_characteristic, face_vector, validate_complex
 
-from .oracles import hmt_facets
+from .oracles import hmt_facets, hmt_reference
 from .test_triangulation import claimed
 
 HMT2_FACETS = """0 1 4
@@ -82,16 +82,33 @@ class TestBuild:
         with pytest.raises(ValueError, match="power of two"):
             build_hmt(bad)
 
+    @pytest.mark.parametrize(
+        "bad, kind", [(np.int64(4), "int64"), (True, "bool"), (1.0, "float"), ("4", "str")]
+    )
+    def test_rejects_non_int_orders_by_type(self, bad, kind):
+        # True and 1.0 equal 1, but their fault is the type, not the n = 1 case
+        with pytest.raises(ValueError, match=f"order must be a power of two of type int, got .* of type {kind}$"):
+            build_hmt(bad)
+
     def test_builds_without_numpy_2_bit_count(self, monkeypatch):
         # numpy 1.x has no bitwise_count; the Walsh signs must not need it
         monkeypatch.delattr(np, "bitwise_count", raising=False)
         assert [tuple(t) for t in build_hmt(16).triangles.tolist()] == hmt_facets(16, False)
 
     @pytest.mark.parametrize("keep_first_digon", [False, True])
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
     def test_matches_face_by_face_reference(self, n, keep_first_digon):
         k = build_hmt(n, keep_first_digon)
         assert [tuple(t) for t in k.triangles.tolist()] == hmt_facets(n, keep_first_digon)
+
+    @pytest.mark.parametrize("keep_first_digon", [False, True])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
+    def test_ids_claims_and_owners_match_the_reference_builder(self, n, keep_first_digon):
+        k, ref = build_hmt(n, keep_first_digon), hmt_reference(n, keep_first_digon)
+        assert k.labels == ref.labels
+        assert np.array_equal(k.claims, ref.claims)
+        assert np.array_equal(k.claim_owner, ref.claim_owner)
+        assert k.owners == ref.owners
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_keep_first_digon_variant(self, n):

@@ -45,6 +45,11 @@ class TestSpeyerMatrix:
         with pytest.raises(ValueError):
             speyer_matrix(bad)
 
+    @pytest.mark.parametrize("bad, kind", [(np.int64(11), "int64"), (True, "bool"), (11.0, "float")])
+    def test_non_int_k_is_named_by_type(self, bad, kind):
+        with pytest.raises(ValueError, match=f"k must be of type int, got .* of type {kind}$"):
+            build_speyer_complex(bad)
+
 
 class TestAgainstDenseMatrix:
     """The words are the one definition of the family; the dense matrix

@@ -53,6 +53,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="order must be a power of two"):
             valid_sequence(True)
 
+    def test_numpy_int_is_named_by_type(self):
+        with pytest.raises(ValueError, match="order must be a power of two of type int, got .* of type int64$"):
+            valid_sequence(np.int64(4))
+
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
     def test_canonical_sequence_is_valid(self, n):
         assert check_valid(valid_sequence(n), walsh(n)).ok
