@@ -11,7 +11,7 @@ from .exactmat import (
     int_matrix,
     smith_normal_form,
 )
-from .hadamard import augment, hadamard_snf_closed_form, is_hadamard, sylvester_double, walsh
+from .hadamard import augment, hadamard_snf_closed_form, is_hadamard, walsh
 from .hmt_builder import build_hmt, hmt_certificate, hmt_face_vector, hmt_torsion_group
 from .homology import HomologyResult, boundary_matrices, simplicial_homology
 from .speyer import build_speyer_complex, speyer_matrix
@@ -23,7 +23,7 @@ from .triangulation import (
     triangulate_generic,
     validate_complex,
 )
-from .valid_sequences import ValidSequence, ValidityReport, check_valid, extend_sequence, valid_sequence
+from .valid_sequences import ValidSequence, ValidityReport, check_valid, valid_sequence
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "cellular_homology",
     "check_valid",
     "euler_characteristic",
-    "extend_sequence",
     "face_vector",
     "free_group",
     "from_matrix",
@@ -57,7 +56,6 @@ __all__ = [
     "simplicial_homology",
     "smith_normal_form",
     "speyer_matrix",
-    "sylvester_double",
     "triangulate_generic",
     "valid_sequence",
     "validate_complex",

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success/pass, 1 verification failure, 2 input error.
+Exit codes: 0 success/pass, 1 verification failure, 2 input error (an
+order too large to allocate is one).
 Readers default to stdin, writers to stdout, so stages pipe together:
 ``torsionforge build-speyer --k 11 | torsionforge homology``.
 ``main`` may be called repeatedly in one process and builds its parser once.
@@ -215,8 +216,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (fileio.FileFormatError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (fileio.FileFormatError, ValueError, MemoryError, OSError) as e:
+        # a bare MemoryError has no message of its own
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return EXIT_INPUT
 
 

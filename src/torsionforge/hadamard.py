@@ -1,6 +1,7 @@
-"""Walsh-Hadamard matrices, Sylvester doubling, the digon-augmented matrix,
-and the closed form of their Smith normal form.  Each matrix is an int64
-numpy array, built by block arithmetic.
+"""Walsh-Hadamard matrices by Sylvester doubling, the digon-augmented
+matrix, and the closed form of their Smith normal form.  Each matrix is an
+int64 numpy array; ``walsh`` is the package's one doubling, and the valid
+sequence that goes with it is read off a closed form instead.
 
 Only the Sylvester/Walsh family (orders 2^k) is generated; other Hadamard
 orders are out of scope.
@@ -43,13 +44,6 @@ def is_hadamard(m: np.ndarray) -> bool:
     if n != cols or not (np.abs(m) == 1).all():
         return False
     return bool(np.array_equal(m @ m.T, n * np.eye(n, dtype=np.int64)))
-
-
-def sylvester_double(h: np.ndarray) -> np.ndarray:
-    """Double a Hadamard matrix: block layout (H H; H -H)."""
-    if not is_hadamard(h):
-        raise ValueError("sylvester doubling needs a Hadamard matrix (+-1 entries, orthogonal rows)")
-    return np.block([[h, h], [h, -h]])
 
 
 def hadamard_snf_closed_form(n: int) -> tuple[int, ...]:

@@ -4,8 +4,8 @@ same entry signs.  That property is exactly what keeps the shield diagonals
 of the Hadamard triangulations disjoint.
 
 A sequence is one read-only (n, n) int64 array of 1-based cycle labels,
-row i the ordering of disc i + 1: built by doubling, checked by one sort,
-and the same array is read, written and used by ``build_hmt``.
+row i the ordering of disc i + 1: read off a closed form, checked by one
+sort, and the same array is read, written and used by ``build_hmt``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .hadamard import _require_power_of_two
 class ValidSequence:
     """One ordering per disc, as the rows of a square int64 array.  Validity
     is decided by :func:`check_valid`, so the constructor only enforces
-    shape and integer labels; it keeps a read-only copy."""
+    shape and integer labels within int64; it keeps a read-only copy."""
 
     perms: np.ndarray
 
@@ -31,6 +31,8 @@ class ValidSequence:
             raise ValueError(f"expected an (n, n) array of orderings with n >= 1, got shape {perms.shape}")
         if perms.dtype.kind not in "iu":
             raise ValueError(f"orderings must hold integer labels, got dtype {perms.dtype}")
+        if perms.dtype.kind == "u" and perms.max() > np.iinfo(np.int64).max:
+            raise ValueError(f"orderings must hold labels within int64, got {perms.max()}")
         perms = perms.astype(np.int64)
         perms.flags.writeable = False
         object.__setattr__(self, "perms", perms)
@@ -75,7 +77,7 @@ def check_valid(seq: ValidSequence, m: np.ndarray) -> ValidityReport:
         raise ValueError("validity is defined against a matrix with +-1 entries")
     n = seq.n
     if m.shape != (n, n):
-        raise ValueError(f"sequence for n={n} cannot be checked against a {len(m)}x{m.shape[1]} matrix")
+        raise ValueError(f"sequence for n={n} cannot be checked against a matrix of shape {m.shape}")
     perms = seq.perms
     not_perm = (np.sort(perms, axis=1) != np.arange(1, n + 1)).any(axis=1)
     bad = np.flatnonzero(not_perm | (perms[:, 0] != 1))
@@ -102,31 +104,24 @@ def check_valid(seq: ValidSequence, m: np.ndarray) -> ValidityReport:
     return ValidityReport(False, 2, detail, (i1 + 1, j1 + 1, i2 + 1, j2 + 1))
 
 
-def _doubled(perms: np.ndarray) -> np.ndarray:
-    """Orderings for the doubled matrix, as one (2n, 2n) array: the rows
-    are the plain copies [P, P + n], then the alternating merges
-    [P + n*odd, P + n*even] (odd/even: the position of a label)."""
-    n = perms.shape[0]
-    odd = np.arange(n) % 2 * n
-    return np.block([[perms, perms + n], [perms + odd, perms + (n - odd)]])
-
-
-def extend_sequence(seq: ValidSequence) -> ValidSequence:
-    """Sequence for the doubled matrix from one for the half-size matrix.
-
-    Each ordering contributes two of length 2n: a plain copy followed by the
-    copy shifted by n, and an alternating merge where the shift lands on the
-    even positions of the first copy and the odd positions of the second.
-    Validity is preserved.
-    """
-    return ValidSequence(_doubled(seq.perms))
-
-
 def valid_sequence(n: int) -> ValidSequence:
-    """The canonical valid sequence for the order-n Walsh matrix, by
-    iterated doubling from ((1)); total work O(n^2)."""
+    """The canonical valid sequence for the order-n Walsh matrix, in closed
+    form: disc i, position j (both 0-based) holds 1 + (j ^ (j & 1) * (i & -2)).
+    Even positions hold j + 1; odd positions hold j XOR i, with bit 0 of i
+    cleared, plus 1.
+
+    This is the sequence doubled from ((1)): each ordering P for order m
+    gives a plain row [P, P + m] and a merged row [P + m*odd, P + m*even]
+    (odd, even: the parity of the position), and the merged rows are those
+    whose disc has bit log2(m) set.  So the doubling sets bit log2(m) of
+    label - 1.  In a plain row that bit equals the same bit of the position;
+    in a merged row it equals that bit XOR the parity of the position, for
+    m >= 2.  At m = 1 it equals position bit 0 in both kinds of row, hence
+    bit 0 of i is cleared.
+    """
     _require_power_of_two(n)
-    perms = np.ones((1, 1), dtype=np.int64)
-    while len(perms) < n:
-        perms = _doubled(perms)
+    i, j = np.ogrid[:n, :n]
+    perms = (i & -2) * (j & 1)
+    perms ^= j
+    perms += 1
     return ValidSequence(perms)

@@ -206,6 +206,22 @@ class TestWalsh:
         assert code == 2
         assert "power of two" in err
 
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 8.00 TiB"), "error: Unable to allocate 8.00 TiB\n"),
+            (MemoryError(), "error: MemoryError\n"),
+        ],
+    )
+    def test_out_of_memory_is_input_error(self, exc, message, capsys, monkeypatch):
+        # stands in for an order too large to allocate, without allocating
+        def walsh(n):
+            raise exc
+
+        monkeypatch.setattr(cli, "walsh", walsh)
+        code, out, err = run(capsys, "walsh", "--n", "1048576")
+        assert (code, out, err) == (2, "", message)
+
 
 class TestValidSeq:
     def test_generate(self, capsys):
@@ -464,6 +480,8 @@ class TestGoldenOutput:
             ("build-hmt --n 16 --format json", "2fd9efc14d902041a75a287be46a8745f272c5973bfc52d5901821ae0b9a988a"),
             ("build-hmt --n 64 --format json", "57ca4b812ae799fdde7a9f26ff6c93915d72fd585cefcf36d79dd68809b2092e"),
             ("build-speyer --k 2305843009213693951", "99480e2cd5575f495ea4da6064b05901d977fb6a21ed7c445b15f26b3442b792"),
+            ("valid-seq --n 2", "d5356822c2f6c1ec347bc90581c63154e2c59f7b82589fb0e7e52b4984d51d09"),
+            ("valid-seq --n 64", "e8cf4f123c94ca3e78023bd0718fb984540e751f0d9403c71c1e328910259e15"),
             ("valid-seq --n 1024", "f8e469b3a331e289d559966c500a62cd03ecf92a0e43b1231b0f204b847939bb"),
         ],
     )

@@ -6,7 +6,6 @@ from torsionforge.hadamard import (
     augment,
     hadamard_snf_closed_form,
     is_hadamard,
-    sylvester_double,
     walsh,
 )
 
@@ -53,24 +52,30 @@ class TestWalsh:
 
 
 class TestSylvester:
+    """walsh(2m) is Sylvester's doubling (H H; H -H) of walsh(m), and
+    is_hadamard refuses what is not Hadamard."""
+
+    @staticmethod
+    def doubled(h):
+        return np.block([[h, h], [h, -h]])
+
     def test_doubles_the_base(self):
-        assert np.array_equal(sylvester_double(int_matrix([[1]])), walsh(2))
+        assert np.array_equal(self.doubled(int_matrix([[1]])), walsh(2))
 
     def test_doubles_order_two(self):
-        assert np.array_equal(sylvester_double(walsh(2)), walsh(4))
+        for m in (2**k for k in range(1, 10)):
+            assert np.array_equal(self.doubled(walsh(m)), walsh(2 * m))
 
     def test_object_matrix_doubles_exactly(self):
         h = walsh(2).astype(object)
         assert is_hadamard(h)
-        assert np.array_equal(sylvester_double(h), walsh(4))
+        assert np.array_equal(self.doubled(h), walsh(4))
 
     def test_rejects_non_orthogonal(self):
-        with pytest.raises(ValueError):
-            sylvester_double(int_matrix([[1, 1], [1, 1]]))
+        assert not is_hadamard(int_matrix([[1, 1], [1, 1]]))
 
     def test_rejects_non_pm_one(self):
-        with pytest.raises(ValueError):
-            sylvester_double(int_matrix([[2]]))
+        assert not is_hadamard(int_matrix([[2]]))
 
 
 class TestClosedForm:

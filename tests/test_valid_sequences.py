@@ -6,7 +6,7 @@ from torsionforge.exactmat import int_matrix
 from torsionforge.hadamard import walsh
 import numpy as np
 
-from torsionforge.valid_sequences import ValidSequence, check_valid, extend_sequence, valid_sequence
+from torsionforge.valid_sequences import ValidSequence, check_valid, valid_sequence
 
 from .oracles import check_valid_bruteforce, valid_sequence_perms
 
@@ -37,11 +37,14 @@ class TestConstruction:
         assert valid_sequence(8) == ValidSequence(H8_SEQUENCE)
 
     def test_extend_steps(self):
-        assert extend_sequence(ValidSequence(((1,),))) == ValidSequence(((1, 2), (1, 2)))
-        assert extend_sequence(ValidSequence(((1, 2), (1, 2)))) == ValidSequence(H4_SEQUENCE)
-        assert extend_sequence(ValidSequence(H4_SEQUENCE)) == ValidSequence(H8_SEQUENCE)
+        # each order doubles the half order: the plain rows [P, P + m], then
+        # the merged rows [P + m*odd, P + m*even] (odd, even: of the position)
+        for m in (2**k for k in range(11)):
+            p = valid_sequence(m).perms
+            odd = np.arange(m) % 2 * m
+            assert np.array_equal(valid_sequence(2 * m).perms, np.block([[p, p + m], [p + odd, p + m - odd]]))
 
-    @pytest.mark.parametrize("n", [1, 2, 16, 256])
+    @pytest.mark.parametrize("n", [2**k for k in range(12)])
     def test_matches_ordering_by_ordering_reference(self, n):
         assert valid_sequence(n).perms.tolist() == [list(p) for p in valid_sequence_perms(n)]
 
@@ -57,7 +60,7 @@ class TestConstruction:
         with pytest.raises(ValueError, match="order must be a power of two of type int, got .* of type int64$"):
             valid_sequence(np.int64(4))
 
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256])
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024])
     def test_canonical_sequence_is_valid(self, n):
         assert check_valid(valid_sequence(n), walsh(n)).ok
 
@@ -107,6 +110,10 @@ class TestChecker:
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             check_valid(valid_sequence(2), walsh(4))
+
+    def test_rejects_one_dimensional_matrix(self):
+        with pytest.raises(ValueError, match=r"against a matrix of shape \(2,\)$"):
+            check_valid(valid_sequence(2), np.array([1, 1]))
 
     def test_matches_bruteforce_on_mutations(self):
         # swaps behind position 1 keep condition 1 (for n > 2); on every
@@ -158,6 +165,12 @@ class TestChecker:
             ValidSequence(())
         with pytest.raises(ValueError):
             ValidSequence(((1.0, 2.0), (1.0, 2.0)))
+
+    def test_rejects_labels_outside_int64(self):
+        with pytest.raises(ValueError, match=f"within int64, got {2**64 - 1}$"):
+            ValidSequence(np.array([[1, 2**64 - 1], [1, 2]], dtype=np.uint64))
+        # unsigned labels that fit are kept
+        assert ValidSequence(np.array([[1, 2], [1, 2]], dtype=np.uint64)) == valid_sequence(2)
 
     def test_holds_one_read_only_int64_array(self):
         seq = ValidSequence([[1, 2], [1, 2]])
