@@ -11,12 +11,11 @@ from .exactmat import (
     int_matrix,
     smith_normal_form,
 )
-from .hadamard import augment, hadamard_snf_closed_form, is_hadamard, walsh
+from .hadamard import augment, hadamard_snf_closed_form, walsh
 from .hmt_builder import build_hmt, hmt_certificate, hmt_face_vector, hmt_torsion_group
 from .homology import HomologyResult, boundary_matrices, simplicial_homology
-from .speyer import build_speyer_complex, speyer_matrix
+from .speyer import build_speyer_complex
 from .triangulation import (
-    FaceVector,
     SimplicialComplex2,
     euler_characteristic,
     face_vector,
@@ -30,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AbelianGroup",
     "DiscComplexSpec",
-    "FaceVector",
     "HomologyResult",
     "SimplicialComplex2",
     "SnfResult",
@@ -52,10 +50,8 @@ __all__ = [
     "hmt_face_vector",
     "hmt_torsion_group",
     "int_matrix",
-    "is_hadamard",
     "simplicial_homology",
     "smith_normal_form",
-    "speyer_matrix",
     "triangulate_generic",
     "valid_sequence",
     "validate_complex",

@@ -8,7 +8,6 @@ directly from the Smith normal form without building geometry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -60,14 +59,6 @@ class DiscComplexSpec:
         missing = sorted(set(range(1, self.n_cycles + 1)) - used)
         if missing:
             raise ValueError(f"cycle {missing[0]} is used by no disc (zero column)")
-
-    def induced_matrix(self) -> np.ndarray:
-        """The int64 matrix whose rows the boundary words realize."""
-        lengths = [len(word) for word in self.discs]
-        letters = np.fromiter(chain.from_iterable(self.discs), dtype=np.int64, count=sum(lengths))
-        m = np.zeros((len(self.discs), self.n_cycles), dtype=np.int64)
-        np.add.at(m, (np.repeat(np.arange(len(lengths)), lengths), np.abs(letters) - 1), np.sign(letters))
-        return m
 
 
 def _reject_zero_lines(m: np.ndarray) -> None:

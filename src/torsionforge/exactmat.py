@@ -340,7 +340,7 @@ def smith_normal_form(m: np.ndarray, transforms: bool = False) -> SnfResult:
     if m.ndim != 2 or m.dtype not in (np.int64, object):
         raise ValueError(f"expected a 2-D int64 or object matrix, got {m.ndim}-D {m.dtype}")
     bound = _kernels.ENTRY_BOUND
-    if m.dtype == np.int64 and (m.max() > bound or m.min() < -bound):
+    if m.dtype == np.int64 and (m.max(initial=0) > bound or m.min(initial=0) < -bound):
         m = m.astype(object)
     s = t = None
     if transforms:

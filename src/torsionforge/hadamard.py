@@ -14,15 +14,11 @@ import math
 import numpy as np
 
 
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 def _require_power_of_two(n: int) -> int:
     """log2(n); a non-int is named by its type, as numpy 1.x prints np.int64(4) as 4."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"order must be a power of two of type int, got {n!r} of type {type(n).__name__}")
-    if not is_power_of_two(n):
+    if n < 1 or n & (n - 1):
         raise ValueError(f"order must be a power of two, got {n}")
     return n.bit_length() - 1
 
@@ -36,14 +32,6 @@ def walsh(n: int) -> np.ndarray:
         h[:m, m : 2 * m] = h[m : 2 * m, :m] = h[:m, :m]
         h[m : 2 * m, m : 2 * m] = -h[:m, :m]
     return h
-
-
-def is_hadamard(m: np.ndarray) -> bool:
-    """Square, all entries +-1, rows mutually orthogonal."""
-    n, cols = m.shape
-    if n != cols or not (np.abs(m) == 1).all():
-        return False
-    return bool(np.array_equal(m @ m.T, n * np.eye(n, dtype=np.int64)))
 
 
 def hadamard_snf_closed_form(n: int) -> tuple[int, ...]:

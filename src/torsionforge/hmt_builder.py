@@ -110,7 +110,7 @@ def hmt_certificate(n: int) -> dict:
     complex_ = build_hmt(n)
     discrepancies: list[str] = []
 
-    fv = face_vector(complex_).as_tuple()
+    fv = face_vector(complex_)
     expected_fv = hmt_face_vector(n)
     if fv != expected_fv:
         discrepancies.append(f"face vector {fv} != expected {expected_fv}")

@@ -6,8 +6,6 @@ length to a complex whose torsion has order k on O(log k) vertices.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .disc_complex import DiscComplexSpec
 from .triangulation import SimplicialComplex2, triangulate_generic
 
@@ -32,15 +30,6 @@ def _speyer_spec(k: int) -> DiscComplexSpec:
     digits = bin(k)[2:]
     first = tuple(j if j % 2 else -j for j, d in enumerate(digits, start=1) if d == "1")
     return DiscComplexSpec(len(digits), (first, *((i - 1, i, i) for i in range(2, len(digits) + 1))))
-
-
-def speyer_matrix(k: int) -> np.ndarray:
-    """M(k), the (m+1) x (m+1) int64 matrix with det k, m = floor(log2 k),
-    that the words of :func:`_speyer_spec` realize: its first row has the
-    alternately signed binary digits of k, each lower row a 2 on the
-    diagonal and a 1 to its left, so ``speyer_matrix(11)`` is
-    ``[[1, 0, 1, -1], [1, 2, 0, 0], [0, 1, 2, 0], [0, 0, 1, 2]]``."""
-    return _speyer_spec(k).induced_matrix()
 
 
 def build_speyer_complex(k: int) -> SimplicialComplex2:

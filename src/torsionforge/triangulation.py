@@ -166,20 +166,6 @@ class SimplicialComplex2:
         edges.flags.writeable = False
         return edges
 
-    def same_simplices(self, other: SimplicialComplex2) -> bool:
-        """Same vertex ids and triangles, hence the same edges."""
-        return sorted(self.labels) == sorted(other.labels) and np.array_equal(self.triangles, other.triangles)
-
-
-@dataclass(frozen=True)
-class FaceVector:
-    f0: int
-    f1: int
-    f2: int
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.f0, self.f1, self.f2)
-
 
 def _owned_claims(vids: np.ndarray, claims, owner, owners) -> tuple[np.ndarray, np.ndarray]:
     """One (edge, owner index) per claimed edge, sorted by edge; raises on
@@ -267,11 +253,6 @@ def triangulate_generic(spec: DiscComplexSpec) -> SimplicialComplex2:
     return SimplicialComplex2(labels, tri, claims, claim_owner, owners)
 
 
-def vertex_count_formula(spec: DiscComplexSpec) -> int:
-    """1 + 2n + sum of ceil(3s_i/2); what triangulate_generic produces."""
-    return 1 + 2 * spec.n_cycles + sum((3 * len(w) + 1) // 2 for w in spec.discs)
-
-
 def _side_keys(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
     """Ascending vertex ids, and the keys i * nv + j of all sides (a,b), then (a,c), then (b,c)."""
     vids = np.array(sorted(k.labels), dtype=np.int64)
@@ -309,10 +290,11 @@ def validate_complex(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
     return np.stack(np.divmod(keys, nv), axis=1), sides.reshape(3, -1).T
 
 
-def face_vector(k: SimplicialComplex2) -> FaceVector:
-    return FaceVector(len(k.labels), len(k.edges), len(k.triangles))
+def face_vector(k: SimplicialComplex2) -> tuple[int, int, int]:
+    """(f0, f1, f2): the numbers of vertices, edges and triangles."""
+    return (len(k.labels), len(k.edges), len(k.triangles))
 
 
 def euler_characteristic(k: SimplicialComplex2) -> int:
-    fv = face_vector(k)
-    return fv.f0 - fv.f1 + fv.f2
+    f0, f1, f2 = face_vector(k)
+    return f0 - f1 + f2

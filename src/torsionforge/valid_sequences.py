@@ -29,6 +29,11 @@ class ValidSequence:
         perms = np.asarray(self.perms)
         if perms.ndim != 2 or perms.shape[0] != perms.shape[1] or not perms.size:
             raise ValueError(f"expected an (n, n) array of orderings with n >= 1, got shape {perms.shape}")
+        if perms.dtype == object and all(type(x) is int for x in perms.flat):
+            # numpy holds Python ints past int64 as objects
+            outside = next((x for x in perms.flat if not -(2**63) <= x < 2**63), None)
+            if outside is not None:
+                raise ValueError(f"orderings must hold labels within int64, got {outside}")
         if perms.dtype.kind not in "iu":
             raise ValueError(f"orderings must hold integer labels, got dtype {perms.dtype}")
         if perms.dtype.kind == "u" and perms.max() > np.iinfo(np.int64).max:

@@ -3,10 +3,12 @@ package: determinants come from cofactor expansion or fraction-free
 Bareiss elimination, determinants modulo a prime from Gaussian elimination
 on Python ints, invariant factors from gcds of k x k minors or from a
 diagonal form by extended-gcd elimination, components from union-find,
-sequence validity from the direct quartic scan of the definition, and
-HMT(n) and the generic disc-complex triangulation from face-by-face
-plain-Python constructions, the latter's words by dealing out letters,
-and Speyer's matrix M(k) as a dense matrix of identity diagonals.
+sequence validity from the direct quartic scan of the definition,
+Hadamard-ness from the Gram matrix, and HMT(n) and the generic
+disc-complex triangulation from face-by-face plain-Python constructions,
+the latter's words by dealing out letters, its vertex count by a closed
+form, and the matrix a blueprint realizes by counting letters.  Speyer's
+matrix M(k) is a dense matrix of identity diagonals.
 
 One exception shares the package's valid sequence and constructor:
 :func:`hmt_reference`, the array builder of HMT(n) as it was before its
@@ -188,6 +190,12 @@ def component_count(vertices, edges) -> int:
     return len({find(v) for v in vertices})
 
 
+def is_hadamard_by_gram(h: np.ndarray) -> bool:
+    """All entries +-1 and h h^T = n I, n the order of the square h."""
+    n = len(h)
+    return h.shape == (n, n) and (abs(h) == 1).all() and np.array_equal(h @ h.T, n * np.eye(n, dtype=np.int64))
+
+
 def check_valid_bruteforce(perms, mat_rows):
     """Mirror of the package checker, by the quartic definition scan.
 
@@ -303,6 +311,22 @@ def disc_words(rows, ordering: str) -> list[tuple[int, ...]]:
                         remaining[j - 1] -= 1
         words.append(tuple(word))
     return words
+
+
+def word_matrix(spec) -> np.ndarray:
+    """The int64 matrix whose rows a blueprint's boundary words realize,
+    by counting letters: +j adds 1 and -j subtracts 1 in column j."""
+    m = np.zeros((len(spec.discs), spec.n_cycles), dtype=np.int64)
+    for i, word in enumerate(spec.discs):
+        for letter in word:
+            m[i, abs(letter) - 1] += 1 if letter > 0 else -1
+    return m
+
+
+def vertex_count_formula(spec) -> int:
+    """1 + 2n + sum of ceil(3s_i/2): the vertices of the generic
+    triangulation of a blueprint with n cycles and word lengths s_i."""
+    return 1 + 2 * spec.n_cycles + sum((3 * len(w) + 1) // 2 for w in spec.discs)
 
 
 def generic_disc_faces(n_cycles: int, discs) -> tuple[dict, list, list]:

@@ -17,9 +17,8 @@ from torsionforge.exactmat import (
     smith_normal_form,
 )
 from torsionforge.hadamard import walsh
-from torsionforge.speyer import speyer_matrix
 
-from .oracles import det_bareiss, det_cofactor, snf_factors, snf_factors_by_minor_gcds
+from .oracles import det_bareiss, det_cofactor, snf_factors, snf_factors_by_minor_gcds, speyer_matrix_dense
 
 
 def matrices(max_dim=6, lo=-5, hi=5):
@@ -84,7 +83,7 @@ class TestDet:
         assert abs(det_bareiss(walsh(4))) == 16
 
     def test_speyer11(self):
-        assert det_bareiss(speyer_matrix(11)) == 11
+        assert det_bareiss(speyer_matrix_dense(11)) == 11
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -114,7 +113,7 @@ class TestSmith:
             assert smith_normal_form(eye).invariant_factors == (1,) * n
 
     def test_speyer11(self):
-        assert smith_normal_form(speyer_matrix(11)).invariant_factors == (1, 1, 1, 11)
+        assert smith_normal_form(speyer_matrix_dense(11)).invariant_factors == (1, 1, 1, 11)
 
     def test_zero_matrix_convention(self):
         zero = int_matrix([[0, 0, 0], [0, 0, 0]])
@@ -125,6 +124,15 @@ class TestSmith:
         assert np.array_equal(res.a, zero)
         assert res.s.dtype == res.t.dtype == object and res.a.dtype == np.int64
         assert smith_normal_form(zero).s is None
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_zero_size_matrix_has_rank_zero(self, shape, dtype):
+        for transforms in (False, True):
+            res = smith_normal_form(np.zeros(shape, dtype=dtype), transforms=transforms)
+            assert res.rank == 0 and res.invariant_factors == () and res.a.shape == shape
+            if transforms:
+                assert res.s.shape == (shape[0],) * 2 and res.t.shape == (shape[1],) * 2
 
     def test_transforms_absent_by_default(self):
         res = smith_normal_form(walsh(2))
@@ -203,7 +211,7 @@ class TestSmith:
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
         rng = random.Random(20240)
-        mats = [walsh(8), speyer_matrix(37)]
+        mats = [walsh(8), speyer_matrix_dense(37)]
         for _ in range(15):
             r = rng.randint(2, 6)
             mats.append(

@@ -15,7 +15,7 @@ from torsionforge.fileio import FileFormatError, complex_from_json, complex_to_j
 from torsionforge.hadamard import walsh
 from torsionforge.hmt_builder import build_hmt
 from torsionforge.homology import boundary_matrices, simplicial_homology
-from torsionforge.speyer import build_speyer_complex, speyer_matrix
+from torsionforge.speyer import build_speyer_complex
 from torsionforge.triangulation import (
     MAX_VERTICES,
     SimplicialComplex2,
@@ -25,10 +25,9 @@ from torsionforge.triangulation import (
     face_vector,
     triangulate_generic,
     validate_complex,
-    vertex_count_formula,
 )
 
-from .oracles import disc_words, generic_disc_faces
+from .oracles import disc_words, generic_disc_faces, speyer_matrix_dense, vertex_count_formula
 from .test_disc_complex import random_matrix_no_zero_lines
 
 H2_FACETS = """0 1 5
@@ -69,16 +68,16 @@ def claimed(k):
 
 class TestVertexCounts:
     def test_speyer_11_has_29_vertices(self):
-        k = triangulate_generic(from_matrix(speyer_matrix(11), "grouped"))
-        assert face_vector(k).f0 == 29
+        k = triangulate_generic(from_matrix(speyer_matrix_dense(11), "grouped"))
+        assert face_vector(k)[0] == 29
 
     def test_two_two(self):
         k = triangulate_generic(from_matrix(int_matrix([[2, 2]]), "grouped"))
-        assert face_vector(k).f0 == 1 + 4 + 6
+        assert face_vector(k)[0] == 1 + 4 + 6
 
     def test_walsh2(self):
         k = triangulate_generic(from_matrix(walsh(2), "grouped"))
-        assert face_vector(k).f0 == 1 + 4 + 3 + 3
+        assert face_vector(k)[0] == 1 + 4 + 3 + 3
 
     def test_formula_and_bound(self):
         rng = random.Random(31337)
@@ -87,7 +86,7 @@ class TestVertexCounts:
             for ordering in ("grouped", "interleaved"):
                 spec = from_matrix(m, ordering)
                 k = triangulate_generic(spec)
-                f0 = face_vector(k).f0
+                f0 = face_vector(k)[0]
                 assert f0 == vertex_count_formula(spec)
                 total = int(np.abs(m).sum())
                 assert 2 * f0 <= 2 * (2 * m.shape[1] + len(m) + 1) + 3 * total
@@ -101,13 +100,13 @@ class TestGenericTriangulation:
     def test_single_letter_disc(self):
         # one cycle traversed once: 5 vertices, 5 triangles, collapsed inner edge
         k = triangulate_generic(DiscComplexSpec(1, ((1,),)))
-        assert face_vector(k).as_tuple() == (5, 9, 5)
+        assert face_vector(k) == (5, 9, 5)
         validate_complex(k)  # raises on an invalid complex
         assert euler_characteristic(k) == 1
 
     def test_two_letter_disc(self):
         k = triangulate_generic(DiscComplexSpec(1, ((1, 1),)))
-        assert face_vector(k).f0 == 1 + 2 + 3
+        assert face_vector(k)[0] == 1 + 2 + 3
         validate_complex(k)  # raises on an invalid complex
 
     def test_generated_complexes_validate(self):
@@ -156,7 +155,7 @@ class TestGenericTriangulation:
     def test_matrices_match_face_by_face_construction(self):
         rng = random.Random(1618)
         matrices = [random_matrix_no_zero_lines(rng) for _ in range(30)]
-        matrices += [int_matrix([[2, 0, -3, 1], [1, 1, 0, -2]]), speyer_matrix(11), speyer_matrix(2**61 - 1)]
+        matrices += [int_matrix([[2, 0, -3, 1], [1, 1, 0, -2]]), speyer_matrix_dense(11), speyer_matrix_dense(2**61 - 1)]
         for m in matrices:
             for ordering in ("grouped", "interleaved"):
                 k = triangulate_generic(from_matrix(m, ordering))
@@ -267,7 +266,7 @@ class TestValidator:
             for row in rows:
                 rng.shuffle(row)
             again = SimplicialComplex2(dict(reversed(k.labels.items())), rows)
-            assert again.same_simplices(k)
+            assert sorted(again.labels) == sorted(k.labels) and np.array_equal(again.triangles, k.triangles)
             assert np.array_equal(again.edges, k.edges)
             assert write_facets(again) == write_facets(k)
 
@@ -541,7 +540,7 @@ class TestAfterConstruction:
         assert dict(k.labels) == {v: str(v) for v in range(4)}
         assert str(simplicial_homology(k).h0) == "Z"
         back = complex_from_json(complex_to_json(k))
-        assert back.same_simplices(k) and dict(back.labels) == dict(k.labels)
+        assert dict(back.labels) == dict(k.labels) and np.array_equal(back.triangles, k.triangles)
         assert write_facets(k) == "0 1 2\n0 1 3\n0 2 3\n1 2 3\n"
         assert k == k and k != SimplicialComplex2(k.labels, k.triangles)
 
@@ -599,7 +598,7 @@ class TestAfterConstruction:
 class TestFaceVector:
     def test_tetrahedron(self):
         k = tetrahedron()
-        assert face_vector(k).as_tuple() == (4, 6, 4)
+        assert face_vector(k) == (4, 6, 4)
         assert euler_characteristic(k) == 2
 
     def test_disc_complexes_have_euler_characteristic_from_matrix(self):

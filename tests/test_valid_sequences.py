@@ -169,6 +169,13 @@ class TestChecker:
     def test_rejects_labels_outside_int64(self):
         with pytest.raises(ValueError, match=f"within int64, got {2**64 - 1}$"):
             ValidSequence(np.array([[1, 2**64 - 1], [1, 2]], dtype=np.uint64))
+        # numpy holds Python ints past int64 as objects: the message names
+        # the label, unless a label is no int at all
+        for label in (2**70, -(2**63) - 1):
+            with pytest.raises(ValueError, match=f"within int64, got {label}$"):
+                ValidSequence([[1, label], [1, 2]])
+        with pytest.raises(ValueError, match="integer labels, got dtype object$"):
+            ValidSequence([[1, 2**70], [1, 2.5]])
         # unsigned labels that fit are kept
         assert ValidSequence(np.array([[1, 2], [1, 2]], dtype=np.uint64)) == valid_sequence(2)
 
