@@ -74,13 +74,14 @@ bound is computed), or ``mu`` exceeds ``ENTRY_BOUND``.  For a square
 ``2 ENTRY_BOUND`` does: ``p`` and one more prime multiply past 2^32 (for
 n below 2^15), so it costs the lifting and one more elimination.  ``mu``
 is too large when many invariant factors are nontrivial, as in the
-Hadamard-type Smith cores of HMT(n), and there the smallest-first pivots
-themselves make the growth: each update adds to an entry a pivot-row
-entry times the ratio of a pivot-column entry to the pivot.  So the sweep
-then starts over once from the input, breaking ties among the smallest
-entries toward the pivot whose row, then column, has the least largest
-entry.  On the 1023 x 1023 core of HMT(1024) the first sweep passes
-2^33, and the second stays below 2^13.  If the second sweep leaves the
+Walsh Schur core ``walsh(n)[1:, 1:] - 1``, and there the smallest-first
+pivots themselves make the growth: each update adds to an entry a
+pivot-row entry times the ratio of a pivot-column entry to the pivot.  So
+the sweep then starts over once from the input, breaking ties among the
+smallest entries toward the pivot whose row, then column, has the least
+largest entry.  On the 1023 x 1023 core that HMT(1024) left before the
+Walsh route of :mod:`torsionforge.exactmat`, the first sweep passed 2^33
+and the second stayed below 2^13.  If the second sweep leaves the
 bound too, the working array is promoted to ``dtype=object`` and the same
 sweep continues, so the result is always certified.
 """

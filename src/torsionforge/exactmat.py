@@ -3,21 +3,25 @@ generated abelian groups.
 
 A matrix is a 2-D numpy array as :func:`int_matrix` makes it: int64 when
 every entry fits, otherwise ``dtype=object`` holding Python ints.
-Everything here is exact at any magnitude.  Smith reduction runs the
-vectorized sweep in :mod:`torsionforge._kernels`, which starts on int64
-and, once an entry would outgrow the int64-safe bound, continues on int64
-modulo a multiple of the determinant of the input or of the block left,
-whichever is cheaper (Hafner and McCurley 1991, with the largest invariant
-factor from a rational solve as in Saunders and Wan 2004).  Without such a
-modulus it starts over once with low-growth pivots, and goes on in Python
-ints only if those outgrow the bound too.  With transform matrices
-requested, the same sweep runs on Python ints throughout and records its
-operations in them.  Groups are put in invariant-factor form by gcd and
-lcm, with no factoring.  Only the prime-power view factors, and only the
-largest invariant factor, by trial division, Miller-Rabin and
-Pollard-Brent rho.  Rho has a fixed step budget, and a probable prime
-above the Miller-Rabin bound cannot be certified; either way
-:class:`FactorizationBudgetError` names the cofactor.
+Everything here is exact at any magnitude.  A matrix that is a Walsh
+matrix up to signed row and column permutations has its Smith form read
+off the checked Kronecker certificate of :mod:`torsionforge.hadamard`
+(not off the closed form there), unless transform matrices are requested.
+Any other matrix goes through the vectorized sweep in
+:mod:`torsionforge._kernels`, which starts on int64 and, once an entry
+would outgrow the int64-safe bound, continues on int64 modulo a multiple
+of the determinant of the input or of the block left, whichever is
+cheaper (Hafner and McCurley 1991, with the largest invariant factor from
+a rational solve as in Saunders and Wan 2004).  Without such a modulus it
+starts over once with low-growth pivots, and goes on in Python ints only
+if those outgrow the bound too.  With transform matrices requested, the
+same sweep runs on Python ints throughout and records its operations in
+them.  Groups are put in invariant-factor form by gcd and lcm, with no
+factoring.  Only the prime-power view factors, and only the largest
+invariant factor, by trial division, Miller-Rabin and Pollard-Brent rho.
+Rho has a fixed step budget, and a probable prime above the Miller-Rabin
+bound cannot be certified; either way :class:`FactorizationBudgetError`
+names the cofactor.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
+from .hadamard import walsh_smith_factors
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -329,8 +334,13 @@ def free_group(rank: int) -> AbelianGroup:
 def smith_normal_form(m: np.ndarray, transforms: bool = False) -> SnfResult:
     """Smith normal form with divisibility-ordered nonnegative diagonal.
 
-    ``m`` is a matrix as :func:`int_matrix` makes it.  The vectorized sweep
-    of :mod:`torsionforge._kernels` runs on int64 while entries stay small,
+    ``m`` is a matrix as :func:`int_matrix` makes it.  Without
+    ``transforms``, a matrix that is walsh(n) up to signed row and column
+    permutations takes its factors from the checked Kronecker certificate
+    of :func:`torsionforge.hadamard.walsh_smith_factors`, and ``a`` is
+    their diagonal; any other matrix, or that one with ``transforms``,
+    goes through the sweep.  The vectorized sweep of
+    :mod:`torsionforge._kernels` runs on int64 while entries stay small,
     then modulo a determinant multiple.  When none fits, it starts over
     once with low-growth pivots, and goes on in Python ints only if those
     outgrow int64 too.  With ``transforms`` it runs on Python ints
@@ -339,13 +349,15 @@ def smith_normal_form(m: np.ndarray, transforms: bool = False) -> SnfResult:
     """
     if m.ndim != 2 or m.dtype not in (np.int64, object):
         raise ValueError(f"expected a 2-D int64 or object matrix, got {m.ndim}-D {m.dtype}")
-    bound = _kernels.ENTRY_BOUND
-    if m.dtype == np.int64 and (m.max(initial=0) > bound or m.min(initial=0) < -bound):
-        m = m.astype(object)
     s = t = None
-    if transforms:
-        s, t = np.identity(len(m), dtype=object), np.identity(m.shape[1], dtype=object)
-    diag = _kernels.smith_diagonal_int64(m, s, t)
+    diag = None if transforms else walsh_smith_factors(m)
+    if diag is None:
+        bound = _kernels.ENTRY_BOUND
+        if m.dtype == np.int64 and (m.max(initial=0) > bound or m.min(initial=0) < -bound):
+            m = m.astype(object)
+        if transforms:
+            s, t = np.identity(len(m), dtype=object), np.identity(m.shape[1], dtype=object)
+        diag = _kernels.smith_diagonal_int64(m, s, t)
     a = np.zeros(m.shape, dtype=np.int64 if not diag or diag[-1] <= _INT64_MAX else object)
     r = np.arange(len(diag))
     a[r, r] = np.array(diag, dtype=a.dtype)

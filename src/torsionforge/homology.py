@@ -27,18 +27,25 @@ the work never reaches a dense Smith form:
   column and merges the two rows of every column holding exactly two
   unit entries (a pair reduction after Kaczynski, Mrozek and Slusarek,
   1998).  Rounds repeat until one makes no pivot;
-- the rows left (the residue) become ``{edge index: entry}`` dicts in
-  Python ints, whose unit entries are eliminated one by one, sparsest
-  column first.  For HMT(n), n >= 4, the residue is n x n, every entry
-  +-1, and one pivot leaves an (n-1) x (n-1) core of +-2 entries;
-- only the rows and columns still nonzero afterwards (the core) are
-  densified into a numpy matrix, int64 unless an entry outgrows it, and
-  passed to :func:`torsionforge.exactmat.smith_normal_form`, which
-  supplies the remaining rank and every torsion coefficient.
+- a dense residue, in which every row left meets every column left,
+  becomes one int64 numpy array by a single scatter and goes whole to
+  :func:`torsionforge.exactmat.smith_normal_form`, units included.  For
+  HMT(n), n >= 4, the residue is dense, n x n with every entry +-1, and
+  the Smith form recognises it as walsh(n) up to signed row and column
+  permutations and reads its factors off the checked Kronecker
+  certificate of :mod:`torsionforge.hadamard`, not off the closed form
+  that ``certify`` compares them with.  HMT(2) leaves [[-2]];
+- any other residue (a Speyer chain, say) becomes ``{edge index: entry}``
+  dicts in Python ints, whose unit entries are eliminated one by one,
+  sparsest column first; only the rows and columns still nonzero
+  afterwards (the core) are densified into a numpy matrix, int64 unless
+  an entry outgrows it, and passed to the Smith form.  Either way the
+  Smith form supplies the remaining rank and every torsion coefficient.
 
 Every step is a unimodular row or column operation, so the result equals
 the Smith form of the full d2.  A contraction that could sum entries past
-int64 is left to the Python-int elimination.  Simplices are oriented by
+int64 is not made; those entries go on to the Python-int elimination or
+the Smith form, both exact at any size.  Simplices are oriented by
 ascending vertex id; homology is independent of that convention (and the
 test suite checks so by relabeling).
 """
@@ -139,9 +146,12 @@ def _forest(n: int, a: np.ndarray, b: np.ndarray,
             root = up
 
 
-def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int]):
+def _contract(entries: list[np.ndarray], shape: tuple[int, int]) -> int:
     """Fill-free unit pivots on the rows of the matrix of the given shape
-    whose entries are v at (r, c), in any order.
+    whose entries are v at (r, c), in any order, given as the list
+    ``entries`` = [r, c, v]: the list is emptied on entry, so the arrays
+    it held are freed once this step has filtered them, and holds the
+    (r, c, v) left on return.
 
     A row whose one entry is a unit s says s x_a = 0: its pivot deletes
     column a with all of its entries, and a second such row on column a
@@ -153,11 +163,13 @@ def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int
     root with the sign :func:`_forest` gives, and the entries that meet
     in one row and column are summed (a row that closes a cycle becomes
     one entry of 0 or +-2).  No contraction is made when a sum could
-    pass int64.  Returns (pivots, r, c, v) of what is left.  Called on
-    (c, r, v) and the reversed shape, the same step works on the columns:
-    a unit alone in its column deletes its row, and a column holding
-    exactly two unit entries merges its two rows.
+    pass int64.  Returns the number of pivots.  Called on [c, r, v] and
+    the reversed shape, the same step works on the columns: a unit alone
+    in its column deletes its row, and a column holding exactly two unit
+    entries merges its two rows.
     """
+    r, c, v = entries
+    entries.clear()
     unit = np.abs(v) == 1
     dead = np.zeros(shape[1], dtype=bool)
     dead[c[unit & (np.bincount(r, minlength=shape[0])[r] == 1)]] = True
@@ -168,7 +180,8 @@ def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int
     units = np.bincount(r[unit], minlength=shape[0])
     pair = np.flatnonzero(((rows == 2) & (units == 2))[r])
     if not len(pair) or int(np.abs(v).max()) * int(rows.max()) > _INT64_MAX:
-        return dropped, r, c, v
+        entries[:] = r, c, v
+        return dropped
     pair = pair[np.argsort(r[pair], kind="stable")]
     first, second = pair[0::2], pair[1::2]
     root, rel, tree = _forest(shape[1], c[first], c[second], -v[first] * v[second])
@@ -182,28 +195,45 @@ def _contract(r: np.ndarray, c: np.ndarray, v: np.ndarray, shape: tuple[int, int
     start = np.flatnonzero(np.diff(key, prepend=-1))
     r, c, v = r[order[start]], c[order[start]], np.add.reduceat(v[order], start)
     nonzero = v != 0
-    return dropped + int(np.count_nonzero(tree)), r[nonzero], c[nonzero], v[nonzero]
+    entries[:] = r[nonzero], c[nonzero], v[nonzero]
+    return dropped + int(np.count_nonzero(tree))
 
 
-def _reduce(r: np.ndarray, c: np.ndarray, v: np.ndarray,
-            shape: tuple[int, int]) -> tuple[int, list[dict[int, int]]]:
-    """Unit pivots of the int64 matrix with entries v at (r, c): rounds of
-    :func:`_contract` on the rows and on the columns until a round makes
-    no pivot, then :func:`_eliminate_unit_pivots` on the rest, sorted by
-    row, in Python ints.  Returns the number of pivots and the core rows,
-    which hold no unit."""
+def _reduce(entries: list[np.ndarray], shape: tuple[int, int]) -> tuple[int, np.ndarray | None]:
+    """Unit pivots of the int64 matrix of the given shape with entries v at
+    (r, c), given as the list ``entries`` = [r, c, v], which
+    :func:`_contract` empties: rounds of it on the rows and on the columns
+    until a round makes no pivot.  A dense residue, in which every row
+    left meets every column left, is then one numpy scatter; any other
+    residue goes row by row to :func:`_eliminate_unit_pivots` in Python
+    ints, and its core to :func:`_densify`.  Returns the number of pivots
+    and the matrix left for the dense Smith form, None if nothing is
+    left; only a dense residue can still hold a unit."""
     pivots, made = 0, True
     while made:
-        contracted, r, c, v = _contract(r, c, v, shape)
-        merged, c, r, v = _contract(c, r, v, shape[::-1])
-        made = contracted + merged
+        made = _contract(entries, shape)
+        entries[:2] = entries[1::-1]  # the same step on the transpose
+        made += _contract(entries, shape[::-1])
+        entries[:2] = entries[1::-1]
         pivots += made
+    r, c, v = entries
+    entries.clear()
     order = np.argsort(r, kind="stable")
     r, c, v = r[order], c[order], v[order]
-    bounds = np.flatnonzero(np.diff(r, prepend=-1)).tolist() + [len(r)]
+    bounds = np.flatnonzero(np.diff(r, prepend=-1))
+    seen = np.zeros(shape[1], dtype=bool)
+    seen[c] = True
+    columns = np.flatnonzero(seen)
+    if len(r) and len(r) == len(bounds) * len(columns):
+        dense = np.zeros((len(bounds), len(columns)), dtype=np.int64)
+        dense[np.arange(len(r)) // len(columns), np.searchsorted(columns, c)] = v
+        return pivots, dense
+    bounds = bounds.tolist() + [len(r)]
     cl, vl = c.tolist(), v.tolist()
     more, core = _eliminate_unit_pivots([dict(zip(cl[s:e], vl[s:e])) for s, e in zip(bounds, bounds[1:])])
-    return pivots + more, core
+    if not core:
+        return pivots + more, None
+    return pivots + more, _densify(core, sorted({j for row in core for j in row}))
 
 
 def _eliminate_unit_pivots(rows: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
@@ -266,22 +296,23 @@ def simplicial_homology(k: SimplicialComplex2) -> HomologyResult:
 
     A spanning forest of the 1-skeleton gives H0 and rank d1, and its edges
     leave the columns of d2; unit pivots then reduce d2 (see
-    :func:`_reduce`), and only its remaining core goes through a dense
-    Smith form (none when the core is empty)."""
+    :func:`_reduce`), and only what they leave goes through a dense Smith
+    form (none when nothing is left)."""
     ev, te = validate_complex(k)
     n0, n1, n2 = len(k.labels), len(ev), len(te)
     root, _, tree = _forest(n0, ev[:, 0], ev[:, 1])
     components = int(np.count_nonzero(root == np.arange(n0)))
     r1 = n0 - components
-    # d2 off the forest's columns; the full index is freed before the rounds
+    # d2 off the forest's columns; the full index is freed before the
+    # rounds, and these entries by their first step
     keep = ~tree[te]
     r, side = np.nonzero(keep)
-    c, v = te[keep], np.array([1, -1, 1])[side]
-    del ev, te, root, tree, keep, side
-    r2, core = _reduce(r, c, v, (n2, n1))
+    entries = [r, te[keep], np.array([1, -1, 1])[side]]
+    del ev, te, root, tree, keep, r, side
+    r2, core = _reduce(entries, (n2, n1))
     torsion = ()
-    if core:
-        snf = smith_normal_form(_densify(core, sorted({j for row in core for j in row})))
+    if core is not None:
+        snf = smith_normal_form(core)
         r2 += snf.rank
         torsion = snf.invariant_factors
     return HomologyResult(

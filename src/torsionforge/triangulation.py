@@ -291,8 +291,9 @@ def validate_complex(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
 
 
 def face_vector(k: SimplicialComplex2) -> tuple[int, int, int]:
-    """(f0, f1, f2): the numbers of vertices, edges and triangles."""
-    return (len(k.labels), len(k.edges), len(k.triangles))
+    """(f0, f1, f2): the numbers of vertices, edges and triangles.  f1 is
+    the count of distinct side keys, so ``edges`` is not derived and kept."""
+    return (len(k.labels), len(_sorted_unique(_side_keys(k)[1])), len(k.triangles))
 
 
 def euler_characteristic(k: SimplicialComplex2) -> int:

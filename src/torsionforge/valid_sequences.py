@@ -34,6 +34,7 @@ class ValidSequence:
             outside = next((x for x in perms.flat if not -(2**63) <= x < 2**63), None)
             if outside is not None:
                 raise ValueError(f"orderings must hold labels within int64, got {outside}")
+            perms = perms.astype(np.int64)
         if perms.dtype.kind not in "iu":
             raise ValueError(f"orderings must hold integer labels, got dtype {perms.dtype}")
         if perms.dtype.kind == "u" and perms.max() > np.iinfo(np.int64).max:

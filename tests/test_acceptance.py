@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from torsionforge import _kernels
 from torsionforge.disc_complex import cellular_homology, from_matrix
 from torsionforge.exactmat import group_from_factors, int_matrix, smith_normal_form
 from torsionforge.hadamard import hadamard_snf_closed_form, walsh
@@ -64,6 +65,8 @@ def test_criterion_3_snf_closed_form():
     t0 = time.perf_counter()
     ok = True
     for n in (1, 2, 4, 8, 16, 32, 64):
+        # the dense sweep, and smith_normal_form by the Walsh route
+        ok = ok and _kernels.smith_diagonal_int64(walsh(n)) == list(hadamard_snf_closed_form(n))
         ok = ok and smith_normal_form(walsh(n)).invariant_factors == hadamard_snf_closed_form(n)
     elapsed = time.perf_counter() - t0
     assert report(3, "walsh SNF closed form n=1..64", ok, f"{elapsed:.2f}s, expected < 1min")

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from torsionforge import _kernels
 from torsionforge.exactmat import int_matrix, smith_normal_form
-from torsionforge.hadamard import augment, hadamard_snf_closed_form, walsh
+from torsionforge.hadamard import _kronecker_diagonal, augment, hadamard_snf_closed_form, walsh, walsh_smith_factors
 
 from .oracles import det_bareiss, is_hadamard_by_gram
 
@@ -79,9 +80,10 @@ class TestClosedForm:
     def test_small_values(self, n, expected):
         assert hadamard_snf_closed_form(n) == expected
 
-    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32, 64, 128, 256])
     def test_matches_elimination(self, n):
-        assert smith_normal_form(walsh(n)).invariant_factors == hadamard_snf_closed_form(n)
+        # the dense sweep itself; smith_normal_form takes the Walsh route
+        assert _kernels.smith_diagonal_int64(walsh(n)) == list(hadamard_snf_closed_form(n))
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
     def test_product_is_hadamard_bound(self, n):
@@ -107,6 +109,133 @@ class TestDeterminantBound:
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
     def test_walsh_attains_bound(self, n):
         assert abs(det_bareiss(walsh(n))) == n ** (n // 2)
+
+
+def signed_permutation(h, rng):
+    """h with its rows and columns permuted and signed at random."""
+    n = len(h)
+    rows, cols = rng.permutation(n), rng.permutation(n)
+    return h[rows][:, cols] * rng.choice([-1, 1], (n, 1)) * rng.choice([-1, 1], n)
+
+
+def sign_normalised(h):
+    """h with every row and then every column signed to start with +1."""
+    h = h * h[:, :1]
+    return h * h[:1]
+
+
+def inequivalent_hadamard_16():
+    """[[A, A], [B, -B]] for A = walsh(8) and B = A with its last two
+    columns swapped: Hadamard because A and B are, and not equivalent to
+    walsh(16) (see the test that uses it)."""
+    a = walsh(8)
+    b = a[:, [0, 1, 2, 3, 4, 5, 7, 6]]
+    return np.block([[a, a], [b, -b]])
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The shapes of the matrices that reach the dense sweep."""
+    seen = []
+    sweep = _kernels.smith_diagonal_int64
+
+    def spy(m, *args, **kwargs):
+        seen.append(m.shape)
+        return sweep(m, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "smith_diagonal_int64", spy)
+    return seen
+
+
+class TestWalshRoute:
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024])
+    def test_signed_permutations_take_the_route(self, n, sweeps):
+        rng = np.random.default_rng(n)
+        for _ in range(2):
+            m = signed_permutation(walsh(n), rng)
+            res = smith_normal_form(m)
+            assert sweeps == []
+            expected = hadamard_snf_closed_form(n)
+            if n <= 256:  # the sweep's own answer, on the same matrix
+                expected = tuple(_kernels.smith_diagonal_int64(m.copy()))
+            assert res.invariant_factors == expected and res.rank == n
+            assert res.s is None and res.t is None and res.a.dtype == np.int64
+            assert np.array_equal(res.a, np.diag(expected))
+            sweeps.clear()
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 64, 256])
+    def test_one_sign_flipped_takes_the_sweep(self, n, sweeps):
+        rng = np.random.default_rng(100 + n)
+        m = signed_permutation(walsh(n), rng)
+        i, j = rng.integers(n, size=2)
+        m[i, j] = -m[i, j]
+        assert walsh_smith_factors(m) is None
+        expected = _kernels.smith_diagonal_int64(m.copy())
+        sweeps.clear()
+        assert list(smith_normal_form(m).invariant_factors) == expected
+        assert sweeps == [(n, n)]
+
+    def test_order_12_takes_the_sweep(self, sweeps):
+        m = np.random.default_rng(12).choice([-1, 1], (12, 12))
+        assert walsh_smith_factors(m) is None
+        expected = _kernels.smith_diagonal_int64(m.copy())
+        sweeps.clear()
+        assert list(smith_normal_form(m).invariant_factors) == expected
+        assert sweeps == [(12, 12)]
+
+    def test_inequivalent_hadamard_16_takes_the_sweep(self, sweeps):
+        h = inequivalent_hadamard_16()
+        assert np.array_equal(h @ h.T, 16 * np.eye(16, dtype=np.int64))
+        # the sign-normalised rows of a matrix equivalent to walsh(16) are
+        # closed under entrywise products; these are not
+        rows = {tuple(r) for r in sign_normalised(h).tolist()}
+        assert any(
+            tuple(x * y) not in rows and tuple(-x * y) not in rows
+            for x in sign_normalised(h) for y in sign_normalised(h)
+        )
+        for m in (h, signed_permutation(h, np.random.default_rng(16))):
+            assert walsh_smith_factors(m) is None
+            expected = _kernels.smith_diagonal_int64(m.copy())
+            sweeps.clear()
+            assert list(smith_normal_form(m).invariant_factors) == expected
+            assert sweeps == [(16, 16)]
+        assert expected != list(hadamard_snf_closed_form(16))
+
+    def test_transforms_take_the_sweep(self, sweeps):
+        m = signed_permutation(walsh(8), np.random.default_rng(8))
+        res = smith_normal_form(int_matrix(m.tolist()), transforms=True)
+        assert sweeps == [(8, 8)]
+        assert res.invariant_factors == hadamard_snf_closed_form(8)
+        assert np.array_equal(res.s @ res.a @ res.t, m)
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            walsh(4).astype(object),
+            walsh(8)[:, :4],
+            walsh(1),
+            2 * walsh(4),
+            np.zeros((4, 4), dtype=np.int64),
+        ],
+        ids=["object", "wide", "order-1", "entries-2", "zero"],
+    )
+    def test_only_square_pm_one_int64_of_order_at_least_2_qualifies(self, m):
+        assert walsh_smith_factors(m) is None
+
+
+class TestKroneckerCertificate:
+    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048])
+    def test_walsh_diagonal_is_the_closed_form(self, n):
+        assert _kronecker_diagonal(walsh(n)) == hadamard_snf_closed_form(n)
+
+    @pytest.mark.parametrize("n", [2, 4, 16, 64])
+    def test_anything_but_walsh_fails_the_check(self, n):
+        flipped = walsh(n)
+        flipped[n - 1, n // 2] *= -1
+        assert _kronecker_diagonal(flipped) is None
+        assert _kronecker_diagonal(walsh(n)[::-1].copy()) is None
+        if n == 16:
+            assert _kronecker_diagonal(inequivalent_hadamard_16()) is None
 
 
 class TestAugment:

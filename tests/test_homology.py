@@ -3,10 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from torsionforge import homology
+from torsionforge import _kernels, homology
 from torsionforge.disc_complex import cellular_homology, from_matrix
 from torsionforge.exactmat import free_group, group_from_factors, int_matrix, smith_normal_form
-from torsionforge.hadamard import walsh
+from torsionforge.hadamard import hadamard_snf_closed_form, walsh
 from torsionforge.hmt_builder import build_hmt
 from torsionforge.homology import boundary_matrices, simplicial_homology
 from torsionforge.speyer import build_speyer_complex
@@ -177,32 +177,35 @@ class TestSparseEngine:
         ids=[f"{n}-digon" if d else str(n) for d in (False, True) for n in (2, 4, 8, 16, 32, 64)],
     )
     def test_hmt_core_is_small(self, n, keep_first_digon, monkeypatch):
-        # the array rounds leave an n x n residue of +-1 entries; one unit
-        # pivot then leaves an (n-1) x (n-1) core of +-2 entries.  HMT(2)
-        # leaves [[+-2]] for both.
-        residues, cores = [], []
-        eliminate = homology._eliminate_unit_pivots
+        # the array rounds leave an n x n residue of +-1 entries, dense, so
+        # it reaches smith_normal_form whole, without the dict pivots, and
+        # takes the Walsh route.  HMT(2) leaves [[+-2]], which takes the
+        # sweep.
+        residues, cores, sweeps = [], [], []
+        eliminate, sweep = homology._eliminate_unit_pivots, _kernels.smith_diagonal_int64
 
         def spy_residue(rows):
-            values = [abs(x) for row in rows for x in row.values()]
-            shape = (len(rows), len({j for row in rows for j in row}), len(values), set(values))
-            pivots, core = eliminate(rows)
-            residues.append((*shape, pivots))
-            return pivots, core
+            residues.append(len(rows))
+            return eliminate(rows)
 
         def spy_core(m, *args, **kwargs):
-            cores.append((m.shape, set(np.abs(m[m != 0]).tolist())))
+            cores.append((m.shape, set(np.abs(m).ravel().tolist())))
             return smith_normal_form(m, *args, **kwargs)
+
+        def spy_sweep(m, *args, **kwargs):
+            sweeps.append(m.shape)
+            return sweep(m, *args, **kwargs)
 
         monkeypatch.setattr(homology, "_eliminate_unit_pivots", spy_residue)
         monkeypatch.setattr(homology, "smith_normal_form", spy_core)
-        simplicial_homology(build_hmt(n, keep_first_digon=keep_first_digon))
+        monkeypatch.setattr(_kernels, "smith_diagonal_int64", spy_sweep)
+        h1 = simplicial_homology(build_hmt(n, keep_first_digon=keep_first_digon)).h1
+        assert h1 == group_from_factors(hadamard_snf_closed_form(n))
+        assert residues == []
         if n == 2:
-            assert residues == [(1, 1, 1, {2}, 0)]
-            assert cores == [((1, 1), {2})]
+            assert cores == [((1, 1), {2})] and sweeps == [(1, 1)]
         else:
-            assert residues == [(n, n, n * n, {1}, 1)]
-            assert cores == [((n - 1, n - 1), {2})]
+            assert cores == [((n, n), {1})] and sweeps == []
 
     @pytest.mark.parametrize("k", [181, 2**31 + 12345, 2**61 - 1])
     def test_speyer_residue_is_one_row_and_column_short(self, k, monkeypatch):
@@ -274,6 +277,23 @@ def factors(r, c, v, shape):
     return sorted(snf_factors(dense)) if shape[1] and any(map(any, dense)) else []
 
 
+def contract(r, c, v, shape):
+    """(pivots, r, c, v) of homology._contract on the entries (r, c, v)."""
+    entries = [r, c, v]
+    pivots = homology._contract(entries, shape)
+    return (pivots, *entries)
+
+
+def reduce_entries(r, c, v, shape):
+    """(pivots, core) of homology._reduce on the entries (r, c, v)."""
+    return homology._reduce([r, c, v], shape)
+
+
+def core_factors(core):
+    """Invariant factors of a core from homology._reduce, 1s included."""
+    return [] if core is None else sorted(snf_factors(core.tolist()))
+
+
 def random_rows(rng, n_rows, n_cols):
     """Sparse rows, most of them two unit entries of random signs, the rest
     two to three entries in [-3, 3]."""
@@ -323,9 +343,9 @@ class TestArrayReduction:
             {4: 1},  # alone in its row and in its column: one pivot
         ]
         shape = (5, 5)
-        dropped, r, c, v = homology._contract(*coordinates(rows), shape)
+        dropped, r, c, v = contract(*coordinates(rows), shape)
         assert dropped == 2 and 2 not in c.tolist() and 4 not in c.tolist()
-        deleted, c, r, v = homology._contract(c, r, v, shape[::-1])
+        deleted, c, r, v = contract(c, r, v, shape[::-1])
         assert dropped + deleted == 3
         assert (r.tolist(), c.tolist(), v.tolist()) == ([2, 2, 3, 3], [1, 3, 1, 3], [2, 2, 2, 4])
         assert factors(*coordinates(rows), shape) == [1] * 3 + factors(r, c, v, shape)
@@ -342,7 +362,7 @@ class TestArrayReduction:
     )
     def test_single_unit_row_drops_its_whole_column(self, rows, left):
         shape = (len(rows), 2)
-        pivots, r, c, v = homology._contract(*coordinates(rows), shape)
+        pivots, r, c, v = contract(*coordinates(rows), shape)
         assert pivots == 1
         assert (r.tolist(), c.tolist(), v.tolist()) == left
         assert factors(*coordinates(rows), shape) == [1] + factors(r, c, v, shape)
@@ -353,14 +373,14 @@ class TestArrayReduction:
         rows = [{0: 1}, {0: 1, 1: 1}, {1: 1, 2: -1}, {2: 2, 3: 2}, {3: 3, 1: 1}]
         shape = (5, 4)
         original = factors(*coordinates(rows), shape)
-        pivots, r, c, v = homology._contract(*coordinates(rows), shape)
+        pivots, r, c, v = contract(*coordinates(rows), shape)
         assert pivots == 2
         assert original == [1] * pivots + factors(r, c, v, shape)
         r, c, v = coordinates(rows)
-        pivots, c, r, v = homology._contract(c, r, v, shape[::-1])
+        pivots, c, r, v = contract(c, r, v, shape[::-1])
         assert original == [1] * pivots + factors(r, c, v, shape)
-        pivots, core = homology._reduce(*coordinates(rows), shape)
-        assert original == [1] * pivots + factors(*coordinates(core), (len(core), shape[1]))
+        pivots, core = reduce_entries(*coordinates(rows), shape)
+        assert original == [1] * pivots + core_factors(core)
 
     @pytest.mark.parametrize("length", [3, 4, 5])
     @pytest.mark.parametrize("consistent", [True, False], ids=["even", "odd"])
@@ -373,7 +393,7 @@ class TestArrayReduction:
             signs[0] = signs[1] = -1
         rows = [{j: 1, (j + 1) % length: -s} for j, s in enumerate(signs)]
         shape = (length, length)
-        pivots, r, c, v = homology._contract(*coordinates(rows), shape)
+        pivots, r, c, v = contract(*coordinates(rows), shape)
         assert pivots == length - 1
         if consistent:
             assert not len(v)
@@ -396,7 +416,7 @@ class TestArrayReduction:
             rows[(j + 1) % length][j] = -s
         shape = (length, length)
         r, c, v = coordinates(rows)
-        pivots, c, r, v = homology._contract(c, r, v, shape[::-1])
+        pivots, c, r, v = contract(c, r, v, shape[::-1])
         assert pivots == length - 1
         if consistent:
             assert not len(v)
@@ -410,29 +430,49 @@ class TestArrayReduction:
         shape = (rng.randint(3, 8), rng.randint(3, 7))
         rows = random_rows(rng, *shape)
         original = factors(*coordinates(rows), shape)
-        pivots, r, c, v = homology._contract(*coordinates(rows), shape)
+        pivots, r, c, v = contract(*coordinates(rows), shape)
         assert original == [1] * pivots + factors(r, c, v, shape)
         r, c, v = coordinates(rows)
-        pivots, c, r, v = homology._contract(c, r, v, shape[::-1])
+        pivots, c, r, v = contract(c, r, v, shape[::-1])
         assert original == [1] * pivots + factors(r, c, v, shape)
-        pivots, core = homology._reduce(*coordinates(rows), shape)
-        assert all(x not in (1, -1) for row in core for x in row.values())
-        assert original == [1] * pivots + factors(*coordinates(core), (len(core), shape[1]))
+        pivots, core = reduce_entries(*coordinates(rows), shape)
+        # only a dense residue, which has no zero, reaches the core with a unit
+        assert core is None or (core != 0).all() or not (np.abs(core) == 1).any()
+        assert original == [1] * pivots + core_factors(core)
 
     def test_contraction_past_int64_goes_on_in_python_ints(self):
         big = 3 * 2**61  # an int64, but the sum of two is not
-        rows = [{0: big, 1: big}, {0: 1, 1: -1}]
-        assert homology._contract(*coordinates(rows), (2, 2))[0] == 0
-        pivots, core = homology._reduce(*coordinates(rows), (2, 2))
-        assert pivots == 1 and core == [{1: 2 * big}]
+        # row 2 keeps the residue sparse, so it goes to the dict pivots
+        rows = [{0: big, 1: big}, {0: 1, 1: -1}, {2: 2}]
+        assert contract(*coordinates(rows), (3, 3))[0] == 0
+        pivots, core = reduce_entries(*coordinates(rows), (3, 3))
+        assert pivots == 1 and core.dtype == object and core.tolist() == [[2 * big, 0], [0, 2]]
 
     def test_column_contraction_past_int64_goes_on_in_python_ints(self):
         big = 3 * 2**61
-        rows = [{0: big, 1: 1}, {0: big, 1: -1}]
+        rows = [{0: big, 1: 1}, {0: big, 1: -1}, {2: 2}]
         r, c, v = coordinates(rows)
-        assert homology._contract(c, r, v, (2, 2))[0] == 0
-        pivots, core = homology._reduce(r, c, v, (2, 2))
-        assert pivots == 1 and core == [{0: 2 * big}]
+        assert contract(c, r, v, (3, 3))[0] == 0
+        pivots, core = reduce_entries(r, c, v, (3, 3))
+        assert pivots == 1 and core.dtype == object and core.tolist() == [[2 * big, 0], [0, 2]]
+
+    def test_dense_residue_is_one_array_without_dict_pivots(self, monkeypatch):
+        # no unit is alone and no row or column holds two units, so the
+        # rounds make no pivot; every row meets every column, so the
+        # residue goes to the Smith form whole, its units included
+        def fail(rows):
+            raise AssertionError("dict pivots on a dense residue")
+
+        monkeypatch.setattr(homology, "_eliminate_unit_pivots", fail)
+        rows = [{0: 1, 1: 2, 2: 3}, {0: 4, 1: 1, 2: 6}, {0: 2, 1: 5, 2: 1}, {0: 3, 1: 3, 2: 3}]
+        pivots, core = reduce_entries(*coordinates(rows), (4, 3))
+        assert pivots == 0 and core.dtype == np.int64
+        assert core.tolist() == [[1, 2, 3], [4, 1, 6], [2, 5, 1], [3, 3, 3]]
+        # the same entries in another order, on sparse ids, give the same array
+        r, c, v = coordinates(rows)
+        order = np.random.default_rng(3).permutation(len(r))
+        pivots, again = reduce_entries(2 * r[order] + 1, 3 * c[order], v[order], (9, 9))
+        assert pivots == 0 and np.array_equal(again, core)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_contract_takes_entries_in_any_order(self, seed):
@@ -441,8 +481,8 @@ class TestArrayReduction:
         rows = random_rows(rng, *shape)
         r, c, v = coordinates(rows)
         order = np.random.default_rng(seed).permutation(len(r))
-        pivots, *left = homology._contract(r[order], c[order], v[order], shape)
-        expected, *kept = homology._contract(r, c, v, shape)
+        pivots, *left = contract(r[order], c[order], v[order], shape)
+        expected, *kept = contract(r, c, v, shape)
         assert pivots == expected and [x.tolist() for x in left] == [x.tolist() for x in kept]
         assert factors(r, c, v, shape) == [1] * pivots + factors(*left, shape)
 
@@ -452,9 +492,9 @@ class TestArrayReduction:
         columns = []
         reduce = homology._reduce
 
-        def spy(r, c, v, shape):
-            columns.append(len(set(c.tolist())))
-            return reduce(r, c, v, shape)
+        def spy(entries, shape):
+            columns.append(len(set(entries[1].tolist())))
+            return reduce(entries, shape)
 
         monkeypatch.setattr(homology, "_reduce", spy)
         for k in corpus():

@@ -546,7 +546,8 @@ def test_inputs_that_stay_small_never_compute_a_modulus(monkeypatch):
     for n in (32, 64):
         h1 = simplicial_homology(build_hmt(n)).h1
         assert h1.torsion_order == n ** (n // 2)
-    assert math.prod(smith_normal_form(walsh(64)).invariant_factors) == 64**32
+    # the sweep itself: smith_normal_form takes walsh(64) by the Walsh route
+    assert math.prod(_kernels.smith_diagonal_int64(walsh(64))) == 64**32
     res = smith_normal_form(int_matrix([[2**40, 1], [3, 2**50]]))
     assert res.invariant_factors == (1, 2**90 - 3)
 
@@ -636,3 +637,18 @@ def test_divisibility_checked_once_per_pivot_magnitude(monkeypatch):
     assert diag == [2**j for j in range(7) for _ in range(math.comb(6, j))]
     assert len(checked) == len(set(checked)) and set(checked) <= set(diag)
     assert len(checked) == len(set(diag)) - 1
+
+
+@pytest.mark.parametrize("n", [4, 32, 256])
+def test_walsh_schur_core_takes_the_sweep_without_a_modulus(n, monkeypatch):
+    # walsh(n)[1:, 1:] - 1, the core that one unit pivot leaves of walsh(n),
+    # is what the HMT residues used to hand the sweep; the Walsh route does
+    # not recognise it, so it keeps the sweep's largest structured input
+    def fail(x):
+        raise AssertionError("modulus computed")
+
+    monkeypatch.setattr(_kernels, "_modulus", fail)
+    core = walsh(n)[1:, 1:] - 1
+    expected = list(hadamard_snf_closed_form(n)[1:])
+    assert _kernels.smith_diagonal_int64(core.copy()) == expected
+    assert list(smith_normal_form(core).invariant_factors) == expected

@@ -179,6 +179,12 @@ class TestChecker:
         # unsigned labels that fit are kept
         assert ValidSequence(np.array([[1, 2], [1, 2]], dtype=np.uint64)) == valid_sequence(2)
 
+    def test_object_array_of_labels_within_int64_is_kept(self):
+        seq = ValidSequence(np.array([[1, 2], [1, 2]], dtype=object))
+        assert seq.perms.dtype == np.int64 and seq == valid_sequence(2)
+        edge = ValidSequence(np.array([[1, 2**63 - 1], [1, -(2**63)]], dtype=object))
+        assert edge.perms.tolist() == [[1, 2**63 - 1], [1, -(2**63)]]
+
     def test_holds_one_read_only_int64_array(self):
         seq = ValidSequence([[1, 2], [1, 2]])
         assert seq.perms.dtype == np.int64 and seq.perms.shape == (2, 2) and seq.n == 2
