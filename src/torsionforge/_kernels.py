@@ -2,15 +2,19 @@
 
 One numpy sweep runs gcd-driven elimination, updating whole rows and
 columns per step.  Each pivot starts as the smallest nonzero entry of the
-block still to be reduced.  Before each reduction of its column (row) by
-floor division, a smaller nonzero entry of that column (row) takes its
-place; a pivot that does not divide the rest of the block adds the first
-row it fails to divide to its own.  On request the sweep records its row
-and column operations in transform matrices ``S`` and ``T``; it then runs
-on Python ints throughout, so the transforms are exact.  Otherwise it
-starts on int64 while every entry is within ``ENTRY_BOUND``: with
-|entries| <= 2^31 - 1 a single update ``x - q*y`` is bounded by
-2^62 + 2^31, so each int64 update is exact.
+block still to be reduced.  An update adds to an entry a pivot-row entry
+times the ratio of a pivot-column entry to the pivot, so on int64 until
+the sweep has a modulus (below) ties go to the pivot whose row, then
+column, has the least largest entry; residues cannot overflow, so after
+the hand-off the first smallest entry is taken.  Before each reduction of
+its column (row) by floor division, a smaller nonzero entry of that column
+(row) takes its place; a pivot that does not divide the rest of the block
+adds the first row it fails to divide to its own.  On request the sweep
+records its row and column operations in transform matrices ``S`` and
+``T``; it then runs on Python ints throughout, so the transforms are
+exact.  Otherwise it starts on int64 while every entry is within
+``ENTRY_BOUND``: with |entries| <= 2^31 - 1 a single update ``x - q*y``
+is bounded by 2^62 + 2^31, so each int64 update is exact.
 
 The sweep skips work it has already done.  A pivot divides every entry of
 the block left when it is confirmed, and row and column operations keep
@@ -72,18 +76,14 @@ rank-deficient input, say; the first elimination shows it, before any
 bound is computed), or ``mu`` exceeds ``ENTRY_BOUND``.  For a square
 ``B`` the latter shows as soon as ``c`` modulo a product of primes above
 ``2 ENTRY_BOUND`` does: ``p`` and one more prime multiply past 2^32 (for
-n below 2^15), so it costs the lifting and one more elimination.  ``mu``
-is too large when many invariant factors are nontrivial, as in the
-Walsh Schur core ``walsh(n)[1:, 1:] - 1``, and there the smallest-first
-pivots themselves make the growth: each update adds to an entry a
-pivot-row entry times the ratio of a pivot-column entry to the pivot.  So
-the sweep then starts over once from the input, breaking ties among the
-smallest entries toward the pivot whose row, then column, has the least
-largest entry.  On the 1023 x 1023 core that HMT(1024) left before the
-Walsh route of :mod:`torsionforge.exactmat`, the first sweep passed 2^33
-and the second stayed below 2^13.  If the second sweep leaves the
-bound too, the working array is promoted to ``dtype=object`` and the same
-sweep continues, so the result is always certified.
+n below 2^15), so it costs the lifting and one more elimination.  Then
+the working array is promoted to ``dtype=object`` where it stands and the
+same sweep continues: the failed update left the block equivalent to what
+it was, so the result is always certified.  ``mu`` is too large when many
+invariant factors are nontrivial, as in the Walsh Schur core
+``walsh(n)[1:, 1:] - 1``.  There smallest-first pivots made the growth and
+passed 2^33 at n = 1024; the low-growth pivots keep that core below 2^13,
+so it stays on int64 and never asks for a modulus.
 """
 
 from __future__ import annotations
@@ -127,9 +127,8 @@ def smith_diagonal_int64(arr: np.ndarray, s: np.ndarray | None = None,
     diag = []
     mu, det = 0, None
     k = 0
-    restarted = False
     while k < mind:
-        found = _smallest_nonzero(a[k:, k:], restarted)
+        found = _smallest_nonzero(a[k:, k:], not mu)
         if found is None:
             break
         i, j = found
@@ -137,18 +136,13 @@ def smith_diagonal_int64(arr: np.ndarray, s: np.ndarray | None = None,
         _swap_cols(a, t, k, k + j)
         p = _clear_pivot(a, k, mu, s, t, diag[-1] if diag else 1)
         if p is None:
-            if restarted:
-                a = a.astype(object)
-                continue
             # the input is equivalent to diag(diag) beside the block a[k:, k:];
             # take the modulus of whichever of the input and that block is cheaper
             block = a[k:, k:]
             source = arr if _crt_work(arr) <= _crt_work(block) else block
             handoff = _modulus(source)
             if handoff is None:
-                restarted = True
-                a = np.array(arr, order="C", copy=True)
-                diag, k = [], 0
+                a = a.astype(object)
             else:
                 mu, det = handoff
                 if det is not None and source is block:
@@ -189,12 +183,16 @@ def _smallest_nonzero(sub: np.ndarray, low_growth: bool = False) -> tuple[int, i
         if mag.flat[at] == -1:
             return None
         if low_growth:
-            # mag holds |x| - 1, which orders the magnitudes alike
+            # mag holds |x| - 1, which orders the magnitudes alike; a row
+            # without a tie reads -1, the largest uint64
             ties = mag == mag.flat[at]
-            rows = np.flatnonzero(ties.any(axis=1))
-            i = rows[mag[rows].max(axis=1).argmin()]
+            tie_rows = ties.any(axis=1)
+            i = at // sub.shape[1]
+            if np.count_nonzero(tie_rows) > 1:
+                i = int(np.where(tie_rows, mag.max(axis=1), -1).view(np.uint64).argmin())
             cols = np.flatnonzero(ties[i])
-            return int(i), int(cols[mag[:, cols].max(axis=0).argmin()])
+            j = cols[0] if cols.size == 1 else cols[mag[:, cols].max(axis=0).argmin()]
+            return i, int(j)
     return divmod(at, sub.shape[1])
 
 

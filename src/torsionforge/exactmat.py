@@ -8,20 +8,20 @@ matrix up to signed row and column permutations has its Smith form read
 off the checked Kronecker certificate of :mod:`torsionforge.hadamard`
 (not off the closed form there), unless transform matrices are requested.
 Any other matrix goes through the vectorized sweep in
-:mod:`torsionforge._kernels`, which starts on int64 and, once an entry
-would outgrow the int64-safe bound, continues on int64 modulo a multiple
-of the determinant of the input or of the block left, whichever is
-cheaper (Hafner and McCurley 1991, with the largest invariant factor from
-a rational solve as in Saunders and Wan 2004).  Without such a modulus it
-starts over once with low-growth pivots, and goes on in Python ints only
-if those outgrow the bound too.  With transform matrices requested, the
-same sweep runs on Python ints throughout and records its operations in
-them.  Groups are put in invariant-factor form by gcd and lcm, with no
-factoring.  Only the prime-power view factors, and only the largest
-invariant factor, by trial division, Miller-Rabin and Pollard-Brent rho.
-Rho has a fixed step budget, and a probable prime above the Miller-Rabin
-bound cannot be certified; either way :class:`FactorizationBudgetError`
-names the cofactor.
+:mod:`torsionforge._kernels`, which starts on int64, breaking ties among
+its smallest pivots toward low growth, and, once an entry would outgrow
+the int64-safe bound, continues on int64 modulo a multiple of the
+determinant of the input or of the block left, whichever is cheaper
+(Hafner and McCurley 1991, with the largest invariant factor from a
+rational solve as in Saunders and Wan 2004).  Without such a modulus the
+same sweep goes on in Python ints from where it stands.  With transform
+matrices requested, the same sweep runs on Python ints throughout and
+records its operations in them.  Groups are put in invariant-factor form
+by gcd and lcm, with no factoring.  Only the prime-power view factors, and
+only the largest invariant factor, by trial division, Miller-Rabin and
+Pollard-Brent rho.  Rho has a fixed step budget, and a probable prime
+above the Miller-Rabin bound cannot be certified; either way
+:class:`FactorizationBudgetError` names the cofactor.
 """
 
 from __future__ import annotations
@@ -340,12 +340,12 @@ def smith_normal_form(m: np.ndarray, transforms: bool = False) -> SnfResult:
     of :func:`torsionforge.hadamard.walsh_smith_factors`, and ``a`` is
     their diagonal; any other matrix, or that one with ``transforms``,
     goes through the sweep.  The vectorized sweep of
-    :mod:`torsionforge._kernels` runs on int64 while entries stay small,
-    then modulo a determinant multiple.  When none fits, it starts over
-    once with low-growth pivots, and goes on in Python ints only if those
-    outgrow int64 too.  With ``transforms`` it runs on Python ints
-    throughout and records its row and column operations in ``s`` and
-    ``t``, which start as identities; an all-zero matrix keeps them so.
+    :mod:`torsionforge._kernels` runs on int64 with low-growth pivots while
+    entries stay small, then modulo a determinant multiple.  When none
+    fits, it goes on in Python ints from where it stands.  With
+    ``transforms`` it runs on Python ints throughout and records its row
+    and column operations in ``s`` and ``t``, which start as identities;
+    an all-zero matrix keeps them so.
     """
     if m.ndim != 2 or m.dtype not in (np.int64, object):
         raise ValueError(f"expected a 2-D int64 or object matrix, got {m.ndim}-D {m.dtype}")

@@ -13,7 +13,9 @@ matrix M(k) is a dense matrix of identity diagonals.
 One exception shares the package's valid sequence and constructor:
 :func:`hmt_reference`, the array builder of HMT(n) as it was before its
 signs came from ``walsh(n)``, with popcount parity signs and separate id
-formulas for rings, centers, digons and labels.
+formulas for rings, centers, digons and labels.  And
+:func:`low_growth_pivot` is the sweep's tie-break rule as first written,
+kept to check the later, cheaper search against.
 """
 
 from __future__ import annotations
@@ -172,6 +174,23 @@ def snf_factors(rows) -> list[int]:
     if max(len(rows), len(rows[0])) <= 5:
         return snf_factors_by_minor_gcds(rows)
     return snf_factors_by_elimination(rows)
+
+
+def low_growth_pivot(sub: np.ndarray) -> tuple[int, int] | None:
+    """The low-growth pivot of the int64 block ``sub``, or None when it is
+    all zero: among the entries of least nonzero magnitude, the first row
+    whose largest magnitude is least, and in it the first such entry whose
+    column's largest magnitude is least.  The sweep's first formulation of
+    that rule, copying the tied rows."""
+    mag = np.abs(sub)
+    if not mag.any():
+        return None
+    least = mag[mag > 0].min()
+    ties = mag == least
+    rows = np.flatnonzero(ties.any(axis=1))
+    i = rows[mag[rows].max(axis=1).argmin()]
+    cols = np.flatnonzero(ties[i])
+    return int(i), int(cols[mag[:, cols].max(axis=0).argmin()])
 
 
 def component_count(vertices, edges) -> int:

@@ -15,7 +15,7 @@ from torsionforge.hadamard import hadamard_snf_closed_form, walsh
 from torsionforge.hmt_builder import build_hmt
 from torsionforge.homology import simplicial_homology
 
-from .oracles import det_bareiss, det_mod, snf_factors
+from .oracles import det_bareiss, det_mod, low_growth_pivot, snf_factors
 
 
 def random_matrix(rng, max_dim=8, lo=-9, hi=9):
@@ -105,6 +105,33 @@ def handoffs(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def events(monkeypatch):
+    """The sweep's steps in order: ("search", dtype, low_growth) for each
+    pivot search, ("clear", k) for each pivot clearing and ("handoff", ok)
+    for each modulus hand-off."""
+    seen = []
+    smallest_nonzero, clear, modulus = _kernels._smallest_nonzero, _kernels._clear_pivot, _kernels._modulus
+
+    def search(sub, low_growth=False):
+        seen.append(("search", sub.dtype.name, low_growth))
+        return smallest_nonzero(sub, low_growth)
+
+    def clear_pivot(a, k, *args):
+        seen.append(("clear", k))
+        return clear(a, k, *args)
+
+    def handoff(x):
+        found = modulus(x)
+        seen.append(("handoff", found is not None))
+        return found
+
+    monkeypatch.setattr(_kernels, "_smallest_nonzero", search)
+    monkeypatch.setattr(_kernels, "_clear_pivot", clear_pivot)
+    monkeypatch.setattr(_kernels, "_modulus", handoff)
+    return seen
+
+
 def sweep_agrees(rows):
     expected = snf_factors(rows)
     assert _kernels.smith_diagonal_int64(np.array(rows, dtype=np.int64)) == expected, rows
@@ -171,7 +198,9 @@ def test_transforms_never_take_a_modulus(handoffs):
     assert abs(det_bareiss(res.s)) == abs(det_bareiss(res.t)) == 1
     assert res.invariant_factors == plain.invariant_factors
 
-def test_rank_deficient_input_falls_back_to_python_ints(handoffs):
+def test_rank_deficient_input_falls_back_to_python_ints(handoffs, events):
+    # no modulus exists, so the sweep goes on where it stands: no pivot is
+    # cleared again, and every later search runs on Python ints
     rng = random.Random(13)
     rows = near_bound_matrix(rng, rows=5)
     rows[4] = [(x + y) // 2 for x, y in zip(rows[0], rows[1])]
@@ -179,6 +208,10 @@ def test_rank_deficient_input_falls_back_to_python_ints(handoffs):
     expected = sweep_agrees(rows)
     assert handoffs == [None]
     assert len(expected) == 4
+    ks = [e[1] for e in events if e[0] == "clear"]
+    assert ks == sorted(ks)
+    after = events[events.index(("handoff", False)) + 1 :]
+    assert {e[1] for e in after if e[0] == "search"} == {"object"}
 
 
 def test_low_growth_pivot_breaks_ties_by_row_then_column_maxima():
@@ -188,24 +221,39 @@ def test_low_growth_pivot_breaks_ties_by_row_then_column_maxima():
     # in columns with largest entries 2 and 9
     assert _kernels._smallest_nonzero(sub, True) == (2, 0)
     assert _kernels._smallest_nonzero(np.zeros((2, 3), dtype=np.int64), True) is None
+    # the 2s share row 0, whose columns have largest entries 9 and 4
+    one_row = np.array([[5, 2, 7, -2], [3, 9, 0, 4]], dtype=np.int64)
+    assert _kernels._smallest_nonzero(one_row, True) == (0, 3)
+    # the 2s share column 1; of their rows, row 1 has the least largest entry
+    one_col = np.array([[9, 2, 3], [0, -2, 4], [5, 6, 7]], dtype=np.int64)
+    assert _kernels._smallest_nonzero(one_col, True) == (1, 1)
 
 
-def test_failed_handoff_restarts_on_int64_with_low_growth_pivots(handoffs, monkeypatch):
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 7), st.integers(1, 7)).flatmap(
+    lambda rc: st.lists(st.integers(-3, 3), min_size=rc[0] * rc[1], max_size=rc[0] * rc[1])
+    .map(lambda xs: np.array(xs, dtype=np.int64).reshape(rc))))
+def test_low_growth_search_matches_the_reference(sub):
+    assert _kernels._smallest_nonzero(sub, True) == low_growth_pivot(sub)
+
+
+def test_scaled_walsh_never_hands_off_and_stays_on_int64(events):
     # every invariant factor of 2^20 walsh(256) is a multiple of 2^20, so no
-    # modulus fits the bound; smallest-first pivots grow entries past 2^31,
-    # and the restarted sweep's pivots keep them below
-    searches = []
-    smallest_nonzero = _kernels._smallest_nonzero
-
-    def spy(sub, low_growth=False):
-        searches.append((sub.dtype.name, low_growth))
-        return smallest_nonzero(sub, low_growth)
-
-    monkeypatch.setattr(_kernels, "_smallest_nonzero", spy)
+    # modulus would fit the bound; low-growth pivots keep the entries below
+    # it, so the one sweep never asks for one
     c = 2**20
     assert _kernels.smith_diagonal_int64(c * walsh(256)) == [c * d for d in hadamard_snf_closed_form(256)]
-    assert handoffs == [None]
-    assert searches[-1] == ("int64", True) and {dtype for dtype, _ in searches} == {"int64"}
+    assert not [e for e in events if e[0] == "handoff"]
+    assert {e[1:] for e in events if e[0] == "search"} == {("int64", True)}
+
+
+def test_searches_after_a_handoff_take_the_plain_first_minimum(events):
+    rows = near_bound_matrix(random.Random(18), rows=5)
+    sweep_agrees(rows)
+    at = events.index(("handoff", True))
+    before = {e[2] for e in events[:at] if e[0] == "search"}
+    after = {e[2] for e in events[at:] if e[0] == "search"}
+    assert before == {True} and after == {False}
 
 
 def plant_determinant_multiple(rows, p, at=(0, 0)):
@@ -639,11 +687,12 @@ def test_divisibility_checked_once_per_pivot_magnitude(monkeypatch):
     assert len(checked) == len(set(diag)) - 1
 
 
-@pytest.mark.parametrize("n", [4, 32, 256])
+@pytest.mark.parametrize("n", [4, 32, 256, 1024])
 def test_walsh_schur_core_takes_the_sweep_without_a_modulus(n, monkeypatch):
     # walsh(n)[1:, 1:] - 1, the core that one unit pivot leaves of walsh(n),
     # is what the HMT residues used to hand the sweep; the Walsh route does
-    # not recognise it, so it keeps the sweep's largest structured input
+    # not recognise it, so it keeps the sweep's largest structured input.
+    # Smallest-first pivots would leave the bound at n = 1024
     def fail(x):
         raise AssertionError("modulus computed")
 
@@ -651,4 +700,5 @@ def test_walsh_schur_core_takes_the_sweep_without_a_modulus(n, monkeypatch):
     core = walsh(n)[1:, 1:] - 1
     expected = list(hadamard_snf_closed_form(n)[1:])
     assert _kernels.smith_diagonal_int64(core.copy()) == expected
-    assert list(smith_normal_form(core).invariant_factors) == expected
+    if n < 1024:  # the same sweep again, about a second and a half
+        assert list(smith_normal_form(core).invariant_factors) == expected
