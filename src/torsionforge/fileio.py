@@ -139,23 +139,28 @@ def read_sequence(text: str) -> ValidSequence:
     raise FileFormatError("empty sequence file", 1, 1)
 
 
-def _format_rows(rows: np.ndarray) -> str:
-    """The rows of an int64 array as lines of space-separated decimals.
-    Each distinct value is formatted once, followed by a space and by a
-    newline, and the lines are one join of those words looked up by
-    index."""
-    ids = _sorted_unique(rows)
+def _format_rows(rows: np.ndarray, ids: np.ndarray) -> str:
+    """The rows of an int64 array as lines of space-separated decimals,
+    given the ascending distinct ``ids`` that hold every entry.  Each id is
+    formatted once into one byte table of NUL-padded words, a whole number
+    of uint64 wide: ending in a space in its first half and in a newline
+    in its second.  The text is that table gathered by the rows' index,
+    with the last column's offset into the second half, less its NULs."""
     idx, _ = _index_in(ids, rows)
     words = [str(v) for v in ids.tolist()]
-    out = np.empty(rows.shape, dtype=object)
-    out[:, :-1] = np.array([w + " " for w in words], dtype=object)[idx[:, :-1]]
-    out[:, -1] = np.array([w + "\n" for w in words], dtype=object)[idx[:, -1]]
-    return "".join(out.ravel().tolist())
+    width = 8 * (max(map(len, words), default=0) // 8 + 1)
+    table = np.array([w + " " for w in words] + [w + "\n" for w in words], dtype=f"S{width}")
+    idx[:, -1] += len(words)
+    text = table.view(np.uint64).reshape(-1, width // 8).take(idx, axis=0)
+    del idx
+    text = text.tobytes()
+    text = text.translate(None, b"\0")
+    return text.decode("ascii")
 
 
 def write_sequence(seq: ValidSequence) -> str:
     """One line per ordering."""
-    return _format_rows(seq.perms)
+    return _format_rows(seq.perms, _sorted_unique(seq.perms))
 
 
 def read_facets(text: str) -> SimplicialComplex2:
@@ -179,8 +184,10 @@ def read_facets(text: str) -> SimplicialComplex2:
 
 
 def write_facets(k: SimplicialComplex2) -> str:
-    """One line per triangle, from the canonical (sorted) triangle array."""
-    return _format_rows(k.triangles)
+    """One line per triangle, from the canonical (sorted) triangle array
+    and one byte table of its labels: the constructor puts every label in
+    a triangle and every vertex among the labels."""
+    return _format_rows(k.triangles, np.array(sorted(k.labels), dtype=np.int64))
 
 
 def complex_to_json(k: SimplicialComplex2) -> str:

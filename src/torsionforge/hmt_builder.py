@@ -35,9 +35,10 @@ def hmt_torsion_group(n: int):
     return group_from_factors(hadamard_snf_closed_form(n), 0)
 
 
-def _rows(*columns) -> np.ndarray:
-    """One row per position of the broadcast columns, in row-major order."""
-    return np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, len(columns))
+def _fill(out: np.ndarray, *columns) -> None:
+    """Write the broadcast columns into the last axis of ``out``."""
+    for i, c in enumerate(columns):
+        out[..., i] = c
 
 
 def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
@@ -76,16 +77,23 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
     disc = np.arange(n)[:, None]
     centers = v[-1] + 4 + disc
 
-    discs = disc.ravel()
-    triangles = [_rows(0, ring[:, 1:-1:2], ring[:, 2::2]), _rows(centers, ring[:, :-1], ring[:, 1:])]
-    claims = [_rows(ring[:, 1:-1:2], ring[:, 2::2]), _rows(centers, ring[:, :-1])]
-    owner = [np.repeat(discs, n), np.repeat(discs, 2 * n)]
+    # triangles, claims and owner are each filled in place: shields, fans, digons
+    s, d = n * n, len(columns)
+    triangles = np.empty((3 * s + 4 * d, 3), dtype=np.int64)
+    claims = np.empty((3 * s + 3 * d, 2), dtype=np.int64)
+    owner = np.empty(3 * s + 3 * d, dtype=np.int64)
+    _fill(triangles[:s].reshape(n, n, 3), 0, ring[:, 1:-1:2], ring[:, 2::2])
+    _fill(triangles[s : 3 * s].reshape(n, 2 * n, 3), centers, ring[:, :-1], ring[:, 1:])
+    _fill(claims[:s].reshape(n, n, 2), ring[:, 1:-1:2], ring[:, 2::2])
+    _fill(claims[s : 3 * s].reshape(n, 2 * n, 2), centers, ring[:, :-1])
+    owner[:s].reshape(n, n)[:] = disc
+    owner[s : 3 * s].reshape(n, 2 * n)[:] = disc
 
     a1 = v[columns - 1]
     a2, b1, b2 = a1 + 1, a1 + 2, a1 + 3
-    triangles.append(_rows(0, a1, b2, a1, a2, b2, a2, b1, b2, 0, a2, b1).reshape(-1, 3))
-    claims.append(_rows(a1, b2, a2, b2, a2, b1).reshape(-1, 2))
-    owner.append(np.repeat(n + np.arange(len(columns)), 3))
+    _fill(triangles[3 * s :].reshape(d, 12), 0, a1, b2, a1, a2, b2, a2, b1, b2, 0, a2, b1)
+    _fill(claims[3 * s :].reshape(d, 6), a1, b2, a2, b2, a2, b1)
+    owner[3 * s :].reshape(d, 3)[:] = n + np.arange(d)[:, None]
 
     owners = tuple(f"disc{i}" for i in range(1, n + 1)) + tuple(f"digon{j}" for j in columns.tolist())
     labels = {0: "0"}
@@ -95,7 +103,6 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
         labels.update({b: f"w{j}.1", b + 1: f"w{j}.2"})
     labels.update({c: f"c{i}" for i, c in enumerate(centers.ravel().tolist(), start=1)})
     # the constructor's peak comes on top of whatever is still alive here
-    triangles, claims, owner = np.concatenate(triangles), np.concatenate(claims), np.concatenate(owner)
     del ring, col, negative, first, centers, a1, a2, b1, b2
     return SimplicialComplex2(labels, triangles, claims, owner, owners)
 

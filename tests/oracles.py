@@ -8,7 +8,9 @@ Hadamard-ness from the Gram matrix, and HMT(n) and the generic
 disc-complex triangulation from face-by-face plain-Python constructions,
 the latter's words by dealing out letters, its vertex count by a closed
 form, and the matrix a blueprint realizes by counting letters.  Speyer's
-matrix M(k) is a dense matrix of identity diagonals.
+matrix M(k) is a dense matrix of identity diagonals.  Rows of integers
+become text by one join of Python strings, each distinct value's words
+made once and looked up by index.
 
 One exception shares the package's valid sequence and constructor:
 :func:`hmt_reference`, the array builder of HMT(n) as it was before its
@@ -308,6 +310,20 @@ def speyer_matrix_dense(k: int) -> np.ndarray:
     out = np.eye(len(digits), k=-1, dtype=np.int64) + 2 * np.eye(len(digits), dtype=np.int64)
     out[0] = [(-1) ** i * d for i, d in enumerate(digits)]
     return out
+
+
+def format_rows(rows: np.ndarray) -> str:
+    """The rows of an int64 array as lines of space-separated decimals, by
+    the object-join formatter: each distinct value is formatted once,
+    followed by a space and by a newline, and the lines are one join of
+    those words looked up by index."""
+    ids, idx = np.unique(rows, return_inverse=True)
+    idx = idx.reshape(rows.shape)
+    words = [str(v) for v in ids.tolist()]
+    out = np.empty(rows.shape, dtype=object)
+    out[:, :-1] = np.array([w + " " for w in words], dtype=object)[idx[:, :-1]]
+    out[:, -1] = np.array([w + "\n" for w in words], dtype=object)[idx[:, -1]]
+    return "".join(out.ravel().tolist())
 
 
 def disc_words(rows, ordering: str) -> list[tuple[int, ...]]:

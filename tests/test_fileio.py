@@ -3,10 +3,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from torsionforge.exactmat import int_matrix
 from torsionforge.fileio import (
     FileFormatError,
+    _format_rows,
     complex_from_json,
     complex_to_json,
     read_complex,
@@ -21,6 +24,8 @@ from torsionforge.hadamard import walsh
 from torsionforge.hmt_builder import build_hmt
 from torsionforge.triangulation import SimplicialComplex2
 from torsionforge.valid_sequences import ValidSequence, valid_sequence
+
+from .oracles import format_rows
 
 
 class TestMatrixFormat:
@@ -184,6 +189,44 @@ class TestSequenceFormat:
         with pytest.raises(FileFormatError) as exc:
             read_sequence(f"1 2\n1 {label}\n")
         assert str(exc.value) == f"line 2, col 3: label {label} does not fit in 64 bits"
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+# int64 values of every decimal length, so that a word and its terminator
+# fall on both sides of 8 and 16 bytes and reach the 24-byte width
+_by_digits = st.integers(1, 19).flatmap(lambda d: st.integers(10 ** (d - 1), min(10**d - 1, INT64_MAX)))
+_values = st.one_of(_by_digits, _by_digits.map(lambda v: -v), st.sampled_from([0, INT64_MIN, INT64_MAX]))
+
+
+@st.composite
+def int_tables(draw):
+    """An int64 table of 1 to 6 columns and 0 to 50 rows, and ascending
+    distinct ids that hold every entry: a contiguous run or a gapped set."""
+    cols, nrows = draw(st.integers(1, 6)), draw(st.integers(0, 50))
+    if draw(st.booleans()):
+        size = draw(st.integers(1, 40))
+        start = min(draw(_values), INT64_MAX - size + 1)
+        ids = np.arange(size, dtype=np.int64) + np.int64(start)
+        entries = st.integers(start, start + size - 1)
+    else:
+        ids, entries = None, _values
+    rows = np.array(draw(st.lists(entries, min_size=nrows * cols, max_size=nrows * cols)), dtype=np.int64)
+    rows = rows.reshape(nrows, cols)
+    return rows, np.unique(rows) if ids is None else ids
+
+
+class TestFormatRows:
+    """The byte-table writer against the object-join formatter."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_tables())
+    @example((np.empty((0, 3), dtype=np.int64), np.empty(0, dtype=np.int64)))
+    @example((np.array([[INT64_MIN, INT64_MAX], [-1, INT64_MIN]], dtype=np.int64), np.array([INT64_MIN, -1, INT64_MAX], dtype=np.int64)))
+    @example((np.array([[1234567, 12345678, 123456789]], dtype=np.int64), np.array([1234567, 12345678, 123456789], dtype=np.int64)))
+    def test_equals_object_join(self, table):
+        rows, ids = table
+        assert _format_rows(rows, ids) == format_rows(rows)
 
 
 class TestFacetFormat:
