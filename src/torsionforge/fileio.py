@@ -146,7 +146,7 @@ def _format_rows(rows: np.ndarray, ids: np.ndarray) -> str:
     of uint64 wide: ending in a space in its first half and in a newline
     in its second.  The text is that table gathered by the rows' index,
     with the last column's offset into the second half, less its NULs."""
-    idx, _ = _index_in(ids, rows)
+    idx = _index_in(ids, rows)
     words = [str(v) for v in ids.tolist()]
     width = 8 * (max(map(len, words), default=0) // 8 + 1)
     table = np.array([w + " " for w in words] + [w + "\n" for w in words], dtype=f"S{width}")

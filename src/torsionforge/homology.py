@@ -62,9 +62,12 @@ from .triangulation import SimplicialComplex2, validate_complex
 
 @dataclass(frozen=True)
 class HomologyResult:
+    """H0, H1, H2 and ``face_vector`` (f0, f1, f2), the chain group ranks, f1
+    from the boundary index; ``str`` and :meth:`as_tuple` show the groups."""
     h0: AbelianGroup
     h1: AbelianGroup
     h2: AbelianGroup
+    face_vector: tuple[int, int, int]
 
     def as_tuple(self) -> tuple[AbelianGroup, AbelianGroup, AbelianGroup]:
         return (self.h0, self.h1, self.h2)
@@ -319,4 +322,5 @@ def simplicial_homology(k: SimplicialComplex2) -> HomologyResult:
         h0=free_group(components),
         h1=group_from_factors(torsion, n1 - r1 - r2),
         h2=free_group(n2 - r2),
+        face_vector=(n0, n1, n2),
     )

@@ -62,25 +62,24 @@ def _sorted_unique(x: np.ndarray) -> np.ndarray:
     return x[_run_starts(x)]
 
 
-def _index_in(ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Position of every entry of x in the ascending distinct ids, and
-    whether the entry is one of them.  Ids that form one contiguous run
-    are looked up by offset, others by binary search; an offset that wraps
-    past int64 lands below 0 or at len(ids) and beyond, because the last
-    id, ids[0] + len(ids) - 1, is an int64 itself."""
+def _index_in(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Position of every entry of x in the ascending distinct ids, if it is
+    one (see :func:`_unknown_rows`): by offset when the ids form one
+    contiguous run, else by binary search."""
+    if len(ids) and int(ids[-1]) - int(ids[0]) == len(ids) - 1:
+        return x - ids[0]
+    return np.searchsorted(ids, x)
+
+
+def _unknown_rows(ids: np.ndarray, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Indices of the rows of x with an entry outside the ids, given idx
+    from :func:`_index_in`: an offset out of range (one that wraps past
+    int64 lands below 0 or at len(ids) and beyond, as the last id is an
+    int64), or a searched position that holds another id."""
     n = len(ids)
-    if n and int(ids[-1]) - int(ids[0]) == n - 1:
-        idx = x - ids[0]
-        return idx, (0 <= idx) & (idx < n)
-    idx = np.searchsorted(ids, x)
-    if not n:
-        return idx, np.zeros(x.shape, dtype=bool)
-    return idx, ids.take(idx, mode="clip") == x
-
-
-def _unknown_rows(known: np.ndarray) -> np.ndarray:
-    """Indices of the rows of a mask from :func:`_index_in` that hold an
-    id outside the ids."""
+    known = (0 <= idx) & (idx < n)
+    if n and int(ids[-1]) - int(ids[0]) != n - 1:
+        known &= ids.take(idx, mode="clip") == x
     if known.all():
         return np.empty(0, dtype=np.intp)
     return np.flatnonzero(~known.all(axis=1))
@@ -128,8 +127,8 @@ class SimplicialComplex2:
             raise ValueError(f"degenerate triangle {_ints(tri[bad[0]])}")
         vids = np.array(sorted(self.labels), dtype=np.int64)
         nv = len(vids)
-        idx, known = _index_in(vids, tri)
-        bad = _unknown_rows(known)
+        idx = _index_in(vids, tri)
+        bad = _unknown_rows(vids, tri, idx)
         if bad.size:
             raise ValueError(f"triangle {_ints(tri[bad[0]])} uses an unknown vertex")
 
@@ -141,7 +140,7 @@ class SimplicialComplex2:
             raise ValueError(f"duplicate triangle {_ints(tri[order[~_run_starts(tri[order])].min()])}")
         # every array is dropped once it is decoded, which keeps the peak
         # memory of a build down
-        del tri, idx, known
+        del tri, idx
         ab, c = np.divmod(keys, nv)
         a, b = np.divmod(ab, nv)
         del keys, ab
@@ -179,8 +178,8 @@ def _owned_claims(vids: np.ndarray, claims, owner, owners) -> tuple[np.ndarray, 
     nv, m = len(vids), len(owners)
     if m > MAX_VERTICES:
         raise ValueError(f"{m} owners, more than the {MAX_VERTICES} allowed")
-    idx, known = _index_in(vids, claims)
-    bad = _unknown_rows(known)
+    idx = _index_in(vids, claims)
+    bad = _unknown_rows(vids, claims, idx)
     if bad.size:
         raise ValueError(f"interior edge {_ints(claims[bad[0]])} uses an unknown vertex")
     bad = np.flatnonzero((owner < 0) | (owner >= m))
@@ -257,7 +256,7 @@ def _side_keys(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
     """Ascending vertex ids, and the keys i * nv + j of all sides (a,b), then (a,c), then (b,c)."""
     vids = np.array(sorted(k.labels), dtype=np.int64)
     nv = len(vids)
-    a, b, c = _index_in(vids, k.triangles)[0].T
+    a, b, c = _index_in(vids, k.triangles).T
     return vids, np.concatenate((a * nv + b, a * nv + c, b * nv + c))
 
 
@@ -282,10 +281,11 @@ def validate_complex(k: SimplicialComplex2) -> tuple[np.ndarray, np.ndarray]:
     keys = keys[order[starts]]
     sides = np.empty_like(order)
     sides[order] = np.cumsum(starts) - 1
-    cidx, _ = _index_in(vids, k.claims)
-    _, is_edge = _index_in(keys, cidx[:, 0] * nv + cidx[:, 1])
-    if not is_edge.all():
-        edge = _ints(k.claims[np.argmin(is_edge)])
+    cidx = _index_in(vids, k.claims)
+    claimed = (cidx[:, 0] * nv + cidx[:, 1])[:, None]
+    bad = _unknown_rows(keys, claimed, _index_in(keys, claimed))
+    if bad.size:
+        edge = _ints(k.claims[bad[0]])
         raise ValueError(f"invalid complex: claimed interior edge {edge} is not an edge of the complex")
     return np.stack(np.divmod(keys, nv), axis=1), sides.reshape(3, -1).T
 

@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import time
 
 import numpy as np
@@ -488,6 +489,29 @@ class TestGoldenOutput:
     def test_digest(self, argv, digest, capsys):
         code, out, _ = run(capsys, *argv.split())
         assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestGoldenCertificate:
+    """SHA-256 of certify's stdout with its one 'elapsed' value set to 0,
+    as produced when the face vector was counted apart from homology."""
+
+    @pytest.mark.parametrize(
+        "n, digest",
+        [
+            (2, "6dd47fde340f215b31043932b2cb0a643ba81dc5721487e5ef6b6d5e89988516"),
+            (4, "5b42ea76503cab4ec8adba9627f9503bc285d272d04a1f17e0bfeff062d531ad"),
+            (8, "517e0f561cd97ae92eedd28220262c760873058ed3b5148523f06d8041238247"),
+            (16, "bfa92d2054a7794aa998225f84b10236282d383c19556fd55d969b9bca04c61c"),
+            (64, "10399d4fc6dabd02574cad52858f74f250f37b95a6c86daededaac2bf9e5a559"),
+            (256, "932fb31e405afc719b606fc53b6f50b4e421c467a27e1a5737fe89ac32094a15"),
+        ],
+    )
+    def test_digest(self, n, digest, capsys):
+        code, out, _ = run(capsys, "certify", "--n", str(n))
+        assert code == 0
+        out, masked = re.subn(r'"elapsed": [^,]*,', '"elapsed": 0,', out)
+        assert masked == 1
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -4,7 +4,10 @@ import sys
 import numpy as np
 import pytest
 
+from torsionforge import hmt_builder, triangulation
+from torsionforge.cli import main
 from torsionforge.disc_complex import cellular_homology
+from torsionforge.exactmat import group_from_factors
 from torsionforge.fileio import write_facets
 from torsionforge.hadamard import augment, walsh
 from torsionforge.hmt_builder import (
@@ -17,7 +20,7 @@ from torsionforge.homology import simplicial_homology
 from torsionforge.triangulation import euler_characteristic, face_vector, validate_complex
 
 from .oracles import hmt_facets, hmt_reference
-from .test_triangulation import claimed
+from .test_triangulation import claimed, complex_from_triangles, tetrahedron
 
 HMT2_FACETS = """0 1 4
 0 1 6
@@ -179,6 +182,52 @@ class TestHomology:
         assert full.as_tuple() == cellular_homology(augment(walsh(n)))
 
 
+def two_spheres():
+    """Two disjoint tetrahedron surfaces, on which every check of a
+    certificate fails."""
+    tris = tetrahedron().triangles.tolist()
+    return complex_from_triangles(tris + [[v + 4 for v in t] for t in tris])
+
+
+class TestCertificateFailures:
+    """A failed check puts one message in 'discrepancies', in the order of
+    the checks, clears 'passed' and makes certify exit 1."""
+
+    WRONG_CLOSED_FORMS = [
+        "face vector (19, 78, 60) != expected (19, 78, 61)",
+        "H1 = Z_2 x Z_2 x Z_4 != expected Z_2 x Z_4",
+    ]
+    WRONG_COMPLEX = [
+        "face vector (8, 12, 8) != expected (19, 78, 60)",
+        "euler characteristic 4 != 1",
+        "H0 = Z^2 != Z",
+        "H2 = Z^2 != 0",
+        "H1 = 0 != expected Z_2 x Z_2 x Z_4",
+        "|H1| = 1 != 16",
+    ]
+
+    @pytest.fixture(params=["wrong-closed-forms", "wrong-complex"])
+    def expected(self, request, monkeypatch):
+        if request.param == "wrong-complex":
+            monkeypatch.setattr(hmt_builder, "build_hmt", lambda n: two_spheres())
+            return self.WRONG_COMPLEX
+        fv = hmt_face_vector(4)
+        monkeypatch.setattr(hmt_builder, "hmt_face_vector", lambda n: fv[:2] + (fv[2] + 1,))
+        monkeypatch.setattr(hmt_builder, "hmt_torsion_group", lambda n: group_from_factors((2, 4), 0))
+        return self.WRONG_CLOSED_FORMS
+
+    def test_messages_in_order(self, expected):
+        cert = hmt_certificate(4)
+        assert cert["passed"] is False
+        assert cert["discrepancies"] == expected
+
+    def test_certify_fails(self, expected, capsys):
+        assert main(["certify", "--n", "4"]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["discrepancies"] == expected
+        assert err.startswith("certify n=4: FAIL (")
+
+
 class TestCertificate:
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_passes(self, n):
@@ -203,6 +252,17 @@ class TestCertificate:
         for name, mod in list(sys.modules.items()):
             if name.startswith("torsionforge") and getattr(mod, "validate_complex", None) is validate_complex:
                 monkeypatch.setattr(mod, "validate_complex", counting)
+        hmt_certificate(4)
+        assert len(calls) == 1
+
+    def test_sorts_the_sides_once(self, monkeypatch):
+        side_keys, calls = triangulation._side_keys, []
+
+        def counting(k):
+            calls.append(k)
+            return side_keys(k)
+
+        monkeypatch.setattr(triangulation, "_side_keys", counting)
         hmt_certificate(4)
         assert len(calls) == 1
 

@@ -107,6 +107,10 @@ class TestSimplicialHomology:
                 assert type(group.free_rank) is int
                 assert all(type(f) is int for f in group.invariant_factors)
 
+    def test_face_vector_is_the_library_count(self):
+        for k in [*corpus(), build_hmt(4, keep_first_digon=True), build_speyer_complex(2**61 - 1)]:
+            assert simplicial_homology(k).face_vector == face_vector(k)
+
     def test_euler_poincare(self):
         for k in corpus():
             f0, f1, f2 = face_vector(k)

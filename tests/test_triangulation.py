@@ -21,6 +21,7 @@ from torsionforge.triangulation import (
     SimplicialComplex2,
     _index_in,
     _sorted_rows,
+    _unknown_rows,
     euler_characteristic,
     face_vector,
     triangulate_generic,
@@ -385,13 +386,20 @@ class TestIndexIn:
         idx = np.searchsorted(ids, x)
         return idx, len(ids) > 0 and ids.take(idx, mode="clip") == x
 
+    @staticmethod
+    def index_and_known(ids, x):
+        """_index_in of x, and _unknown_rows of x taken one entry a row."""
+        known = np.ones(x.size, dtype=bool)
+        known[_unknown_rows(ids, x.reshape(-1, 1), _index_in(ids, x.reshape(-1, 1)))] = False
+        return _index_in(ids, x), known.reshape(x.shape)
+
     @settings(max_examples=300, deadline=None)
     @given(id_sets(), st.lists(int64s, max_size=10), st.data())
     def test_offset_path_equals_binary_search(self, ids, others, data):
         near = [int(v) + d for v in ids.tolist()[:3] + ids.tolist()[-3:] for d in (-1, 0, 1)]
         near += [INT64_MIN, INT64_MAX] + others
         x = np.array([v for v in near if INT64_MIN <= v <= INT64_MAX], dtype=np.int64)
-        idx, known = _index_in(ids, x)
+        idx, known = self.index_and_known(ids, x)
         ref_idx, ref_known = self.binary_search(ids, x)
         assert np.array_equal(known, np.broadcast_to(ref_known, x.shape))
         assert np.array_equal(idx[known], ref_idx[known])
@@ -407,14 +415,18 @@ class TestIndexIn:
     def test_offset_that_wraps_is_unknown(self, ids, x):
         ids = np.array(ids, dtype=np.int64)
         assert int(ids[-1]) - int(ids[0]) == len(ids) - 1  # the offset path
-        _, known = _index_in(ids, np.array([x, ids[1]], dtype=np.int64))
+        _, known = self.index_and_known(ids, np.array([x, ids[1]], dtype=np.int64))
         assert known.tolist() == [False, True]
 
     def test_rows_of_ids(self):
-        ids = np.array([3, 4, 5, 6], dtype=np.int64)
-        idx, known = _index_in(ids, np.array([[3, 6], [7, 4]], dtype=np.int64))
-        assert idx[known].tolist() == [0, 3, 1]
-        assert known.tolist() == [[True, True], [False, True]]
+        x = np.array([[3, 6], [7, 4]], dtype=np.int64)
+        for ids in ([3, 4, 5, 6], [3, 4, 6, 9]):  # by offset, then by binary search
+            ids = np.array(ids, dtype=np.int64)
+            idx, known = self.index_and_known(ids, x)
+            assert idx[known].tolist() == [0, ids.tolist().index(6), 1]
+            assert known.tolist() == [[True, True], [False, True]]
+            assert _unknown_rows(ids, x, idx).tolist() == [1]
+            assert _unknown_rows(ids[:0], x, _index_in(ids[:0], x)).tolist() == [0, 1]
 
 
 class TestTriangleKeys:
