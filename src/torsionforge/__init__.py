@@ -17,8 +17,6 @@ from .homology import HomologyResult, boundary_matrices, simplicial_homology
 from .speyer import build_speyer_complex
 from .triangulation import (
     SimplicialComplex2,
-    euler_characteristic,
-    face_vector,
     triangulate_generic,
     validate_complex,
 )
@@ -40,8 +38,6 @@ __all__ = [
     "build_speyer_complex",
     "cellular_homology",
     "check_valid",
-    "euler_characteristic",
-    "face_vector",
     "free_group",
     "from_matrix",
     "group_from_factors",

@@ -103,8 +103,7 @@ def _group_line(name, g) -> str:
 
 
 def _cmd_homology(args) -> int:
-    k = fileio.read_complex(_read_input(args.complex))
-    hom = simplicial_homology(k)
+    hom = simplicial_homology(fileio.read_complex(_read_input(args.complex)))
     text = "\n".join(
         (_group_line("H0", hom.h0), _group_line("H1", hom.h1), _group_line("H2", hom.h2))
     )

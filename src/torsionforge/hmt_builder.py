@@ -77,11 +77,13 @@ def build_hmt(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
     disc = np.arange(n)[:, None]
     centers = v[-1] + 4 + disc
 
-    # triangles, claims and owner are each filled in place: shields, fans, digons
+    # triangles, claims and owner are each filled in place: shields, fans,
+    # digons.  They are int32, whose ids the constructor takes as its vertex
+    # indices without a copy, as they run from 0.
     s, d = n * n, len(columns)
-    triangles = np.empty((3 * s + 4 * d, 3), dtype=np.int64)
-    claims = np.empty((3 * s + 3 * d, 2), dtype=np.int64)
-    owner = np.empty(3 * s + 3 * d, dtype=np.int64)
+    triangles = np.empty((3 * s + 4 * d, 3), dtype=np.int32)
+    claims = np.empty((3 * s + 3 * d, 2), dtype=np.int32)
+    owner = np.empty(3 * s + 3 * d, dtype=np.int32)
     _fill(triangles[:s].reshape(n, n, 3), 0, ring[:, 1:-1:2], ring[:, 2::2])
     _fill(triangles[s : 3 * s].reshape(n, 2 * n, 3), centers, ring[:, :-1], ring[:, 1:])
     _fill(claims[:s].reshape(n, n, 2), ring[:, 1:-1:2], ring[:, 2::2])

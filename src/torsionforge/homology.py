@@ -303,6 +303,9 @@ def simplicial_homology(k: SimplicialComplex2) -> HomologyResult:
     form (none when nothing is left)."""
     ev, te = validate_complex(k)
     n0, n1, n2 = len(k.labels), len(ev), len(te)
+    # nothing below reads the complex: a caller that keeps no reference of
+    # its own has it freed before the rounds
+    del k
     root, _, tree = _forest(n0, ev[:, 0], ev[:, 1])
     components = int(np.count_nonzero(root == np.arange(n0)))
     r1 = n0 - components

@@ -7,8 +7,9 @@ sequence validity from the direct quartic scan of the definition,
 Hadamard-ness from the Gram matrix, and HMT(n) and the generic
 disc-complex triangulation from face-by-face plain-Python constructions,
 the latter's words by dealing out letters, its vertex count by a closed
-form, and the matrix a blueprint realizes by counting letters.  Speyer's
-matrix M(k) is a dense matrix of identity diagonals.  Rows of integers
+form, and the matrix a blueprint realizes by counting letters.  Face
+vectors count a set of Python tuples.  Speyer's matrix M(k) is a dense
+matrix of identity diagonals.  Rows of integers
 become text by one join of Python strings, each distinct value's words
 made once and looked up by index.
 
@@ -17,7 +18,10 @@ One exception shares the package's valid sequence and constructor:
 signs came from ``walsh(n)``, with popcount parity signs and separate id
 formulas for rings, centers, digons and labels.  And
 :func:`low_growth_pivot` is the sweep's tie-break rule as first written,
-kept to check the later, cheaper search against.
+kept to check the later, cheaper search against, and
+:func:`complex_fields_reference` is the constructor of
+``SimplicialComplex2`` as it was before it packed int32 vertex indices
+into shifted keys, with the helpers it used copied beside it.
 """
 
 from __future__ import annotations
@@ -300,6 +304,18 @@ def hmt_facets(n: int, keep_first_digon: bool = False) -> list[tuple[int, int, i
     return sorted(tuple(sorted(f)) for f in faces)
 
 
+def face_vector(k) -> tuple[int, int, int]:
+    """(f0, f1, f2) of a complex: its labels, the distinct sides of its
+    triangles (as a set of Python tuples) and its triangles."""
+    sides = {s for a, b, c in k.triangles.tolist() for s in ((a, b), (a, c), (b, c))}
+    return (len(k.labels), len(sides), len(k.triangles))
+
+
+def euler_characteristic(k) -> int:
+    f0, f1, f2 = face_vector(k)
+    return f0 - f1 + f2
+
+
 def speyer_matrix_dense(k: int) -> np.ndarray:
     """M(k) built densely: a 2 on the diagonal and a 1 just left of it in
     every row, then the first row overwritten with the binary digits of k
@@ -487,3 +503,122 @@ def hmt_reference(n: int, keep_first_digon: bool = False) -> SimplicialComplex2:
     triangles, claims, owner = np.concatenate(triangles), np.concatenate(claims), np.concatenate(owner)
     del ring, col, common, negative, first, centers, a1, a2, b1, b2
     return SimplicialComplex2(_reference_labels(n, keep_first_digon), triangles, claims, owner, owners)
+
+
+# The previous constructor (see the module docstring): rows sorted on
+# int64 ids, one key (a * nv + b) * nv + c per triangle and
+# edge * len(owners) + owner per claim, decoded by divmod.
+
+REFERENCE_MAX_VERTICES = 2**21
+
+
+def _ref_int_rows(x, width: int) -> np.ndarray:
+    return np.asarray(x, dtype=np.int64).reshape(-1, width)
+
+
+def _ref_sorted_rows(rows: np.ndarray) -> np.ndarray:
+    cols = list(rows.T)
+    for i, j in [(0, 1)] if len(cols) == 2 else [(0, 1), (1, 2), (0, 1)]:
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    return np.stack(cols, axis=1)
+
+
+def _ref_ints(row) -> tuple[int, ...]:
+    return tuple(int(v) for v in row)
+
+
+def _ref_run_starts(x: np.ndarray) -> np.ndarray:
+    starts = np.ones(len(x), dtype=bool)
+    diff = x[1:] != x[:-1]
+    starts[1:] = diff.any(axis=1) if x.ndim == 2 else diff
+    return starts
+
+
+def _ref_sorted_unique(x: np.ndarray) -> np.ndarray:
+    x = np.sort(x, axis=None)
+    return x[_ref_run_starts(x)]
+
+
+def _ref_index_in(ids: np.ndarray, x: np.ndarray) -> np.ndarray:
+    if len(ids) and int(ids[-1]) - int(ids[0]) == len(ids) - 1:
+        return x - ids[0]
+    return np.searchsorted(ids, x)
+
+
+def _ref_unknown_rows(ids: np.ndarray, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    n = len(ids)
+    known = (0 <= idx) & (idx < n)
+    if n and int(ids[-1]) - int(ids[0]) != n - 1:
+        known &= ids.take(idx, mode="clip") == x
+    if known.all():
+        return np.empty(0, dtype=np.intp)
+    return np.flatnonzero(~known.all(axis=1))
+
+
+def complex_fields_reference(labels, triangles, claims=(), claim_owner=(), owners=()) -> dict:
+    """The fields the constructor of SimplicialComplex2 keeps, as a dict,
+    or the ValueError it raises, by the reference code above."""
+    labels = dict(labels)
+    if len(labels) > REFERENCE_MAX_VERTICES:
+        raise ValueError(f"{len(labels)} vertices, more than the {REFERENCE_MAX_VERTICES} allowed")
+    tri = _ref_sorted_rows(_ref_int_rows(triangles, 3))
+    bad = np.flatnonzero((tri[:, 0] == tri[:, 1]) | (tri[:, 1] == tri[:, 2]))
+    if bad.size:
+        raise ValueError(f"degenerate triangle {_ref_ints(tri[bad[0]])}")
+    vids = np.array(sorted(labels), dtype=np.int64)
+    nv = len(vids)
+    idx = _ref_index_in(vids, tri)
+    bad = _ref_unknown_rows(vids, tri, idx)
+    if bad.size:
+        raise ValueError(f"triangle {_ref_ints(tri[bad[0]])} uses an unknown vertex")
+    keys = np.sort((idx[:, 0] * nv + idx[:, 1]) * nv + idx[:, 2])
+    if (keys[1:] == keys[:-1]).any():
+        order = np.lexsort(tri.T[::-1])
+        raise ValueError(f"duplicate triangle {_ref_ints(tri[order[~_ref_run_starts(tri[order])].min()])}")
+    ab, c = np.divmod(keys, nv)
+    a, b = np.divmod(ab, nv)
+    covered = np.zeros(nv, dtype=bool)
+    covered[a] = covered[b] = covered[c] = True
+    if not covered.all():
+        raise ValueError(f"vertex {int(vids[~covered][0])} lies in no triangle")
+    triangles = vids[np.stack((a, b, c), axis=1)]
+    claims, claim_owner = _ref_owned_claims(vids, claims, claim_owner, owners)
+    return {
+        "labels": labels,
+        "triangles": triangles,
+        "claims": claims,
+        "claim_owner": claim_owner,
+        "owners": tuple(owners),
+    }
+
+
+def _ref_owned_claims(vids: np.ndarray, claims, owner, owners) -> tuple[np.ndarray, np.ndarray]:
+    claims = _ref_sorted_rows(_ref_int_rows(claims, 2))
+    owner = np.asarray(owner, dtype=np.int64).reshape(-1)
+    if len(owner) != len(claims):
+        raise ValueError(f"{len(claims)} claimed edges but {len(owner)} owners")
+    nv, m = len(vids), len(owners)
+    if m > REFERENCE_MAX_VERTICES:
+        raise ValueError(f"{m} owners, more than the {REFERENCE_MAX_VERTICES} allowed")
+    idx = _ref_index_in(vids, claims)
+    bad = _ref_unknown_rows(vids, claims, idx)
+    if bad.size:
+        raise ValueError(f"interior edge {_ref_ints(claims[bad[0]])} uses an unknown vertex")
+    bad = np.flatnonzero((owner < 0) | (owner >= m))
+    if bad.size:
+        at = bad[0]
+        raise ValueError(f"interior edge {_ref_ints(claims[at])} has owner index {int(owner[at])}, not one of {m} owners")
+    keys = idx[:, 0] * nv + idx[:, 1]
+    edge, edge_owner = np.divmod(_ref_sorted_unique(keys * m + owner), m)
+    if (edge[1:] == edge[:-1]).any():
+        order = np.argsort(keys, kind="stable")
+        sorted_owner = owner[order]
+        first = _ref_run_starts(keys[order])
+        first_owner = sorted_owner[first][np.cumsum(first) - 1]
+        clash = np.flatnonzero(sorted_owner != first_owner)
+        at = clash[np.argmin(order[clash])]
+        raise ValueError(
+            f"interior edge {_ref_ints(claims[order[at]])} claimed by both "
+            f"{owners[first_owner[at]]} and {owners[sorted_owner[at]]}"
+        )
+    return vids[np.stack(np.divmod(edge, nv), axis=1)], edge_owner

@@ -15,10 +15,10 @@ from torsionforge.hadamard import hadamard_snf_closed_form, walsh
 from torsionforge.hmt_builder import build_hmt, hmt_face_vector, hmt_torsion_group
 from torsionforge.homology import boundary_matrices, simplicial_homology
 from torsionforge.speyer import _speyer_spec, build_speyer_complex
-from torsionforge.triangulation import face_vector, triangulate_generic, validate_complex
+from torsionforge.triangulation import triangulate_generic, validate_complex
 from torsionforge.valid_sequences import ValidSequence, check_valid, valid_sequence
 
-from .oracles import det_bareiss, word_matrix
+from .oracles import det_bareiss, face_vector, word_matrix
 from .test_triangulation import claimed
 from .test_valid_sequences import H4_SEQUENCE, H8_SEQUENCE
 

@@ -17,9 +17,9 @@ from torsionforge.hmt_builder import (
     hmt_torsion_group,
 )
 from torsionforge.homology import simplicial_homology
-from torsionforge.triangulation import euler_characteristic, face_vector, validate_complex
+from torsionforge.triangulation import validate_complex
 
-from .oracles import hmt_facets, hmt_reference
+from .oracles import euler_characteristic, face_vector, hmt_facets, hmt_reference
 from .test_triangulation import claimed, complex_from_triangles, tetrahedron
 
 HMT2_FACETS = """0 1 4

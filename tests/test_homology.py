@@ -10,9 +10,9 @@ from torsionforge.hadamard import hadamard_snf_closed_form, walsh
 from torsionforge.hmt_builder import build_hmt
 from torsionforge.homology import boundary_matrices, simplicial_homology
 from torsionforge.speyer import build_speyer_complex
-from torsionforge.triangulation import SimplicialComplex2, face_vector, triangulate_generic
+from torsionforge.triangulation import SimplicialComplex2, triangulate_generic
 
-from .oracles import component_count, snf_factors
+from .oracles import component_count, face_vector, snf_factors
 from .test_disc_complex import random_matrix_no_zero_lines
 from .test_triangulation import complex_from_triangles, tetrahedron
 

@@ -19,8 +19,6 @@ def test_public_names_are_pinned():
         "build_speyer_complex",
         "cellular_homology",
         "check_valid",
-        "euler_characteristic",
-        "face_vector",
         "free_group",
         "from_matrix",
         "group_from_factors",

@@ -7,9 +7,9 @@ from torsionforge.disc_complex import from_matrix
 from torsionforge.exactmat import group_from_factors
 from torsionforge.homology import simplicial_homology
 from torsionforge.speyer import _speyer_spec, build_speyer_complex
-from torsionforge.triangulation import face_vector, triangulate_generic, validate_complex
+from torsionforge.triangulation import triangulate_generic, validate_complex
 
-from .oracles import det_bareiss, speyer_matrix_dense, vertex_count_formula, word_matrix
+from .oracles import det_bareiss, face_vector, speyer_matrix_dense, vertex_count_formula, word_matrix
 
 
 def random_ks(count: int, seed: int) -> list[int]:

@@ -11,7 +11,7 @@ from torsionforge import triangulation
 from torsionforge.cli import main
 from torsionforge.disc_complex import DiscComplexSpec, from_matrix
 from torsionforge.exactmat import int_matrix
-from torsionforge.fileio import FileFormatError, complex_from_json, complex_to_json, write_facets
+from torsionforge.fileio import FileFormatError, complex_from_json, complex_to_json, read_facets, write_facets
 from torsionforge.hadamard import walsh
 from torsionforge.hmt_builder import build_hmt
 from torsionforge.homology import boundary_matrices, simplicial_homology
@@ -20,15 +20,23 @@ from torsionforge.triangulation import (
     MAX_VERTICES,
     SimplicialComplex2,
     _index_in,
-    _sorted_rows,
+    _pack,
+    _sorted_columns,
     _unknown_rows,
-    euler_characteristic,
-    face_vector,
+    _unpack,
     triangulate_generic,
     validate_complex,
 )
 
-from .oracles import disc_words, generic_disc_faces, speyer_matrix_dense, vertex_count_formula
+from .oracles import (
+    complex_fields_reference,
+    disc_words,
+    euler_characteristic,
+    face_vector,
+    generic_disc_faces,
+    speyer_matrix_dense,
+    vertex_count_formula,
+)
 from .test_disc_complex import random_matrix_no_zero_lines
 
 H2_FACETS = """0 1 5
@@ -430,14 +438,15 @@ class TestIndexIn:
 
 
 class TestTriangleKeys:
-    """One int64 key per triangle: the duplicate check, canonical order and
-    the vertex bound that keeps the keys inside int64."""
+    """One int64 key per triangle, its vertex indices packed 21 bits each:
+    the duplicate check, canonical order and the vertex bound that keeps
+    every index inside its 21 bits."""
 
     def test_sorted_rows_match_np_sort(self):
         rng = np.random.default_rng(3)
         for width in (2, 3):
             rows = rng.integers(-4, 4, size=(200, width))
-            assert np.array_equal(_sorted_rows(rows), np.sort(rows, axis=1))
+            assert np.array_equal(np.stack(_sorted_columns(rows), axis=1), np.sort(rows, axis=1))
 
     def test_first_repeat_in_input_order_is_named(self):
         # (0, 1, 2) sorts first, but (0, 1, 3) is repeated first
@@ -449,6 +458,25 @@ class TestTriangleKeys:
 
     def test_keys_fit_in_int64(self):
         assert MAX_VERTICES**3 <= 2**63
+
+    def test_packing_round_trips_at_the_largest_index(self):
+        top = MAX_VERTICES - 1
+        rows = np.array([(0, 0, 0), (top, top, top), (top, 0, top), (0, top, 0), (1, top - 1, 2)], dtype=np.int32)
+        for width in (2, 3):  # edges, triangles; an owner index is the third field of a claim
+            cols = rows[:, :width]
+            keys = _pack(*cols.T)
+            assert keys.dtype == np.int64 and (keys >= 0).all()
+            assert np.argsort(keys).tolist() == np.lexsort(cols.T[::-1]).tolist()
+            out = np.full((len(rows), width), -1, dtype=np.int64)
+            _unpack(keys, *out.T)
+            assert out.tolist() == cols.tolist()
+
+    def test_ascending_keys_that_repeat_a_line_are_a_duplicate(self):
+        # the facet reader's rows ascend, so the keys do; a repeat does not
+        # let the sort be skipped
+        text = "0 1 2\n0 1 3\n0 1 3\n0 2 3\n1 2 3\n"
+        with pytest.raises(ValueError, match=r"^duplicate triangle \(0, 1, 3\)$"):
+            read_facets(text)
 
     def test_too_many_vertices(self, monkeypatch):
         monkeypatch.setattr(triangulation, "MAX_VERTICES", 3)
@@ -482,6 +510,113 @@ class TestTriangleKeys:
         k = complex_from_triangles(rows[::-1])
         assert k.triangles.tolist() == sorted(sorted(r) for r in rows)
         validate_complex(k)  # raises on an invalid complex
+
+
+INT32_MIN, INT32_MAX = -(2**31), 2**31 - 1
+
+
+def as_form(rows, form: str):
+    """rows as a list, an int64 array or, when every entry fits, an int32
+    array."""
+    if form == "list":
+        return rows
+    fits = all(INT32_MIN <= v <= INT32_MAX for v in np.ravel(np.array(rows, dtype=object)).tolist())
+    return np.array(rows, dtype=np.int32 if form == "int32" and fits else np.int64)
+
+
+@st.composite
+def constructor_inputs(draw):
+    """Arguments of SimplicialComplex2 on a few ids, contiguous (from 0, or
+    anywhere up to the int64 extremes) or gapped, that are valid or carry
+    some of the faults the constructor names: degenerate, unknown-vertex
+    and repeated triangles, uncovered labels, claims on unknown vertices,
+    owner indices outside the owners, and edges claimed twice."""
+    if draw(st.booleans()):
+        size = draw(st.integers(3, 8))
+        start = draw(st.one_of(st.just(0), st.sampled_from([INT64_MIN, INT64_MAX - size + 1]), int64s))
+        start = min(start, INT64_MAX - size + 1)
+        ids = list(range(start, start + size))
+    else:
+        extremes = st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX - 1, INT64_MAX])
+        ids = sorted(draw(st.sets(st.one_of(extremes, int64s, st.integers(-20, 20)), min_size=3, max_size=8)))
+    stranger = draw(st.one_of(int64s, st.sampled_from([ids[0] - 1, ids[-1] + 1, ids[1] + 1])))
+    stranger = min(max(stranger, INT64_MIN), INT64_MAX)
+    known = stranger in ids
+    triple = st.lists(st.sampled_from(ids), min_size=3, max_size=3, unique=True)
+    tris = draw(st.lists(triple, min_size=1, max_size=8, unique_by=frozenset))
+    used = {v for t in tris for v in t}
+    tris += [[v, *tris[0][:2]] for v in ids if v not in used]
+    kinds = st.sampled_from(["none", "degenerate", "unknown", "duplicate", "uncovered", "claim-unknown", "owner", "clash"])
+    faults = {draw(kinds), draw(kinds)}
+    if "degenerate" in faults:
+        t = draw(st.sampled_from(tris))
+        tris.insert(draw(st.integers(0, len(tris))), [t[0], t[1], t[0]])
+    if "unknown" in faults and not known:
+        at = draw(st.integers(0, len(tris) - 1))
+        tris[at] = [stranger, *tris[at][1:]]
+    if "duplicate" in faults:
+        t = draw(st.sampled_from(tris))
+        tris.insert(draw(st.integers(0, len(tris))), draw(st.permutations(t)))
+    labels = {v: f"v{v}" for v in ids}
+    if "uncovered" in faults and not known:
+        labels[stranger] = "stray"
+    m = draw(st.integers(0, 3))
+    pair = st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True)
+    claims = draw(st.lists(pair, min_size=min(m, 1), max_size=6))
+    owner = [draw(st.integers(0, m - 1)) if m else 0 for _ in claims]
+    if claims and "claim-unknown" in faults and not known:
+        claims[-1] = [claims[-1][0], stranger]
+    if claims and "owner" in faults:
+        owner[draw(st.integers(0, len(claims) - 1))] = draw(st.sampled_from([-1, m, INT32_MIN, INT32_MAX]))
+    if claims and "clash" in faults and m > 1:
+        at, to = draw(st.integers(0, len(claims) - 1)), draw(st.integers(0, len(claims)))
+        claims.insert(to, claims[at][::-1])
+        owner.insert(to, (owner[at] + 1) % m)
+    owners = tuple(f"unit{i}" for i in range(m))
+    form = st.sampled_from(["list", "int64", "int32"])
+    return labels, as_form(tris, draw(form)), as_form(claims, draw(form)), as_form(owner, draw(form)), owners
+
+
+def outcome(make, *args):
+    """The fields of make(*args), or the type and text of what it raised."""
+    try:
+        k = make(*args)
+    except Exception as e:  # noqa: BLE001 - the type is compared too
+        return type(e), str(e)
+    if isinstance(k, SimplicialComplex2):
+        for name in ("triangles", "claims", "claim_owner"):
+            x = getattr(k, name)
+            assert x.dtype == np.int64 and not x.flags.writeable, name
+        k = {f.name: getattr(k, f.name) for f in dataclasses.fields(k)}
+    return {
+        name: dict(x) if name == "labels" else (x.dtype.str, x.shape, x.tolist()) if isinstance(x, np.ndarray) else x
+        for name, x in k.items()
+    }
+
+
+class TestAgainstReference:
+    """The constructor against the one it replaced (oracles), field for
+    field, or error type and message for error type and message."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(constructor_inputs())
+    def test_same_fields_or_same_error(self, args):
+        assert outcome(SimplicialComplex2, *args) == outcome(complex_fields_reference, *args)
+
+    @pytest.mark.parametrize("form", ["list", "int64", "int32"])
+    def test_built_complexes(self, form):
+        for k in (build_hmt(8), build_hmt(4, keep_first_digon=True), build_speyer_complex(2**61 - 1)):
+            args = (k.labels, as_form(k.triangles.tolist()[::-1], form), as_form(k.claims.tolist(), form),
+                    as_form(k.claim_owner.tolist(), form), k.owners)
+            assert outcome(SimplicialComplex2, *args) == outcome(complex_fields_reference, *args)
+
+    @pytest.mark.parametrize("step", [1, 3])  # ids by offset, then by binary search
+    def test_indices_past_16_bits(self, step):
+        # disjoint triangles on 3 * 25000 vertices, rows and their entries shuffled
+        rng = np.random.default_rng(16)
+        rows = rng.permuted(rng.permutation(np.arange(75_000).reshape(-1, 3)), axis=1) * step
+        args = ({v: "" for v in range(0, 75_000 * step, step)}, rows.astype(np.int32), rows[:10, :2], [0] * 10, ("a",))
+        assert outcome(SimplicialComplex2, *args) == outcome(complex_fields_reference, *args)
 
 
 class TestClaims:
